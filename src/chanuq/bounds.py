@@ -27,19 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (BoundViolationError, DimensionMismatchError,
-                     NotHermitianError, NumericError)
-from .measures import MeasureSet, channel_measures, operator_u
+from .errors import BoundViolationError, DimensionMismatchError, NotHermitianError
+from .measures import MeasureSet, _nonneg, channel_measures, operator_u
 from .objects import DensityMatrix, KrausChannel, center_operator, pad_channels
 
 SLACK_TOL = 1e-9
-_CLAMP_FLOOR = -1e-12
-
-
-def _clamped(value: float, what: str) -> float:
-    if value < _CLAMP_FLOOR:
-        raise NumericError(f"{what} evaluated to {value!r}, beyond rounding tolerance")
-    return max(value, 0.0)
 
 
 def _require_hermitian_observable(m) -> np.ndarray:
@@ -129,21 +121,57 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel bounds
 # ---------------------------------------------------------------------------
 
+def _padded_stacks(phi: KrausChannel, psi: KrausChannel
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both Kraus lists as ``(N, d, d)`` arrays, zero-padded to the common length N.
+
+    A zero operator adds only zero terms to every sum below, so the
+    bounds defined over the native lists (``lb_eq13``, the fine-grained
+    terms) use the padded stacks as well.
+    """
+    ops_e, ops_f, n = pad_channels(phi, psi)
+    return np.array(ops_e), np.array(ops_f), n
+
+
+def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of [sqrt(rho), K_i] and {sqrt(rho), K_i}."""
+    left = rho.sqrt_matrix @ stack
+    right = stack @ rho.sqrt_matrix
+    return left - right, left + right
+
+
+def _traces(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
+    """The vector of Tr(rho K_i)."""
+    return np.einsum("ab,iba->i", rho.matrix, stack)
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x."""
+    return x.reshape(len(x), -1).conj() @ y.reshape(len(y), -1).T
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared Frobenius norm of an array of any shape."""
+    return float(np.vdot(x, x).real)
+
+
 def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """Larger of the commutator and centered-anticommutator trace sums,
-    each with prefactor 1/(4 N^2), bounding v_sym(phi) * v_sym(psi)."""
-    ops_e, ops_f, n = pad_channels(phi, psi)
+    each with prefactor 1/(4 N^2), bounding v_sym(phi) * v_sym(psi).
+
+    Both double sums are bilinear in (E_i, F_j), and centering is linear,
+    sum_i center(E_i) = center(sum_i E_i), so
+    sum_ij Tr(rho [E_i, F_j]) = Tr(rho [sum E, sum F]) and
+    sum_ij Tr(rho {E0_i, F0_j}) = Tr(rho {center(sum E), center(sum F)}).
+    """
+    e, f, n = _padded_stacks(phi, psi)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    comm_sum = 0j
-    anti_sum = 0j
-    e0 = [center_operator(e, rho) for e in ops_e]
-    f0 = [center_operator(f, rho) for f in ops_f]
-    for i in range(n):
-        for j in range(n):
-            comm_sum += _expect(rho, linalg.commutator(ops_e[i], ops_f[j]))
-            anti_sum += _expect(rho, linalg.anticommutator(e0[i], f0[j]))
+    sum_e, sum_f = e.sum(axis=0), f.sum(axis=0)
+    comm_sum = _expect(rho, linalg.commutator(sum_e, sum_f))
+    anti_sum = _expect(rho, linalg.anticommutator(center_operator(sum_e, rho),
+                                                  center_operator(sum_f, rho)))
     pref = 1.0 / (4.0 * n * n)
     return max(pref * abs(comm_sum) ** 2, pref * abs(anti_sum) ** 2)
 
@@ -151,19 +179,22 @@ def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
 def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """Sum of the squared symmetrized-anticommutator and
     symmetrized-commutator trace sums over centered Kraus operators,
-    with prefactor 1/(4 N^2)."""
-    ops_e, ops_f, n = pad_channels(phi, psi)
+    with prefactor 1/(4 N^2).
+
+    The symmetrized brackets are additive in each argument (the adjoint
+    is), and centering is linear, so each double sum is one bracket of
+    the summed operators: sum_ij Tr(rho {E0_i, F0_j}_sym) =
+    Tr(rho {center(sum E), center(sum F)}_sym), and likewise for the
+    symmetrized commutator.
+    """
+    e, f, n = _padded_stacks(phi, psi)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    e0 = [center_operator(e, rho) for e in ops_e]
-    f0 = [center_operator(f, rho) for f in ops_f]
-    anti_sum = 0j
-    comm_sum = 0j
-    for i in range(n):
-        for j in range(n):
-            anti_sum += _expect(rho, linalg.sym_anticommutator(e0[i], f0[j]))
-            comm_sum += _expect(rho, linalg.sym_commutator(e0[i], f0[j]))
+    e0 = center_operator(e.sum(axis=0), rho)
+    f0 = center_operator(f.sum(axis=0), rho)
+    anti_sum = _expect(rho, linalg.sym_anticommutator(e0, f0))
+    comm_sum = _expect(rho, linalg.sym_commutator(e0, f0))
     pref = 1.0 / (4.0 * n * n)
     return pref * (abs(anti_sum) ** 2 + abs(comm_sum) ** 2)
 
@@ -171,16 +202,15 @@ def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
 def lb_eq13(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """(1/4) sum_ij |Tr([F_j, E_i^dag] rho)|^2, bounding u(phi) * u(psi).
 
-    The double sum runs over the native Kraus lists; no padding needed.
+    By cyclicity of the trace, Tr([F_j, E_i^dag] rho) = <E_i, rho F_j - F_j rho>
+    (Frobenius), so the N x N matrix of these traces is the Gram matrix
+    M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
     if phi.dim != psi.dim or phi.dim != rho.dim:
         raise DimensionMismatchError("state and channels must share one dimension")
-    total = 0.0
-    for e in phi.kraus_ops:
-        e_dag = linalg.dagger(e)
-        for f in psi.kraus_ops:
-            total += abs(complex(np.trace(linalg.commutator(f, e_dag) @ rho.matrix))) ** 2
-    return 0.25 * total
+    e, f, _ = _padded_stacks(phi, psi)
+    r = rho.matrix
+    return 0.25 * _sq_norm(_gram(e, r @ f - f @ r))
 
 
 def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
@@ -191,21 +221,19 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     and position j of both lists inside the anticommutator factor
     b_j = <{sqrt(rho), F_j}, {sqrt(rho), E_j}> - 4 <F_j^dag> <E_j>, so
     the (i, j) double sum multiplies an i-indexed factor by a j-indexed
-    factor. Lists are zero-padded to a common length first.
+    factor and factorises: (1/2) sum_ij |a_i b_j| = (1/2)(sum|a_i|)(sum|b_j|).
+    Lists are zero-padded to a common length first.
     """
-    ops_e, ops_f, n = pad_channels(phi, psi)
+    e, f, _ = _padded_stacks(phi, psi)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    s = rho.sqrt_matrix
-    a = []
-    b = []
-    for e, f in zip(ops_e, ops_f):
-        a.append(linalg.frob_inner(linalg.commutator(s, f), linalg.commutator(s, e)))
-        b.append(linalg.frob_inner(linalg.anticommutator(s, f),
-                                   linalg.anticommutator(s, e))
-                 - 4.0 * _expect(rho, linalg.dagger(f)) * _expect(rho, e))
-    return 0.5 * sum(abs(ai * bj) for ai in a for bj in b)
+    comm_e, anti_e = _sqrt_brackets(rho, e)
+    comm_f, anti_f = _sqrt_brackets(rho, f)
+    a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
+    b = (np.einsum("iab,iab->i", anti_f.conj(), anti_e)
+         - 4.0 * _traces(rho, f.conj().transpose(0, 2, 1)) * _traces(rho, e))
+    return 0.5 * float(np.abs(a).sum() * np.abs(b).sum())
 
 
 @dataclass(frozen=True)
@@ -233,46 +261,35 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     squared overlap of those columns (a Cauchy-Schwarz improvement);
     the tilde terms swap the roles of the two channels and of the two
     bracket types.
+
+    With u_i and w_j those columns, the per-pair gaps
+    (1/4)(|u_i|^2 |w_j|^2 - |<u_i, w_j>|^2) sum to
+    (1/4)(||U||_F^2 ||W||_F^2 - ||U^* W^T||_F^2), where the rows of U and
+    W are the u_i and w_j; so i1 = i0 minus that sum, and likewise for
+    i1_tilde.
     """
     if phi.dim != psi.dim or phi.dim != rho.dim:
         raise DimensionMismatchError("state and channels must share one dimension")
     if not 0 <= basis_index < rho.dim:
         raise IndexError(
             f"basis index {basis_index} out of range for dimension {rho.dim}")
-    s = rho.sqrt_matrix
     t = basis_index
+    e, f, _ = _padded_stacks(phi, psi)
+    eye = np.eye(rho.dim)
+    comm_e, anti_e = _sqrt_brackets(rho, e - _traces(rho, e)[:, None, None] * eye)
+    comm_f, anti_f = _sqrt_brackets(rho, f - _traces(rho, f)[:, None, None] * eye)
 
-    e0 = [center_operator(e, rho) for e in phi.kraus_ops]
-    f0 = [center_operator(f, rho) for f in psi.kraus_ops]
-    comm_e = [linalg.commutator(s, e) for e in e0]
-    anti_e = [linalg.anticommutator(s, e) for e in e0]
-    comm_f = [linalg.commutator(s, f) for f in f0]
-    anti_f = [linalg.anticommutator(s, f) for f in f0]
+    def gap_sum(x: np.ndarray, y: np.ndarray) -> float:
+        u = x[:, :, t]
+        w = y[:, :, t]
+        return 0.25 * (_sq_norm(u) * _sq_norm(w) - _sq_norm(_gram(u, w)))
 
-    i_phi = [0.5 * linalg.frob_norm(c) ** 2 for c in comm_e]
-    j_phi = [0.5 * linalg.frob_norm(a) ** 2 for a in anti_e]
-    i_psi = [0.5 * linalg.frob_norm(c) ** 2 for c in comm_f]
-    j_psi = [0.5 * linalg.frob_norm(a) ** 2 for a in anti_f]
-
-    def column_gap(x: np.ndarray, y: np.ndarray) -> float:
-        u = x[:, t]
-        w = y[:, t]
-        return 0.25 * (float(np.vdot(u, u).real) * float(np.vdot(w, w).real)
-                       - abs(complex(np.vdot(u, w))) ** 2)
-
-    i1 = 0.0
-    for i, ce in enumerate(comm_e):
-        for j, af in enumerate(anti_f):
-            i1 += i_phi[i] * j_psi[j] - column_gap(ce, af)
-    i1_tilde = 0.0
-    for j, cf in enumerate(comm_f):
-        for i, ae in enumerate(anti_e):
-            i1_tilde += i_psi[j] * j_phi[i] - column_gap(cf, ae)
-
-    i0 = sum(i_phi) * sum(j_psi)
-    i0_tilde = sum(i_psi) * sum(j_phi)
-    return FineGrainedTerms(i1=_clamped(i1, "fine-grained term"),
-                            i1_tilde=_clamped(i1_tilde, "fine-grained tilde term"),
+    i0 = 0.5 * _sq_norm(comm_e) * 0.5 * _sq_norm(anti_f)
+    i0_tilde = 0.5 * _sq_norm(comm_f) * 0.5 * _sq_norm(anti_e)
+    i1 = i0 - gap_sum(comm_e, anti_f)
+    i1_tilde = i0_tilde - gap_sum(comm_f, anti_e)
+    return FineGrainedTerms(i1=_nonneg(i1, "fine-grained term"),
+                            i1_tilde=_nonneg(i1_tilde, "fine-grained tilde term"),
                             i0=float(i0), i0_tilde=float(i0_tilde),
                             basis_index=basis_index)
 
@@ -292,22 +309,22 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     correction vanish). The phi part keeps the exact product of commutator
     and anticommutator masses, the latter written with the explicit
     -4|Tr(rho E_j)|^2 centering correction.
+
+    The psi double sum is one Gram matrix: with C and A the stacks of
+    [sqrt(rho), F_i] and {sqrt(rho), F_j} flattened to N x d^2,
+    sum_ij |<C_i, A_j>|^2 = ||C^* A^T||_F^2. The phi sums are squared
+    norms of whole stacks.
     """
-    ops_e, ops_f, n = pad_channels(phi, psi)
+    e, f, _ = _padded_stacks(phi, psi)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    s = rho.sqrt_matrix
-    f_term = 0.0
-    for fi in ops_f:
-        ci = linalg.commutator(s, fi)
-        for fj in ops_f:
-            aj = linalg.anticommutator(s, fj)
-            f_term += abs(linalg.frob_inner(ci, aj)) ** 2
-    e_comm = sum(linalg.frob_norm(linalg.commutator(s, e)) ** 2 for e in ops_e)
-    e_anti = sum(linalg.frob_norm(linalg.anticommutator(s, e)) ** 2
-                 - 4.0 * abs(_expect(rho, e)) ** 2 for e in ops_e)
-    return _clamped(0.25 * (f_term + e_comm * e_anti), "thm4 bound")
+    comm_e, anti_e = _sqrt_brackets(rho, e)
+    comm_f, anti_f = _sqrt_brackets(rho, f)
+    f_term = _sq_norm(_gram(comm_f, anti_f))
+    e_comm = _sq_norm(comm_e)
+    e_anti = _sq_norm(anti_e) - 4.0 * _sq_norm(_traces(rho, e))
+    return _nonneg(0.25 * (f_term + e_comm * e_anti), "thm4 bound")
 
 
 # ---------------------------------------------------------------------------

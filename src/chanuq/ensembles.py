@@ -24,15 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_report, dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
+from .bounds import (SLACK_TOL, bound_report, dou_bounds, heisenberg_bound, luo_bound,
+                     schrodinger_bound)
 from .errors import NumericError
 from .measures import abs_variance, operator_u, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-SLACK_TOL = 1e-9
 
 #: every bound name tracked by the verification harness
 BOUND_NAMES = (

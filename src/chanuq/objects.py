@@ -158,7 +158,16 @@ def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
                                for x in entry)):
                 raise SchemaError(
                     f"{where}: entry ({i},{j}) must be a two-element [re, im] array")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise SchemaError(
+                    f"{where}: entry ({i},{j}) is out of floating-point range") from None
+    # Python's json accepts the tokens NaN, Infinity and -Infinity
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"{where}: entry ({i},{j}) is not a finite number")
     return out
 
 

@@ -39,6 +39,21 @@ def identity_channel(dim=4):
     return make_channel([np.eye(dim)])
 
 
+def random_triples(seed, count=50):
+    """Seeded (full-rank state, Kraus list, Kraus list) draws.
+
+    The first draw has the d = 16, N = 16 shape of the large benchmark
+    workload; the rest draw d in [2, 16] and the two Kraus counts
+    independently in [1, 16], so most pair lists of unequal length.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim, n_e, n_f = (16, 16, 16) if k == 0 else (
+            int(x) for x in (rng.integers(2, 17), rng.integers(1, 17), rng.integers(1, 17)))
+        yield (oracles.rand_rho(rng, dim), oracles.rand_kraus(rng, dim, n_e),
+               oracles.rand_kraus(rng, dim, n_f))
+
+
 # -- observable-level ---------------------------------------------------------
 
 def test_heisenberg_ground_state():
@@ -180,12 +195,7 @@ def test_thm1_maximally_mixed_drops_commutator_term():
 
 
 def test_thm1_thm2_match_oracle_on_random_triples():
-    rng = np.random.default_rng(36)
-    for _ in range(50):
-        dim = int(rng.integers(2, 5))
-        rho_m = oracles.rand_rho(rng, dim)
-        ops_e = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
-        ops_f = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
+    for rho_m, ops_e, ops_f in random_triples(36):
         rho = make_density(rho_m)
         phi, psi = make_channel(ops_e), make_channel(ops_f)
         assert thm1_bound(rho, phi, psi) == pytest.approx(
@@ -244,12 +254,7 @@ def test_lb1_eq14_maximally_mixed_vanishes():
 
 
 def test_lb13_lb14_match_oracle_on_random_triples():
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        dim = int(rng.integers(2, 5))
-        rho_m = oracles.rand_rho(rng, dim)
-        ops_e = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
-        ops_f = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
+    for rho_m, ops_e, ops_f in random_triples(37):
         rho = make_density(rho_m)
         phi, psi = make_channel(ops_e), make_channel(ops_f)
         assert lb_eq13(rho, phi, psi) == pytest.approx(
@@ -367,15 +372,70 @@ def test_thm4_first_term_centering_invariance():
 
 
 def test_thm4_matches_oracle_on_random_triples():
-    rng = np.random.default_rng(40)
-    for _ in range(50):
-        dim = int(rng.integers(2, 5))
-        rho_m = oracles.rand_rho(rng, dim)
-        ops_e = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
-        ops_f = oracles.rand_kraus(rng, dim, int(rng.integers(1, 4)))
+    for rho_m, ops_e, ops_f in random_triples(40):
         rho = make_density(rho_m)
         assert thm4_bound(rho, make_channel(ops_e), make_channel(ops_f)) == \
             pytest.approx(oracles.thm4(rho_m, ops_e, ops_f), abs=1e-11)
+
+
+def test_thm3_matches_oracle_on_random_triples():
+    for k, (rho_m, ops_e, ops_f) in enumerate(random_triples(42)):
+        rho = make_density(rho_m)
+        phi, psi = make_channel(ops_e), make_channel(ops_f)
+        t = k % rho.dim
+        terms = fine_grained_terms(rho, phi, psi, t)
+        expected = oracles.fine_grained(rho_m, ops_e, ops_f, t)
+        got = (terms.i1, terms.i1_tilde, terms.i0, terms.i0_tilde)
+        for value, reference in zip(got, expected):
+            assert value == pytest.approx(reference, abs=1e-11)
+        assert thm3_bound(rho, phi, psi, t) == pytest.approx(
+            oracles.thm3(rho_m, ops_e, ops_f, t), abs=1e-11)
+
+
+# -- metamorphic relations ------------------------------------------------------
+
+CHANNEL_BOUNDS = {"thm1": thm1_bound, "thm2": thm2_bound, "thm3": thm3_bound,
+                  "thm4": thm4_bound, "lb_eq13": lb_eq13, "lb1_eq14": lb1_eq14}
+
+
+def bound_values(rho_m, ops_e, ops_f, names=tuple(CHANNEL_BOUNDS)):
+    rho = make_density(rho_m)
+    phi, psi = make_channel(ops_e), make_channel(ops_f)
+    return {name: CHANNEL_BOUNDS[name](rho, phi, psi) for name in names}
+
+
+def test_reversing_both_kraus_lists_keeps_order_free_bounds():
+    names = ("thm1", "thm2", "lb_eq13")
+    for rho_m, ops_e, ops_f in random_triples(43, count=20):
+        before = bound_values(rho_m, ops_e, ops_f, names)
+        after = bound_values(rho_m, ops_e[::-1], ops_f[::-1], names)
+        for name in names:
+            assert after[name] == pytest.approx(before[name], abs=1e-12), name
+
+
+def test_zero_padding_the_shorter_list_keeps_every_bound():
+    for rho_m, ops_e, ops_f in random_triples(44, count=20):
+        n = max(len(ops_e), len(ops_f))
+        zero = np.zeros_like(ops_e[0])
+        before = bound_values(rho_m, ops_e, ops_f)
+        after = bound_values(rho_m, ops_e + [zero] * (n - len(ops_e)),
+                             ops_f + [zero] * (n - len(ops_f)))
+        for name in CHANNEL_BOUNDS:
+            assert after[name] == pytest.approx(before[name], abs=1e-12), name
+
+
+def test_joint_unitary_conjugation_keeps_basis_free_bounds():
+    # thm3 reads one basis vector, so it is the one bound that may move
+    names = ("thm1", "thm2", "thm4", "lb_eq13", "lb1_eq14")
+    rng = np.random.default_rng(45)
+    for rho_m, ops_e, ops_f in random_triples(46, count=20):
+        u = oracles.rand_kraus(rng, rho_m.shape[0], 1)[0]
+        ud = oracles.dag(u)
+        before = bound_values(rho_m, ops_e, ops_f, names)
+        after = bound_values(u @ rho_m @ ud, [u @ e @ ud for e in ops_e],
+                             [u @ f @ ud for f in ops_f], names)
+        for name in names:
+            assert after[name] == pytest.approx(before[name], abs=1e-12), name
 
 
 # -- aggregate report -----------------------------------------------------------

@@ -75,6 +75,30 @@ def test_compute_malformed_json_exits_2(runner, fixtures):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("target, value", [
+    ("state", float("nan")),       # written as the bare token NaN
+    ("channel", float("inf")),     # written as the bare token Infinity
+    ("channel", -float("inf")),
+    ("state", 10 ** 400),          # an integer beyond float range
+], ids=["nan-state", "inf-channel", "neg-inf-channel", "huge-int-state"])
+def test_compute_non_finite_entry_exits_2(runner, fixtures, tmp_path, target, value):
+    if target == "state":
+        doc = state_to_json(make_density(np.eye(2) / 2))
+        doc["matrix"][0][1] = [value, 0.0]
+    else:
+        doc = channel_to_json(make_channel([np.eye(2)]))
+        doc["kraus"][0][1][1] = [1.0, value]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    files = {"state": fixtures["mixed2.json"], "channel": fixtures["identity2.json"]}
+    files[target] = str(path)
+    result = runner.invoke(cli, ["compute", "--state", files["state"],
+                                 "--channel-a", files["channel"],
+                                 "--channel-b", fixtures["identity2.json"]])
+    assert result.exit_code == 2
+    assert "entry (" in result.stderr
+
+
 def test_compute_validation_failure_exits_3_with_residual(runner, fixtures):
     result = runner.invoke(cli, ["compute", "--state", fixtures["trace2.json"],
                                  "--channel-a", fixtures["identity2.json"],
