@@ -9,7 +9,7 @@ from .ensembles import (EnsembleConfig, SplitMix64, VerificationReport, Violatio
 from .errors import (BoundViolationError, ChanuqError, CompletenessError,
                      DimensionMismatchError, NotHermitianError, NotPositiveError,
                      NumericError, SchemaError, TraceError, ValidationError)
-from .examples import (ClosedFormValues, ExampleConfig, channel_E, channel_F,
+from .examples import (ClosedFormValues, channel_E, channel_F,
                        closed_forms, example1_closed_forms, example2_closed_forms,
                        example_state, rho_theta_state, werner_state)
 from .linalg import (SpectralDecomposition, anticommutator, cartesian_decompose,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "BoundViolationError", "ChanuqError", "ClosedFormValues",
     "CompletenessError", "DensityMatrix", "DimensionMismatchError",
-    "EnsembleConfig", "ExampleConfig", "FineGrainedTerms", "KrausChannel",
+    "EnsembleConfig", "FineGrainedTerms", "KrausChannel",
     "MeasureSet", "NotHermitianError", "NotPositiveError", "NumericError",
     "SchemaError", "SpectralDecomposition", "SplitMix64", "TraceError",
     "ValidationError", "VerificationReport", "Violation",

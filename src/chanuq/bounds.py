@@ -12,8 +12,8 @@ Conventions shared by all bound evaluators:
 
 * channels of unequal Kraus count are zero-padded to a common length N,
   which also fixes the 1/(4 N^2) prefactors;
-* bound values that land in ``[-1e-12, 0)`` from rounding clamp to 0,
-  anything more negative raises ``NumericError``;
+* bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
+  clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
   state would otherwise pick up a spurious classical contribution (the
   commutator terms are centering-invariant, so raw operators appear
@@ -27,31 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BoundViolationError, DimensionMismatchError, NotHermitianError
-from .measures import MeasureSet, _nonneg, channel_measures, operator_u
-from .objects import DensityMatrix, KrausChannel, center_operator, pad_channels
+from .errors import BoundViolationError, DimensionMismatchError
+from .linalg import SLACK_TOL
+from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
+from .objects import DensityMatrix, KrausChannel, _center, _operand, pad_channels
 
-SLACK_TOL = 1e-9
 
-
-def _require_hermitian_observable(m) -> np.ndarray:
-    m = linalg.as_matrix(m)
-    res = linalg.frob_norm(m - linalg.dagger(m))
-    if res > 1e-10 * max(1.0, linalg.frob_norm(m)):
-        raise NotHermitianError(res)
-    return m
+def _observable(rho: DensityMatrix, m) -> np.ndarray:
+    """Check an observable argument: an operand that is also Hermitian."""
+    return linalg._require_hermitian(_operand(rho, m))
 
 
 def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
     return complex(np.trace(rho.matrix @ k))
-
-
-def _check_operator(rho: DensityMatrix, k) -> np.ndarray:
-    k = linalg.as_matrix(k)
-    if k.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {k.shape[0]} does not match state dimension {rho.dim}")
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +48,17 @@ def _check_operator(rho: DensityMatrix, k) -> np.ndarray:
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
     """(1/4) |Tr(rho [A, B])|^2 for Hermitian observables A, B."""
-    a = _require_hermitian_observable(_check_operator(rho, a))
-    b = _require_hermitian_observable(_check_operator(rho, b))
+    a = _observable(rho, a)
+    b = _observable(rho, b)
     return 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
 
 
 def schrodinger_bound(rho: DensityMatrix, a, b) -> float:
     """Heisenberg term plus the centered anticommutator term."""
-    a = _require_hermitian_observable(_check_operator(rho, a))
-    b = _require_hermitian_observable(_check_operator(rho, b))
-    a0 = center_operator(a, rho)
-    b0 = center_operator(b, rho)
+    a = _observable(rho, a)
+    b = _observable(rho, b)
+    a0 = _center(a, rho)
+    b0 = _center(b, rho)
     comm_term = 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
     anti_term = 0.25 * abs(_expect(rho, linalg.anticommutator(a0, b0))) ** 2
     return comm_term + anti_term
@@ -83,9 +71,9 @@ def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
     ``rhs = (1/4)|Tr(rho [A, B])|^2``, so callers can verify the
     inequality directly.
     """
-    a = _require_hermitian_observable(_check_operator(rho, a))
-    b = _require_hermitian_observable(_check_operator(rho, b))
-    lhs = operator_u(rho, a) * operator_u(rho, b)
+    a = _observable(rho, a)
+    b = _observable(rho, b)
+    lhs = _operator_u(rho, a) * _operator_u(rho, b)
     rhs = 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
     return lhs, rhs
 
@@ -106,11 +94,10 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     For Hermitian K, L these reduce to the Heisenberg, Schrodinger and
     Luo right-hand sides.
     """
-    k = _check_operator(rho, k)
-    l = _check_operator(rho, l)
-    linalg.require_same_dim(k, l)
-    k0 = center_operator(k, rho)
-    l0 = center_operator(l, rho)
+    k = _operand(rho, k)
+    l = _operand(rho, l)
+    k0 = _center(k, rho)
+    l0 = _center(l, rho)
     comm = 0.25 * abs(_expect(rho, linalg.commutator(k, l))) ** 2
     sym_comm = 0.25 * abs(_expect(rho, linalg.sym_commutator(k, l))) ** 2
     sym_anti = 0.25 * abs(_expect(rho, linalg.sym_anticommutator(k0, l0))) ** 2
@@ -121,16 +108,20 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel bounds
 # ---------------------------------------------------------------------------
 
-def _padded_stacks(phi: KrausChannel, psi: KrausChannel
+def _padded_stacks(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel
                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both Kraus lists as ``(N, d, d)`` arrays, zero-padded to the common length N.
+    """Both Kraus stacks, zero-padded to the common length N, after checking
+    that the state and both channels share one dimension.
 
     A zero operator adds only zero terms to every sum below, so the
     bounds defined over the native lists (``lb_eq13``, the fine-grained
     terms) use the padded stacks as well.
     """
-    ops_e, ops_f, n = pad_channels(phi, psi)
-    return np.array(ops_e), np.array(ops_f), n
+    e, f, n = pad_channels(phi, psi)
+    if phi.dim != rho.dim:
+        raise DimensionMismatchError(
+            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
+    return e, f, n
 
 
 def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,14 +155,10 @@ def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij Tr(rho [E_i, F_j]) = Tr(rho [sum E, sum F]) and
     sum_ij Tr(rho {E0_i, F0_j}) = Tr(rho {center(sum E), center(sum F)}).
     """
-    e, f, n = _padded_stacks(phi, psi)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
+    e, f, n = _padded_stacks(rho, phi, psi)
     sum_e, sum_f = e.sum(axis=0), f.sum(axis=0)
     comm_sum = _expect(rho, linalg.commutator(sum_e, sum_f))
-    anti_sum = _expect(rho, linalg.anticommutator(center_operator(sum_e, rho),
-                                                  center_operator(sum_f, rho)))
+    anti_sum = _expect(rho, linalg.anticommutator(_center(sum_e, rho), _center(sum_f, rho)))
     pref = 1.0 / (4.0 * n * n)
     return max(pref * abs(comm_sum) ** 2, pref * abs(anti_sum) ** 2)
 
@@ -187,12 +174,9 @@ def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     Tr(rho {center(sum E), center(sum F)}_sym), and likewise for the
     symmetrized commutator.
     """
-    e, f, n = _padded_stacks(phi, psi)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    e0 = center_operator(e.sum(axis=0), rho)
-    f0 = center_operator(f.sum(axis=0), rho)
+    e, f, n = _padded_stacks(rho, phi, psi)
+    e0 = _center(e.sum(axis=0), rho)
+    f0 = _center(f.sum(axis=0), rho)
     anti_sum = _expect(rho, linalg.sym_anticommutator(e0, f0))
     comm_sum = _expect(rho, linalg.sym_commutator(e0, f0))
     pref = 1.0 / (4.0 * n * n)
@@ -206,9 +190,7 @@ def lb_eq13(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     (Frobenius), so the N x N matrix of these traces is the Gram matrix
     M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
-    if phi.dim != psi.dim or phi.dim != rho.dim:
-        raise DimensionMismatchError("state and channels must share one dimension")
-    e, f, _ = _padded_stacks(phi, psi)
+    e, f, _ = _padded_stacks(rho, phi, psi)
     r = rho.matrix
     return 0.25 * _sq_norm(_gram(e, r @ f - f @ r))
 
@@ -224,10 +206,7 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     factor and factorises: (1/2) sum_ij |a_i b_j| = (1/2)(sum|a_i|)(sum|b_j|).
     Lists are zero-padded to a common length first.
     """
-    e, f, _ = _padded_stacks(phi, psi)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
+    e, f, _ = _padded_stacks(rho, phi, psi)
     comm_e, anti_e = _sqrt_brackets(rho, e)
     comm_f, anti_f = _sqrt_brackets(rho, f)
     a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
@@ -268,13 +247,11 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     W are the u_i and w_j; so i1 = i0 minus that sum, and likewise for
     i1_tilde.
     """
-    if phi.dim != psi.dim or phi.dim != rho.dim:
-        raise DimensionMismatchError("state and channels must share one dimension")
+    e, f, _ = _padded_stacks(rho, phi, psi)
     if not 0 <= basis_index < rho.dim:
         raise IndexError(
             f"basis index {basis_index} out of range for dimension {rho.dim}")
     t = basis_index
-    e, f, _ = _padded_stacks(phi, psi)
     eye = np.eye(rho.dim)
     comm_e, anti_e = _sqrt_brackets(rho, e - _traces(rho, e)[:, None, None] * eye)
     comm_f, anti_f = _sqrt_brackets(rho, f - _traces(rho, f)[:, None, None] * eye)
@@ -315,10 +292,7 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij |<C_i, A_j>|^2 = ||C^* A^T||_F^2. The phi sums are squared
     norms of whole stacks.
     """
-    e, f, _ = _padded_stacks(phi, psi)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
+    e, f, _ = _padded_stacks(rho, phi, psi)
     comm_e, anti_e = _sqrt_brackets(rho, e)
     comm_f, anti_f = _sqrt_brackets(rho, f)
     f_term = _sq_norm(_gram(comm_f, anti_f))
@@ -368,7 +342,7 @@ def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
                  measures: tuple[MeasureSet, MeasureSet] | None = None) -> BoundReport:
     """Evaluate every bound against its left-hand side and record slacks.
 
-    With ``check=True`` (the default) a slack below ``-1e-9`` raises
+    With ``check=True`` (the default) a slack below ``-SLACK_TOL`` raises
     ``BoundViolationError`` naming the offending bound; the randomized
     verification harness passes ``check=False`` and inspects the slacks
     itself.
@@ -380,7 +354,6 @@ def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     lhs_product_u = m_phi.u_abs * m_psi.u_abs
     lhs_sum_u2 = m_phi.u_abs ** 2 + m_psi.u_abs ** 2
 
-    _, _, n_common = pad_channels(phi, psi)
     values = {
         "thm1_bound": (thm1_bound(rho, phi, psi), lhs_product_v),
         "thm2_bound": (thm2_bound(rho, phi, psi), lhs_product_v),
@@ -404,6 +377,6 @@ def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
         thm4=float(values["thm4_bound"][0]),
         lb_eq13=float(values["lb_eq13"][0]),
         lb1_eq14=float(values["lb1_eq14"][0]),
-        n_common=n_common,
+        n_common=max(len(phi), len(psi)),
         slacks={name: float(s) for name, s in slacks.items()},
     )

@@ -98,7 +98,10 @@ def _handle_errors(fn):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
 def _unit_interval(ctx, param, value):
@@ -161,12 +164,12 @@ def run_sweep(spec: SweepSpec) -> int:
     grid = np.linspace(0.0, 1.0, spec.grid_steps)
     with_closed = spec.theta == CLOSED_FORM_THETA[spec.example_id]
     channels_f = [channel_F(float(q)) for q in grid]
+    measures_f = [channel_measures(rho, psi) for psi in channels_f]
     lines = [",".join(SWEEP_COLUMNS)]
     for p in grid:
         phi = channel_E(float(p))
         m_phi = channel_measures(rho, phi)
-        for q, psi in zip(grid, channels_f):
-            m_psi = channel_measures(rho, psi)
+        for q, psi, m_psi in zip(grid, channels_f, measures_f):
             report = bound_report(rho, phi, psi, basis_index=spec.basis_index,
                                   measures=(m_phi, m_psi))
             row = [_fmt(p), _fmt(q), _fmt(m_phi.u_abs), _fmt(m_psi.u_abs),

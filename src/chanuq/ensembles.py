@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (SLACK_TOL, bound_report, dou_bounds, heisenberg_bound, luo_bound,
-                     schrodinger_bound)
+from .bounds import bound_report, dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from .errors import NumericError
+from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
 from .measures import abs_variance, operator_u, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
@@ -115,7 +115,7 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
             for i in range(j):
                 v -= np.vdot(q[:, i], v) * q[:, i]
         norm = np.linalg.norm(v)
-        if norm < 1e-12:
+        if norm < GRAM_SCHMIDT_TOL:
             raise NumericError("Gram-Schmidt hit a numerically dependent column")
         q[:, j] = v / norm
     return q
@@ -129,7 +129,7 @@ def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
     g = rng.complex_matrix(dim * kraus_count, dim)
     isometry = _gram_schmidt(g)
     ops = [isometry[i * dim:(i + 1) * dim, :] for i in range(kraus_count)]
-    return make_channel(ops, tol=1e-10)
+    return make_channel(ops, tol=ISOMETRY_CPTP_TOL)
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def verify_suite(config: EnsembleConfig, broken_bound: str | None = None
     Trial t draws everything from one SplitMix64 stream seeded with
     ``config.seed + t``, so trials are independently reproducible. Each
     trial also draws a general operator pair and a Hermitian observable
-    pair for the operator-level relations. Any slack below -1e-9 is
+    pair for the operator-level relations. Any slack below -SLACK_TOL is
     recorded as a violation together with the trial seed.
     """
     start = time.perf_counter()

@@ -21,30 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .linalg import NEGATIVITY_FLOOR
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 EXAMPLE_IDS = ("werner", "rho_theta")
 
 #: theta at which each family's closed-form surfaces apply
 CLOSED_FORM_THETA = {"werner": 1.0, "rho_theta": 0.0}
-
-
-@dataclass(frozen=True)
-class ExampleConfig:
-    """One evaluation point of a built-in example."""
-
-    example_id: str
-    theta: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if self.example_id not in EXAMPLE_IDS:
-            raise ValueError(f"unknown example {self.example_id!r}; "
-                             f"choose one of {EXAMPLE_IDS}")
-        _check_unit("theta", self.theta)
-        _check_unit("p", self.p)
-        _check_unit("q", self.q)
 
 
 @dataclass(frozen=True)
@@ -137,8 +120,8 @@ def example_state(example_id: str, theta: float) -> DensityMatrix:
 
 
 def _checked_root(arg: float) -> float:
-    """sqrt with a guard: arguments below -1e-12 indicate a transcription error."""
-    if arg < -1e-12:
+    """sqrt with a guard: arguments below NEGATIVITY_FLOOR indicate a transcription error."""
+    if arg < NEGATIVITY_FLOOR:
         raise NumericError(f"closed-form root argument is negative: {arg!r}")
     return math.sqrt(max(0.0, arg))
 

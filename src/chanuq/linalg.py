@@ -1,10 +1,16 @@
-"""Dense complex matrix arithmetic and Hermitian spectral machinery.
+"""Dense complex matrix arithmetic, Hermitian spectral machinery and tolerances.
 
 Everything downstream (states, channels, uncertainty measures, bounds)
 works with plain square ``numpy`` arrays of ``complex128``; this module
 holds the shared primitives: Frobenius inner product, (symmetrized)
 commutators, the Hermitian eigendecomposition with deterministic
 eigenvector phases, and the PSD matrix square root.
+
+:func:`as_matrix` is the one validation step. ``make_density``,
+``make_channel`` and the operand arguments of the public operator-level
+functions (here ``frob_inner`` and ``cartesian_decompose``) run it; the
+brackets and the spectral functions take arrays that passed it and do
+not check them again.
 """
 
 from __future__ import annotations
@@ -16,11 +22,27 @@ import numpy as np
 from .errors import (DimensionMismatchError, NotHermitianError,
                      NotPositiveError, NumericError)
 
-# Residual tolerances, relative to max(1, ||H||_F).
-HERMITICITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
-SQRT_TOL = 1e-9
-PSD_CLAMP_TOL = 1e-10
+# Every tolerance of the package. "abs" compares the residual itself;
+# "rel" compares it with tol * max(1, ||H||_F) of the matrix H under test.
+#
+#   name                       value   kind  guards
+HERMITICITY_TOL = 1e-10      # rel   ||H - H^dag||_F of spectral input and observables
+RECONSTRUCTION_TOL = 1e-10   # rel   ||V diag(w) V^dag - H||_F of an eigendecomposition
+#                                    (abs for its orthonormality ||V^dag V - I||_F)
+SQRT_TOL = 1e-9              # rel   ||S^2 - H||_F of the PSD square root S
+PSD_CLAMP_TOL = 1e-10        # rel   eigenvalues within it of 0 clamp to 0 before
+#                                    rooting; below minus it raise NotPositiveError
+PHASE_PIVOT_TOL = 1e-12      # abs   smallest eigenvector entry used as phase pivot
+DENSITY_TOL = 1e-10          # abs   a state's ||rho - rho^dag||_F, |Tr rho - 1|
+#                                    and its most negative eigenvalue
+CPTP_TOL = 1e-8              # abs   ||sum E_i^dag E_i - I||_F of a channel
+ISOMETRY_CPTP_TOL = 1e-10    # abs   the same for a random channel cut from an isometry
+GRAM_SCHMIDT_TOL = 1e-12     # abs   smallest column norm Gram-Schmidt accepts
+NEGATIVITY_FLOOR = -1e-12    # abs   a nonnegative quantity (measure, bound, closed-form
+#                                    root argument) in [floor, 0) clamps to 0, below raises
+IDENTITY_RTOL = 1e-9         # rel   u^2 = i_tilde * j_tilde and i_tilde + j_tilde =
+#                                    2 v_sym, scaled by max(1, |lhs|, |rhs|)
+SLACK_TOL = 1e-9             # abs   a bound slack below minus it is a violation
 
 
 def as_matrix(m) -> np.ndarray:
@@ -37,12 +59,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"incompatible operands: shapes {a.shape} and {b.shape}")
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
@@ -56,23 +72,19 @@ def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Frobenius inner product Tr(a^dag b), conjugate-linear in ``a``."""
     a = as_matrix(a)
     b = as_matrix(b)
-    require_same_dim(a, b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(
+            f"incompatible operands: shapes {a.shape} and {b.shape}")
     return complex(np.trace(dagger(a) @ b))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_same_dim(a, b)
     return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab + ba."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_same_dim(a, b)
     return a @ b + b @ a
 
 
@@ -81,17 +93,11 @@ def sym_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Coincides with the plain commutator when both operands are Hermitian.
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
-    require_same_dim(x, y)
     return 0.5 * (commutator(x, y) + commutator(dagger(x), dagger(y)))
 
 
 def sym_anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetrized anticommutator: average of {x, y} and {x^dag, y^dag}."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    require_same_dim(x, y)
     return 0.5 * (anticommutator(x, y) + anticommutator(dagger(x), dagger(y)))
 
 
@@ -107,16 +113,12 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _hermiticity_residual(h: np.ndarray) -> float:
-    return frob_norm(h - dagger(h))
-
-
-def _require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check Hermiticity within ``tol * max(1, ||h||)`` and return the Hermitian part."""
-    res = _hermiticity_residual(h)
-    if res > tol * max(1.0, frob_norm(h)):
+def _require_hermitian(h: np.ndarray) -> np.ndarray:
+    """Check Hermiticity within ``HERMITICITY_TOL * max(1, ||h||_F)``; return ``h``."""
+    res = frob_norm(h - dagger(h))
+    if res > HERMITICITY_TOL * max(1.0, frob_norm(h)):
         raise NotHermitianError(res)
-    return 0.5 * (h + dagger(h))
+    return h
 
 
 def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
@@ -124,7 +126,7 @@ def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        idx = np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)
         if idx.size == 0:
             continue
         pivot = col[idx[0]]
@@ -135,12 +137,13 @@ def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
 def hermitian_eig(h) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
-    Raises ``NotHermitianError`` if the input is not Hermitian within
-    tolerance, and ``NumericError`` if the solver fails or the
-    reconstruction residual exceeds its contract.
+    ``h`` is a square finite array, as :func:`as_matrix` returns. Raises
+    ``NotHermitianError`` if it is not Hermitian within tolerance, and
+    ``NumericError`` if the solver fails or a residual exceeds its
+    contract (a non-finite residual counts as exceeding it).
     """
-    h = as_matrix(h)
-    hs = _require_hermitian(h)
+    _require_hermitian(h)
+    hs = 0.5 * (h + dagger(h))
     try:
         w, v = np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:
@@ -149,7 +152,7 @@ def hermitian_eig(h) -> SpectralDecomposition:
     scale = max(1.0, frob_norm(hs))
     recon = frob_norm((v * w) @ dagger(v) - hs)
     ortho = frob_norm(dagger(v) @ v - np.eye(h.shape[0]))
-    if recon > RECONSTRUCTION_TOL * scale or ortho > RECONSTRUCTION_TOL:
+    if not (recon <= RECONSTRUCTION_TOL * scale and ortho <= RECONSTRUCTION_TOL):
         raise NumericError(
             f"eigendecomposition residuals out of tolerance: "
             f"reconstruction {recon:.3e}, orthonormality {ortho:.3e}")
@@ -159,15 +162,20 @@ def hermitian_eig(h) -> SpectralDecomposition:
 def psd_sqrt(h) -> np.ndarray:
     """Principal square root of a Hermitian positive-semidefinite matrix.
 
-    Eigenvalues within ``tol = 1e-10 * max(1, ||h||_F)`` of zero (either
+    ``h`` is a square finite array, as :func:`as_matrix` returns. Eigenvalues
+    within ``tol = PSD_CLAMP_TOL * max(1, ||h||_F)`` of zero (either
     sign) are clamped to zero before rooting, so rank-deficient inputs
     such as pure states root exactly instead of picking up O(sqrt(eps))
     noise; anything below ``-tol`` raises ``NotPositiveError``. The
     clamp stays within the ``||S^2 - h||`` contract because zeroing an
     eigenvalue of magnitude <= tol perturbs the square by at most tol.
     """
-    h = as_matrix(h)
-    w, v = hermitian_eig(h)
+    return _sqrt_from_spectrum(h, hermitian_eig(h))
+
+
+def _sqrt_from_spectrum(h: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
+    """:func:`psd_sqrt` of ``h``, given ``spectrum = hermitian_eig(h)``."""
+    w, v = spectrum
     scale = max(1.0, frob_norm(h))
     tol = PSD_CLAMP_TOL * scale
     if w[0] < -tol:

@@ -17,12 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, NumericError
-from .objects import DensityMatrix, KrausChannel, center_operator
-
-# Floor below which a mathematically nonnegative result signals a bug
-# rather than rounding; values in [NEGATIVITY_FLOOR, 0) clamp to 0.
-NEGATIVITY_FLOOR = -1e-12
-IDENTITY_RTOL = 1e-9
+from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
+from .objects import DensityMatrix, KrausChannel, _center, _operand
 
 
 @dataclass(frozen=True)
@@ -37,44 +33,47 @@ class MeasureSet:
 
 
 def _nonneg(value: float, what: str) -> float:
+    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0; below it signals a bug."""
     if value < NEGATIVITY_FLOOR:
         raise NumericError(f"{what} evaluated to {value!r}, beyond rounding tolerance")
     return max(value, 0.0)
 
 
-def _check_dims(rho: DensityMatrix, k: np.ndarray) -> np.ndarray:
-    k = linalg.as_matrix(k)
-    if k.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {k.shape[0]} does not match state dimension {rho.dim}")
-    return k
-
+# Each public measure checks its operand once and hands it to the private
+# kernel of the same name; compositions call the kernels, not the checks.
 
 def abs_variance(rho: DensityMatrix, k) -> float:
     """Tr(rho K^dag K) - |Tr(rho K)|^2, via the centered operator."""
-    k = _check_dims(rho, k)
-    k0 = center_operator(k, rho)
+    return _abs_variance(rho, _operand(rho, k))
+
+
+def _abs_variance(rho: DensityMatrix, k: np.ndarray) -> float:
+    k0 = _center(k, rho)
     value = complex(np.trace(rho.matrix @ linalg.dagger(k0) @ k0)).real
     return _nonneg(value, "absolute variance")
 
 
 def sym_abs_variance(rho: DensityMatrix, k) -> float:
     """Average of the absolute variances of K and K^dag."""
-    k = _check_dims(rho, k)
-    return 0.5 * (abs_variance(rho, k) + abs_variance(rho, linalg.dagger(k)))
+    return _sym_abs_variance(rho, _operand(rho, k))
+
+
+def _sym_abs_variance(rho: DensityMatrix, k: np.ndarray) -> float:
+    return 0.5 * (_abs_variance(rho, k) + _abs_variance(rho, linalg.dagger(k)))
 
 
 def mwy_skew_info(rho: DensityMatrix, k) -> float:
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
-    k = _check_dims(rho, k)
-    c = linalg.commutator(rho.sqrt_matrix, k)
-    return 0.5 * linalg.frob_norm(c) ** 2
+    return _skew_info(rho, _operand(rho, k))
+
+
+def _skew_info(rho: DensityMatrix, k: np.ndarray) -> float:
+    return 0.5 * linalg.frob_norm(linalg.commutator(rho.sqrt_matrix, k)) ** 2
 
 
 def mwy_anti_info(rho: DensityMatrix, k) -> float:
     """Half the squared Frobenius norm of {sqrt(rho), K}."""
-    k = _check_dims(rho, k)
-    a = linalg.anticommutator(rho.sqrt_matrix, k)
+    a = linalg.anticommutator(rho.sqrt_matrix, _operand(rho, k))
     return 0.5 * linalg.frob_norm(a) ** 2
 
 
@@ -85,14 +84,17 @@ def operator_u(rho: DensityMatrix, k) -> float:
     centered operator; computed here from the variance form
     sqrt(V_sym^2 - (V_sym - I)^2) with clamping against rounding.
     """
-    k = _check_dims(rho, k)
-    v = sym_abs_variance(rho, k)
-    i = mwy_skew_info(rho, k)
+    return _operator_u(rho, _operand(rho, k))
+
+
+def _operator_u(rho: DensityMatrix, k: np.ndarray) -> float:
+    v = _sym_abs_variance(rho, k)
+    i = _skew_info(rho, k)
     return float(np.sqrt(max(v * v - (v - i) ** 2, 0.0)))
 
 
-def _close(a: float, b: float, rtol: float = IDENTITY_RTOL) -> bool:
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= IDENTITY_RTOL * max(1.0, abs(a), abs(b))
 
 
 def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
@@ -111,8 +113,10 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     v_sym = 0.0
     i_tilde = 0.0
     j_tilde = 0.0
+    # the public measures re-check each stored operator; perfbench/spans.py
+    # times this path as its measures.operator layer until the loop is stacked
     for op in phi.kraus_ops:
-        centered = center_operator(op, rho)
+        centered = _center(op, rho)
         v_sym += sym_abs_variance(rho, op)
         i_tilde += mwy_skew_info(rho, centered)
         j_tilde += mwy_anti_info(rho, centered)

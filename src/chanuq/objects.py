@@ -2,9 +2,10 @@
 
 ``DensityMatrix`` and ``KrausChannel`` run their physical checks at
 construction time (through :func:`make_density` / :func:`make_channel`)
-so downstream code can assume validity. Tolerances are constructor
-parameters with defaults chosen for double precision; file-loaded
-inputs therefore work without exact arithmetic.
+so downstream code can assume validity and does not check them again.
+The tolerances are those of the table in :mod:`chanuq.linalg`, chosen
+for double precision, so file-loaded inputs work without exact
+arithmetic.
 
 The JSON layout (consumed by the CLI) encodes a complex number as a
 two-element array ``[re, im]``:
@@ -22,9 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import (CompletenessError, DimensionMismatchError, NotHermitianError,
                      NotPositiveError, SchemaError, TraceError, ValidationError)
-
-DENSITY_TOL = 1e-10
-CPTP_TOL = 1e-8
+from .linalg import CPTP_TOL, DENSITY_TOL
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class DensityMatrix:
 
     matrix: np.ndarray
     sqrt_matrix: np.ndarray = field(repr=False)
-    validation_tolerance: float = DENSITY_TOL
 
     @property
     def dim(self) -> int:
@@ -42,35 +40,37 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map stored as its ordered list of Kraus operators."""
+    """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
-    kraus_ops: tuple[np.ndarray, ...]
-    dim: int
-    cptp_tolerance: float = CPTP_TOL
+    kraus_ops: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.kraus_ops.shape[1]
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
 
 
-def make_density(m, tol: float = DENSITY_TOL) -> DensityMatrix:
+def make_density(m) -> DensityMatrix:
     """Validate a matrix as a quantum state and cache its square root.
 
     Checks, in order: Hermiticity, unit trace, positive semidefiniteness,
-    each within ``tol``. The corresponding :class:`ValidationError`
-    subclass names the violated property and carries the residual.
+    each within ``DENSITY_TOL``. The corresponding :class:`ValidationError`
+    subclass names the violated property and carries the residual. One
+    eigendecomposition serves both the positivity check and the root.
     """
     m = linalg.as_matrix(m)
     herm_res = linalg.frob_norm(m - linalg.dagger(m))
-    if herm_res > tol:
+    if herm_res > DENSITY_TOL:
         raise NotHermitianError(herm_res)
     trace_res = abs(complex(np.trace(m)) - 1.0)
-    if trace_res > tol:
+    if trace_res > DENSITY_TOL:
         raise TraceError(trace_res)
-    eigenvalues, _ = linalg.hermitian_eig(m)
-    if eigenvalues[0] < -tol:
-        raise NotPositiveError(float(eigenvalues[0]))
-    sqrt_matrix = linalg.psd_sqrt(m)
-    return DensityMatrix(matrix=m, sqrt_matrix=sqrt_matrix, validation_tolerance=tol)
+    spectrum = linalg.hermitian_eig(m)
+    if spectrum.eigenvalues[0] < -DENSITY_TOL:
+        raise NotPositiveError(float(spectrum.eigenvalues[0]))
+    return DensityMatrix(matrix=m, sqrt_matrix=linalg._sqrt_from_spectrum(m, spectrum))
 
 
 def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
@@ -91,7 +91,7 @@ def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
     residual = linalg.frob_norm(total - np.eye(dim))
     if residual > tol:
         raise CompletenessError(residual)
-    return KrausChannel(kraus_ops=tuple(mats), dim=dim, cptp_tolerance=tol)
+    return KrausChannel(kraus_ops=np.array(mats))
 
 
 def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -102,35 +102,51 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = np.zeros_like(rho.matrix)
     for op in phi.kraus_ops:
         out += op @ rho.matrix @ linalg.dagger(op)
-    return make_density(out, tol=rho.validation_tolerance)
+    return make_density(out)
 
 
-def center_operator(k, rho: DensityMatrix) -> np.ndarray:
-    """Subtract the state expectation: K - Tr(rho K) * I."""
+def _operand(rho: DensityMatrix, k) -> np.ndarray:
+    """The check on an operator argument of a public function: ``as_matrix``
+    plus the state's dimension."""
     k = linalg.as_matrix(k)
     if k.shape[0] != rho.dim:
         raise DimensionMismatchError(
             f"operator dimension {k.shape[0]} does not match state dimension {rho.dim}")
+    return k
+
+
+def center_operator(k, rho: DensityMatrix) -> np.ndarray:
+    """Subtract the state expectation: K - Tr(rho K) * I."""
+    return _center(_operand(rho, k), rho)
+
+
+def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """:func:`center_operator` of a checked operator."""
     expectation = complex(np.trace(rho.matrix @ k))
     return k - expectation * np.eye(rho.dim)
 
 
 def pad_channels(phi: KrausChannel, psi: KrausChannel
-                 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """Extend both Kraus lists with zero operators to a common length N.
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both Kraus stacks, extended with zero operators to a common length N.
 
     Zero operators contribute nothing to any of the measures or trace
     sums, so padding only pins down the common N used in prefactors.
-    Returns ``(ops_phi, ops_psi, n_common)``; the channel objects are untouched.
+    Returns ``(ops_phi, ops_psi, n_common)``; a stack that already has
+    length N is returned as stored, and the channel objects are untouched.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatchError(
             f"channels act on different dimensions: {phi.dim} vs {psi.dim}")
     n_common = max(len(phi), len(psi))
-    zero = np.zeros((phi.dim, phi.dim), dtype=complex)
-    ops_phi = list(phi.kraus_ops) + [zero] * (n_common - len(phi))
-    ops_psi = list(psi.kraus_ops) + [zero] * (n_common - len(psi))
-    return ops_phi, ops_psi, n_common
+
+    def padded(ch: KrausChannel) -> np.ndarray:
+        if len(ch) == n_common:
+            return ch.kraus_ops
+        zeros = np.zeros((n_common - len(ch), ch.dim, ch.dim), dtype=complex)
+        return np.concatenate([ch.kraus_ops, zeros])
+
+    return padded(phi), padded(psi), n_common
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +187,12 @@ def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
     return out
 
 
-def _schema_dim(doc: dict, where: str) -> int:
+def _schema_dim(doc: dict, where: str, body_key: str) -> int:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
+    unknown = sorted(set(doc) - {"dim", body_key})
+    if unknown:
+        raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"{where}: 'dim' must be a positive integer")
@@ -184,22 +203,22 @@ def state_to_json(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "matrix": _matrix_to_rows(rho.matrix)}
 
 
-def state_from_json(doc: dict, tol: float = DENSITY_TOL) -> DensityMatrix:
-    dim = _schema_dim(doc, "state")
+def state_from_json(doc: dict) -> DensityMatrix:
+    dim = _schema_dim(doc, "state", "matrix")
     if "matrix" not in doc:
         raise SchemaError("state: missing 'matrix'")
-    return make_density(_rows_to_matrix(doc["matrix"], dim, "state.matrix"), tol=tol)
+    return make_density(_rows_to_matrix(doc["matrix"], dim, "state.matrix"))
 
 
 def channel_to_json(phi: KrausChannel) -> dict:
     return {"dim": phi.dim, "kraus": [_matrix_to_rows(op) for op in phi.kraus_ops]}
 
 
-def channel_from_json(doc: dict, tol: float = CPTP_TOL) -> KrausChannel:
-    dim = _schema_dim(doc, "channel")
+def channel_from_json(doc: dict) -> KrausChannel:
+    dim = _schema_dim(doc, "channel", "kraus")
     kraus = doc.get("kraus")
     if not isinstance(kraus, list) or len(kraus) == 0:
         raise SchemaError("channel: 'kraus' must be a nonempty array of matrices")
     ops = [_rows_to_matrix(rows, dim, f"channel.kraus[{k}]")
            for k, rows in enumerate(kraus)]
-    return make_channel(ops, tol=tol)
+    return make_channel(ops)

@@ -75,6 +75,23 @@ def test_compute_malformed_json_exits_2(runner, fixtures):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("target, payload", [
+    ("state", b"\xff"),
+    ("channel", json.dumps({**channel_to_json(make_channel([np.eye(2)])),
+                            "kruas": []}).encode()),
+], ids=["non-utf8-state", "unknown-key-channel"])
+def test_compute_unreadable_document_exits_2(runner, fixtures, tmp_path, target, payload):
+    path = tmp_path / "doc.json"
+    path.write_bytes(payload)
+    files = {"state": fixtures["mixed2.json"], "channel": fixtures["identity2.json"]}
+    files[target] = str(path)
+    result = runner.invoke(cli, ["compute", "--state", files["state"],
+                                 "--channel-a", files["channel"],
+                                 "--channel-b", fixtures["identity2.json"]])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("parse error:")
+
+
 @pytest.mark.parametrize("target, value", [
     ("state", float("nan")),       # written as the bare token NaN
     ("channel", float("inf")),     # written as the bare token Infinity

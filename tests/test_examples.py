@@ -5,7 +5,7 @@ import pytest
 
 from chanuq.bounds import lb1_eq14, lb_eq13, thm3_bound, thm4_bound
 from chanuq.errors import NumericError
-from chanuq.examples import (ClosedFormValues, ExampleConfig, channel_E, channel_F,
+from chanuq.examples import (ClosedFormValues, channel_E, channel_F,
                              closed_forms, example1_closed_forms,
                              example2_closed_forms, example_state,
                              rho_theta_state, werner_state)
@@ -88,14 +88,6 @@ def test_channel_parameters_out_of_range():
         channel_E(-0.01)
     with pytest.raises(ValueError):
         channel_F(1.01)
-
-
-def test_example_config_validation():
-    ExampleConfig("werner", 0.5, 0.1, 0.9)
-    with pytest.raises(ValueError):
-        ExampleConfig("other", 0.5, 0.1, 0.9)
-    with pytest.raises(ValueError):
-        ExampleConfig("werner", 1.5, 0.1, 0.9)
 
 
 def test_example_state_dispatch():

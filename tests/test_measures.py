@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from chanuq.errors import DimensionMismatchError
+from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
+from chanuq.errors import DimensionMismatchError, NumericError
 from chanuq.measures import (abs_variance, channel_measures, mwy_anti_info,
                              mwy_skew_info, operator_u, sym_abs_variance)
 from chanuq.objects import center_operator, make_channel, make_density
 
 import oracles
-from oracles import I2, SX, ketbra
+from oracles import I2, SX, SZ, ketbra
 
 
 @pytest.fixture
@@ -29,9 +30,33 @@ def test_abs_variance_identity_vanishes(mixed_qubit):
     assert abs_variance(mixed_qubit, I2) == 0.0
 
 
-def test_abs_variance_dim_mismatch(mixed_qubit):
-    with pytest.raises(DimensionMismatchError):
-        abs_variance(mixed_qubit, np.eye(3))
+# every public function taking an operator checks it where it enters the library
+OPERAND_FUNCTIONS = {
+    "abs_variance": abs_variance,
+    "sym_abs_variance": sym_abs_variance,
+    "mwy_skew_info": mwy_skew_info,
+    "mwy_anti_info": mwy_anti_info,
+    "operator_u": operator_u,
+    "center_operator": lambda rho, k: center_operator(k, rho),
+    "heisenberg_first": lambda rho, k: heisenberg_bound(rho, k, SZ),
+    "heisenberg_second": lambda rho, k: heisenberg_bound(rho, SZ, k),
+    "schrodinger_first": lambda rho, k: schrodinger_bound(rho, k, SZ),
+    "schrodinger_second": lambda rho, k: schrodinger_bound(rho, SZ, k),
+    "luo_first": lambda rho, k: luo_bound(rho, k, SZ),
+    "luo_second": lambda rho, k: luo_bound(rho, SZ, k),
+    "dou_first": lambda rho, k: dou_bounds(rho, k, ketbra(0, 1)),
+    "dou_second": lambda rho, k: dou_bounds(rho, ketbra(0, 1), k),
+}
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.eye(3), DimensionMismatchError),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), NumericError),
+], ids=["3x3", "nan"])
+@pytest.mark.parametrize("name", OPERAND_FUNCTIONS)
+def test_public_operand_check(mixed_qubit, name, bad, error):
+    with pytest.raises(error):
+        OPERAND_FUNCTIONS[name](mixed_qubit, bad)
 
 
 def test_sym_abs_variance_hermitian_reduction():

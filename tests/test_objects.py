@@ -49,6 +49,15 @@ def test_make_density_rejects_indefinite():
         make_density(np.diag([1.5, -0.5]))
 
 
+def test_make_density_eigendecomposes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    rho = make_density(oracles.werner_matrix(0.5))
+    assert len(calls) == 1
+    np.testing.assert_allclose(rho.sqrt_matrix @ rho.sqrt_matrix, rho.matrix, atol=1e-12)
+
+
 def test_make_channel_identity():
     ch = make_channel([I2])
     assert len(ch) == 1
@@ -167,6 +176,23 @@ def test_pad_channels_dim_mismatch():
         pad_channels(make_channel([I2]), make_channel([np.eye(3)]))
 
 
+def measure_draws(seed, count=25):
+    """Seeded (rng, rho, Kraus list) draws with d in [2, 8] and N in [1, 6]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, dim + 1))
+        yield (rng, oracles.rand_rho(rng, dim, rank),
+               oracles.rand_kraus(rng, dim, int(rng.integers(1, 7))))
+
+
+def assert_same_measures(rho_a, ops_a, rho_b, ops_b):
+    a = channel_measures(make_density(rho_a), make_channel(ops_a))
+    b = channel_measures(make_density(rho_b), make_channel(ops_b))
+    for name in ("v_sym", "i_tilde", "j_tilde", "c_abs", "u_abs"):
+        assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12), name
+
+
 def test_padding_leaves_measures_unchanged():
     rho = make_density(oracles.werner_matrix(1.0))
     phi = make_channel(oracles.e_kraus(0.6))
@@ -176,6 +202,22 @@ def test_padding_leaves_measures_unchanged():
     assert abs(m1.i_tilde - m2.i_tilde) <= 1e-14
     assert abs(m1.j_tilde - m2.j_tilde) <= 1e-14
     assert abs(m1.v_sym - m2.v_sym) <= 1e-14
+    for rng, rho_m, ops in measure_draws(60):
+        zeros = [np.zeros_like(ops[0])] * int(rng.integers(1, 4))
+        assert_same_measures(rho_m, ops, rho_m, ops + zeros)
+
+
+def test_kraus_permutation_leaves_measures_unchanged():
+    for rng, rho_m, ops in measure_draws(61):
+        shuffled = [ops[i] for i in rng.permutation(len(ops))]
+        assert_same_measures(rho_m, ops, rho_m, shuffled)
+
+
+def test_joint_unitary_conjugation_leaves_measures_unchanged():
+    for rng, rho_m, ops in measure_draws(62):
+        u = oracles.rand_kraus(rng, rho_m.shape[0], 1)[0]
+        ud = oracles.dag(u)
+        assert_same_measures(rho_m, ops, u @ rho_m @ ud, [u @ e @ ud for e in ops])
 
 
 # -- JSON ---------------------------------------------------------------------
