@@ -22,7 +22,7 @@ Conventions shared by all bound evaluators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -307,7 +307,7 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All left-hand sides, all bounds and all slacks for one triple."""
+    """All left-hand sides and all bounds for one triple."""
 
     lhs_product_v: float
     lhs_product_u: float
@@ -319,28 +319,31 @@ class BoundReport:
     lb_eq13: float
     lb1_eq14: float
     n_common: int
-    slacks: dict[str, float]
+
+    def relations(self) -> dict[str, tuple[float, float]]:
+        """``{name: (lhs, bound)}``: the left-hand side each bound is checked against."""
+        return {
+            "thm1_bound": (self.lhs_product_v, self.thm1),
+            "thm2_bound": (self.lhs_product_v, self.thm2),
+            "thm3_bound": (self.lhs_product_u, self.thm3),
+            "lb_eq13": (self.lhs_product_u, self.lb_eq13),
+            "thm4_bound": (self.lhs_sum_u2, self.thm4),
+            "lb1_eq14": (self.lhs_sum_u2, self.lb1_eq14),
+        }
+
+    @property
+    def slacks(self) -> dict[str, float]:
+        """``lhs - bound`` per bound; negative means the bound is violated."""
+        return {name: lhs - bound for name, (lhs, bound) in self.relations().items()}
 
     def to_dict(self) -> dict:
-        return {
-            "lhs_product_v": self.lhs_product_v,
-            "lhs_product_u": self.lhs_product_u,
-            "lhs_sum_u2": self.lhs_sum_u2,
-            "thm1": self.thm1,
-            "thm2": self.thm2,
-            "thm3": self.thm3,
-            "thm4": self.thm4,
-            "lb_eq13": self.lb_eq13,
-            "lb1_eq14": self.lb1_eq14,
-            "n_common": self.n_common,
-            "slacks": dict(self.slacks),
-        }
+        return {**asdict(self), "slacks": self.slacks}
 
 
 def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
                  basis_index: int = 0, check: bool = True,
                  measures: tuple[MeasureSet, MeasureSet] | None = None) -> BoundReport:
-    """Evaluate every bound against its left-hand side and record slacks.
+    """Evaluate every bound and its left-hand side.
 
     With ``check=True`` (the default) a slack below ``-SLACK_TOL`` raises
     ``BoundViolationError`` naming the offending bound; the randomized
@@ -350,33 +353,20 @@ def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     if measures is None:
         measures = (channel_measures(rho, phi), channel_measures(rho, psi))
     m_phi, m_psi = measures
-    lhs_product_v = m_phi.v_sym * m_psi.v_sym
-    lhs_product_u = m_phi.u_abs * m_psi.u_abs
-    lhs_sum_u2 = m_phi.u_abs ** 2 + m_psi.u_abs ** 2
-
-    values = {
-        "thm1_bound": (thm1_bound(rho, phi, psi), lhs_product_v),
-        "thm2_bound": (thm2_bound(rho, phi, psi), lhs_product_v),
-        "thm3_bound": (thm3_bound(rho, phi, psi, basis_index), lhs_product_u),
-        "lb_eq13": (lb_eq13(rho, phi, psi), lhs_product_u),
-        "thm4_bound": (thm4_bound(rho, phi, psi), lhs_sum_u2),
-        "lb1_eq14": (lb1_eq14(rho, phi, psi), lhs_sum_u2),
-    }
-    slacks = {name: lhs - bound for name, (bound, lhs) in values.items()}
-    if check:
-        for name, (bound, lhs) in values.items():
-            if slacks[name] < -SLACK_TOL:
-                raise BoundViolationError(name, lhs, bound)
-    return BoundReport(
-        lhs_product_v=float(lhs_product_v),
-        lhs_product_u=float(lhs_product_u),
-        lhs_sum_u2=float(lhs_sum_u2),
-        thm1=float(values["thm1_bound"][0]),
-        thm2=float(values["thm2_bound"][0]),
-        thm3=float(values["thm3_bound"][0]),
-        thm4=float(values["thm4_bound"][0]),
-        lb_eq13=float(values["lb_eq13"][0]),
-        lb1_eq14=float(values["lb1_eq14"][0]),
+    report = BoundReport(
+        lhs_product_v=m_phi.v_sym * m_psi.v_sym,
+        lhs_product_u=m_phi.u_abs * m_psi.u_abs,
+        lhs_sum_u2=m_phi.u_abs ** 2 + m_psi.u_abs ** 2,
+        thm1=thm1_bound(rho, phi, psi),
+        thm2=thm2_bound(rho, phi, psi),
+        thm3=thm3_bound(rho, phi, psi, basis_index),
+        lb_eq13=lb_eq13(rho, phi, psi),
+        thm4=thm4_bound(rho, phi, psi),
+        lb1_eq14=lb1_eq14(rho, phi, psi),
         n_common=max(len(phi), len(psi)),
-        slacks={name: float(s) for name, s in slacks.items()},
     )
+    if check:
+        for name, (lhs, bound) in report.relations().items():
+            if lhs - bound < -SLACK_TOL:
+                raise BoundViolationError(name, lhs, bound)
+    return report

@@ -4,9 +4,11 @@ Subcommands: ``compute`` (bounds for user-supplied JSON objects),
 ``sweep`` (example grid sweep to CSV), ``verify`` (randomized bound
 verification), ``example`` (numeric vs closed-form values at one point).
 
-Exit codes: 0 ok, 2 parse/usage, 3 validation, 4 dimension mismatch,
-5 verification failure. All floats are printed with 17 significant
-digits so output is byte-deterministic and round-trips exactly.
+Exit codes: 0 ok, 1 I/O error (a file that cannot be read or written,
+such as ``sweep --out`` into a missing directory), 2 parse/usage,
+3 validation, 4 dimension mismatch, 5 verification failure. All floats
+are printed with 17 significant digits so output is byte-deterministic
+and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -139,30 +141,16 @@ SWEEP_COLUMNS = ("p", "q", "u_phi", "u_psi", "product_u", "sum_u2",
                  "closed_thm3", "closed_lb", "closed_lb1", "closed_lb2")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of one example grid sweep."""
-
-    example_id: str
-    theta: float
-    grid_steps: int
-    basis_index: int
-    output_path: str
-
-    def __post_init__(self):
-        if self.grid_steps < 2:
-            raise ValueError(f"grid_steps must be >= 2, got {self.grid_steps}")
-
-
-def run_sweep(spec: SweepSpec) -> int:
-    """Evaluate the grid of ``spec`` and write the CSV; returns the row count.
+def run_sweep(example_id: str, theta: float, grid_steps: int, basis_index: int,
+              output_path: str) -> int:
+    """Evaluate the example's (p, q) grid and write the CSV; returns the row count.
 
     The closed_* columns are filled only when theta equals the canonical
     value of the example's closed-form surfaces; otherwise they stay empty.
     """
-    rho = example_state(spec.example_id, spec.theta)
-    grid = np.linspace(0.0, 1.0, spec.grid_steps)
-    with_closed = spec.theta == CLOSED_FORM_THETA[spec.example_id]
+    rho = example_state(example_id, theta)
+    grid = np.linspace(0.0, 1.0, grid_steps)
+    with_closed = theta == CLOSED_FORM_THETA[example_id]
     channels_f = [channel_F(float(q)) for q in grid]
     measures_f = [channel_measures(rho, psi) for psi in channels_f]
     lines = [",".join(SWEEP_COLUMNS)]
@@ -170,20 +158,20 @@ def run_sweep(spec: SweepSpec) -> int:
         phi = channel_E(float(p))
         m_phi = channel_measures(rho, phi)
         for q, psi, m_psi in zip(grid, channels_f, measures_f):
-            report = bound_report(rho, phi, psi, basis_index=spec.basis_index,
+            report = bound_report(rho, phi, psi, basis_index=basis_index,
                                   measures=(m_phi, m_psi))
             row = [_fmt(p), _fmt(q), _fmt(m_phi.u_abs), _fmt(m_psi.u_abs),
                    _fmt(report.lhs_product_u), _fmt(report.lhs_sum_u2),
                    _fmt(report.thm1), _fmt(report.thm2), _fmt(report.thm3),
                    _fmt(report.lb_eq13), _fmt(report.lb1_eq14), _fmt(report.thm4)]
             if with_closed:
-                closed = closed_forms(spec.example_id, float(p), float(q))
+                closed = closed_forms(example_id, float(p), float(q))
                 row += [_fmt(closed.thm3_closed), _fmt(closed.lb_closed),
                         _fmt(closed.lb1_closed), _fmt(closed.lb2_closed)]
             else:
                 row += ["", "", "", ""]
             lines.append(",".join(row))
-    with open(spec.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(lines) - 1
 
@@ -193,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> int:
               type=click.Choice(EXAMPLE_IDS), help="Built-in example family.")
 @click.option("--theta", required=True, type=float, callback=_unit_interval,
               help="State parameter in [0, 1].")
-@click.option("--grid-steps", default=21, show_default=True, type=int,
+@click.option("--grid-steps", default=21, show_default=True, type=click.IntRange(min=2),
               help="Number of grid points per axis (>= 2).")
 @click.option("--basis-index", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True),
@@ -206,12 +194,7 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     value of the example's closed-form surfaces (1 for werner, 0 for
     rho_theta); otherwise they are left empty.
     """
-    try:
-        spec = SweepSpec(example_id=example_id, theta=theta, grid_steps=grid_steps,
-                         basis_index=basis_index, output_path=out)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
-    rows = run_sweep(spec)
+    rows = run_sweep(example_id, theta, grid_steps, basis_index, out)
     click.echo(f"wrote {rows} rows to {out}")
 
 
@@ -256,11 +239,6 @@ def verify(dims, kraus_counts, trials, seed, self_test):
         sys.exit(EXIT_VERIFICATION)
 
 
-def _measures_dict(m) -> dict:
-    return {"v_sym": m.v_sym, "i_tilde": m.i_tilde, "j_tilde": m.j_tilde,
-            "c_abs": m.c_abs, "u_abs": m.u_abs}
-
-
 @cli.command()
 @click.option("--example", "example_id", required=True, type=click.Choice(EXAMPLE_IDS))
 @click.option("--theta", required=True, type=float, callback=_unit_interval)
@@ -289,13 +267,13 @@ def example(example_id, theta, p, q, basis_index):
         "basis_index": basis_index,
         "u_phi": m_phi.u_abs,
         "u_psi": m_psi.u_abs,
-        "measures_phi": _measures_dict(m_phi),
-        "measures_psi": _measures_dict(m_psi),
+        "measures_phi": asdict(m_phi),
+        "measures_psi": asdict(m_psi),
         "report": report.to_dict(),
     }
     if theta == CLOSED_FORM_THETA[example_id]:
         closed = closed_forms(example_id, p, q)
-        doc["closed"] = closed.to_dict()
+        doc["closed"] = asdict(closed)
         doc["abs_diff"] = {
             "thm3": abs(report.thm3 - closed.thm3_closed),
             "lb_eq13": abs(report.lb_eq13 - closed.lb_closed),

@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import bound_report, dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import abs_variance, operator_u, sym_abs_variance
+from .measures import _u_from, abs_variance, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
@@ -181,40 +181,24 @@ class VerificationReport:
         }
 
 
-def _trial_slacks(rho: DensityMatrix, phi, psi, k, l, a, b,
-                  broken_bound: str | None) -> dict[str, float]:
-    report = bound_report(rho, phi, psi, check=False)
-    slacks = dict(report.slacks)
+def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
+                     ) -> dict[str, tuple[float, float]]:
+    """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES`` on one trial."""
+    relations = bound_report(rho, phi, psi, check=False).relations()
 
-    va = abs_variance(rho, a)
-    vb = abs_variance(rho, b)
-    slacks["heisenberg_bound"] = va * vb - heisenberg_bound(rho, a, b)
-    slacks["schrodinger_bound"] = va * vb - schrodinger_bound(rho, a, b)
-    luo_lhs, luo_rhs = luo_bound(rho, a, b)
-    slacks["luo_bound"] = luo_lhs - luo_rhs
+    va_vb = abs_variance(rho, a) * abs_variance(rho, b)
+    relations["heisenberg_bound"] = (va_vb, heisenberg_bound(rho, a, b))
+    relations["schrodinger_bound"] = (va_vb, schrodinger_bound(rho, a, b))
+    relations["luo_bound"] = luo_bound(rho, a, b)
 
     comm, brackets, u_comm = dou_bounds(rho, k, l)
-    lhs_v = sym_abs_variance(rho, k) * sym_abs_variance(rho, l)
-    lhs_u = operator_u(rho, k) * operator_u(rho, l)
-    slacks["dou_comm"] = lhs_v - comm
-    slacks["dou_brackets"] = lhs_v - brackets
-    slacks["dou_u"] = lhs_u - u_comm
-
-    if broken_bound is not None:
-        # self-test hook: inflate one bound tenfold to prove the detector fires
-        lhs_by_name = {
-            "thm1_bound": report.lhs_product_v, "thm2_bound": report.lhs_product_v,
-            "thm3_bound": report.lhs_product_u, "lb_eq13": report.lhs_product_u,
-            "thm4_bound": report.lhs_sum_u2, "lb1_eq14": report.lhs_sum_u2,
-            "heisenberg_bound": va * vb, "schrodinger_bound": va * vb,
-            "luo_bound": luo_lhs, "dou_comm": lhs_v, "dou_brackets": lhs_v,
-            "dou_u": lhs_u,
-        }
-        if broken_bound not in lhs_by_name:
-            raise ValueError(f"unknown bound name {broken_bound!r}")
-        lhs = lhs_by_name[broken_bound]
-        slacks[broken_bound] = lhs - 10.0 * (lhs - slacks[broken_bound])
-    return slacks
+    vk = sym_abs_variance(rho, k)
+    vl = sym_abs_variance(rho, l)
+    uk_ul = _u_from(vk, mwy_skew_info(rho, k)) * _u_from(vl, mwy_skew_info(rho, l))
+    relations["dou_comm"] = (vk * vl, comm)
+    relations["dou_brackets"] = (vk * vl, brackets)
+    relations["dou_u"] = (uk_ul, u_comm)
+    return relations
 
 
 def verify_suite(config: EnsembleConfig, broken_bound: str | None = None
@@ -227,6 +211,8 @@ def verify_suite(config: EnsembleConfig, broken_bound: str | None = None
     pair for the operator-level relations. Any slack below -SLACK_TOL is
     recorded as a violation together with the trial seed.
     """
+    if broken_bound is not None and broken_bound not in BOUND_NAMES:
+        raise ValueError(f"unknown bound name {broken_bound!r}")
     start = time.perf_counter()
     violations: list[Violation] = []
     min_slack = {name: math.inf for name in BOUND_NAMES}
@@ -241,11 +227,15 @@ def verify_suite(config: EnsembleConfig, broken_bound: str | None = None
         a = random_operator(config.dim, rng, hermitian=True)
         b = random_operator(config.dim, rng, hermitian=True)
         try:
-            slacks = _trial_slacks(rho, phi, psi, k, l, a, b, broken_bound)
+            relations = _trial_relations(rho, phi, psi, k, l, a, b)
         except NumericError as exc:
             raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
         for name in BOUND_NAMES:
-            slack = slacks[name]
+            lhs, bound = relations[name]
+            if name == broken_bound:
+                # self-test hook: inflate one bound tenfold to prove the detector fires
+                bound = 10.0 * bound
+            slack = lhs - bound
             if slack < min_slack[name]:
                 min_slack[name] = slack
             if slack < -SLACK_TOL:

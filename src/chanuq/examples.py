@@ -37,14 +37,6 @@ class ClosedFormValues:
     lb1_closed: float
     lb2_closed: float
 
-    def to_dict(self) -> dict:
-        return {
-            "thm3_closed": self.thm3_closed,
-            "lb_closed": self.lb_closed,
-            "lb1_closed": self.lb1_closed,
-            "lb2_closed": self.lb2_closed,
-        }
-
 
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:

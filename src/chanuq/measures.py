@@ -88,8 +88,11 @@ def operator_u(rho: DensityMatrix, k) -> float:
 
 
 def _operator_u(rho: DensityMatrix, k: np.ndarray) -> float:
-    v = _sym_abs_variance(rho, k)
-    i = _skew_info(rho, k)
+    return _u_from(_sym_abs_variance(rho, k), _skew_info(rho, k))
+
+
+def _u_from(v: float, i: float) -> float:
+    """|U_rho|(K) from V_sym(K) and the skew information I(K)."""
     return float(np.sqrt(max(v * v - (v - i) ** 2, 0.0)))
 
 

@@ -7,7 +7,9 @@ from chanuq.bounds import (bound_report, dou_bounds, fine_grained_terms,
                            heisenberg_bound, lb1_eq14, lb_eq13, luo_bound,
                            schrodinger_bound, thm1_bound, thm2_bound,
                            thm3_bound, thm4_bound)
-from chanuq.errors import DimensionMismatchError, NotHermitianError
+import chanuq.bounds
+from chanuq.errors import (BoundViolationError, DimensionMismatchError,
+                           NotHermitianError)
 from chanuq.measures import abs_variance, channel_measures, operator_u, sym_abs_variance
 from chanuq.objects import make_channel, make_density
 
@@ -468,12 +470,28 @@ def test_bound_report_random_triples_slacks():
 
 
 def test_bound_report_dict_layout(werner1):
+    # the JSON bytes of ``chanuq compute`` follow this key order
     doc = bound_report(werner1, ch_e(0.5), ch_f(0.5)).to_dict()
-    assert set(doc) == {"lhs_product_v", "lhs_product_u", "lhs_sum_u2", "thm1",
-                        "thm2", "thm3", "thm4", "lb_eq13", "lb1_eq14",
-                        "n_common", "slacks"}
-    assert set(doc["slacks"]) == {"thm1_bound", "thm2_bound", "thm3_bound",
-                                  "thm4_bound", "lb_eq13", "lb1_eq14"}
+    assert list(doc) == ["lhs_product_v", "lhs_product_u", "lhs_sum_u2", "thm1",
+                         "thm2", "thm3", "thm4", "lb_eq13", "lb1_eq14",
+                         "n_common", "slacks"]
+    assert list(doc["slacks"]) == ["thm1_bound", "thm2_bound", "thm3_bound",
+                                   "lb_eq13", "thm4_bound", "lb1_eq14"]
+
+
+def test_bound_report_check_raises_on_violated_bound(werner1, monkeypatch):
+    phi, psi = ch_e(0.5), ch_f(0.5)
+    clean = bound_report(werner1, phi, psi)
+    inflated = clean.lhs_sum_u2 + 1.0
+    monkeypatch.setattr(chanuq.bounds, "thm4_bound", lambda rho, phi, psi: inflated)
+    with pytest.raises(BoundViolationError) as info:
+        bound_report(werner1, phi, psi)
+    assert info.value.bound_name == "thm4_bound"
+    assert info.value.lhs == clean.lhs_sum_u2
+    assert info.value.bound == inflated
+    report = bound_report(werner1, phi, psi, check=False)
+    assert report.slacks["thm4_bound"] == clean.lhs_sum_u2 - inflated < 0.0
+    assert report.slacks["lb1_eq14"] == clean.slacks["lb1_eq14"]
 
 
 def test_bound_report_dim_mismatch(werner1):

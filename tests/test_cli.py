@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import chanuq.bounds
 from chanuq.cli import cli
 from chanuq.examples import channel_E, channel_F, werner_state
 from chanuq.objects import channel_to_json, make_channel, make_density, state_to_json
@@ -183,6 +184,23 @@ def test_sweep_rejects_single_step_grid(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_sweep_unwritable_output_exits_1(runner, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(cli, ["sweep", "--example", "werner", "--theta", "1",
+                                 "--grid-steps", "2", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("io error: [Errno 2]")
+
+
+def test_compute_violated_bound_exits_5(runner, fixtures, monkeypatch):
+    monkeypatch.setattr(chanuq.bounds, "thm4_bound", lambda rho, phi, psi: 1.0e3)
+    result = runner.invoke(cli, ["compute", "--state", fixtures["werner1.json"],
+                                 "--channel-a", fixtures["e_full.json"],
+                                 "--channel-b", fixtures["f_full.json"]])
+    assert result.exit_code == 5
+    assert "thm4_bound" in result.stderr
+
+
 def test_sweep_noncanonical_theta_leaves_closed_columns_empty(runner, tmp_path):
     out = tmp_path / "nc.csv"
     result = runner.invoke(cli, ["sweep", "--example", "werner", "--theta", "0.5",
@@ -268,7 +286,12 @@ def test_example_trivial_first_channel_kills_all_bounds(runner):
         assert abs(doc["report"][key]) <= 1e-12
 
 
-def test_example_rejects_out_of_range_parameter(runner):
-    result = runner.invoke(cli, ["example", "--example", "werner", "--theta", "1.5",
-                                 "--p", "0", "--q", "0"])
+@pytest.mark.parametrize("value", ["1.5", "nan", "inf"])
+@pytest.mark.parametrize("option", ["--theta", "--p", "--q"])
+def test_example_rejects_out_of_range_parameter(runner, option, value):
+    # NaN must fail the range check too, not reach the example constructors
+    args = {"--theta": "1", "--p": "0", "--q": "0"}
+    args[option] = value
+    result = runner.invoke(cli, ["example", "--example", "werner",
+                                 *(item for pair in args.items() for item in pair)])
     assert result.exit_code == 2

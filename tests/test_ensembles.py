@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from chanuq.ensembles import (EnsembleConfig, SplitMix64, random_channel,
+import chanuq.ensembles
+from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, random_channel,
                               random_density, random_operator, verify_suite)
 
 # published reference outputs of the SplitMix64 update equations
@@ -132,16 +133,34 @@ def test_verify_suite_deterministic_modulo_elapsed():
     assert a == b
 
 
-def test_verify_suite_detects_injected_violation():
-    config = EnsembleConfig(dim=2, kraus_count=2, rank=2, seed=5, trials=10)
-    report = verify_suite(config, broken_bound="thm1_bound")
+INJECTION_CONFIG = EnsembleConfig(dim=2, kraus_count=2, rank=2, seed=5, trials=10)
+
+
+@pytest.fixture(scope="module")
+def clean_injection_run():
+    return verify_suite(INJECTION_CONFIG)
+
+
+@pytest.mark.parametrize("broken", BOUND_NAMES)
+def test_verify_suite_detects_injected_violation(broken, clean_injection_run):
+    report = verify_suite(INJECTION_CONFIG, broken_bound=broken)
     assert report.violations
-    assert all(v.bound_name == "thm1_bound" for v in report.violations)
+    assert all(v.bound_name == broken for v in report.violations)
     # seeds recorded with the violation point back into the configured range
     assert all(5 <= v.seed < 15 for v in report.violations)
+    clean = clean_injection_run.min_slack_per_bound
+    for name, slack in report.min_slack_per_bound.items():
+        if name == broken:
+            assert slack <= clean[name]
+        else:
+            assert slack == clean[name], name
 
 
-def test_verify_suite_rejects_unknown_broken_bound():
+def test_verify_suite_rejects_unknown_broken_bound(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the bound name was checked")
+
+    monkeypatch.setattr(chanuq.ensembles, "random_density", no_trial)
     config = EnsembleConfig(dim=2, kraus_count=1, rank=2, seed=5, trials=1)
     with pytest.raises(ValueError):
         verify_suite(config, broken_bound="nope")
