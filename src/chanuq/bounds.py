@@ -27,10 +27,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BoundViolationError, DimensionMismatchError
+from .errors import BoundViolationError
 from .linalg import SLACK_TOL
 from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
-from .objects import DensityMatrix, KrausChannel, _center, _operand, pad_channels
+from .objects import DensityMatrix, KrausChannel, _center, _operand, _same_dim, pad_channels
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -117,11 +117,9 @@ def _padded_stacks(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel
     bounds defined over the native lists (``lb_eq13``, the fine-grained
     terms) use the padded stacks as well.
     """
-    e, f, n = pad_channels(phi, psi)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    return e, f, n
+    stacks = pad_channels(phi, psi)
+    _same_dim(rho, phi.dim, "channel")
+    return stacks
 
 
 def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +209,7 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     comm_f, anti_f = _sqrt_brackets(rho, f)
     a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
     b = (np.einsum("iab,iab->i", anti_f.conj(), anti_e)
-         - 4.0 * _traces(rho, f.conj().transpose(0, 2, 1)) * _traces(rho, e))
+         - 4.0 * _traces(rho, linalg.dagger(f)) * _traces(rho, e))
     return 0.5 * float(np.abs(a).sum() * np.abs(b).sum())
 
 

@@ -128,8 +128,7 @@ def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
     rng = _as_rng(seed)
     g = rng.complex_matrix(dim * kraus_count, dim)
     isometry = _gram_schmidt(g)
-    ops = [isometry[i * dim:(i + 1) * dim, :] for i in range(kraus_count)]
-    return make_channel(ops, tol=ISOMETRY_CPTP_TOL)
+    return make_channel(isometry.reshape(kraus_count, dim, dim), tol=ISOMETRY_CPTP_TOL)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ holds the shared primitives: Frobenius inner product, (symmetrized)
 commutators, the Hermitian eigendecomposition with deterministic
 eigenvector phases, and the PSD matrix square root.
 
-:func:`as_matrix` is the one validation step. ``make_density``,
-``make_channel`` and the operand arguments of the public operator-level
-functions (here ``frob_inner`` and ``cartesian_decompose``) run it; the
-brackets and the spectral functions take arrays that passed it and do
-not check them again.
+:func:`as_matrix` is the one validation step. ``make_density`` and the
+operand arguments of the public operator-level functions (here
+``frob_inner`` and ``cartesian_decompose``) run it, ``make_channel`` its
+stacked form on a whole Kraus list; the brackets and the spectral
+functions take arrays that passed it and do not check them again.
 """
 
 from __future__ import annotations
@@ -48,20 +48,29 @@ SLACK_TOL = 1e-9             # abs   a bound slack below minus it is a violation
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a square complex128 array and validate it.
 
-    Raises ``DimensionMismatchError`` for non-square input and
+    Raises ``DimensionMismatchError`` for ragged or non-square input and
     ``NumericError`` for non-finite entries.
     """
-    a = np.ascontiguousarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return _as_square(m, 2)
+
+
+def _as_square(m, ndim: int) -> np.ndarray:
+    """:func:`as_matrix` of ``ndim`` axes, the last two square (3: an ``(N, d, d)`` stack)."""
+    what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+    try:
+        a = np.array(m, dtype=complex, order="C")  # a copy: no caller can alter it later
+    except ValueError:  # ragged nesting, or text that is no number
+        raise DimensionMismatchError(f"expected {what}, got ragged or non-numeric input") from None
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise NumericError("matrix contains non-finite entries")
     return a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frob_norm(a: np.ndarray) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NumericError
+from .errors import NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
-from .objects import DensityMatrix, KrausChannel, _center, _operand
+from .objects import DensityMatrix, KrausChannel, _center, _operand, _same_dim
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
     asserted before returning.
     """
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
+    _same_dim(rho, phi.dim, "channel")
     v_sym = 0.0
     i_tilde = 0.0
     j_tilde = 0.0

@@ -3,12 +3,14 @@
 ``DensityMatrix`` and ``KrausChannel`` run their physical checks at
 construction time (through :func:`make_density` / :func:`make_channel`)
 so downstream code can assume validity and does not check them again.
-The tolerances are those of the table in :mod:`chanuq.linalg`, chosen
-for double precision, so file-loaded inputs work without exact
+``make_density`` coerces with :func:`chanuq.linalg.as_matrix`, and
+``make_channel`` runs the same check once on the ``(N, d, d)`` stack it
+stores. The tolerances are those of the table in :mod:`chanuq.linalg`,
+chosen for double precision, so file-loaded inputs work without exact
 arithmetic.
 
 The JSON layout (consumed by the CLI) encodes a complex number as a
-two-element array ``[re, im]``:
+two-element array ``[re, im]`` of finite JSON numbers (not booleans):
 
 * state:   ``{"dim": n, "matrix": [[..n rows of n entries..]]}``
 * channel: ``{"dim": n, "kraus": [[..matrix..], ...]}``
@@ -16,6 +18,7 @@ two-element array ``[re, im]``:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,45 +77,41 @@ def make_density(m) -> DensityMatrix:
 
 
 def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
-    """Validate a list of Kraus operators as a CPTP channel.
+    """Validate a list of Kraus operators as a CPTP channel, stored as one stack.
 
     Completeness is checked as ``||sum E_i^dag E_i - I||_F <= tol``.
     """
     if len(ops) == 0:
         raise ValidationError("nonempty Kraus list", 0.0,
                               "a channel needs at least one Kraus operator")
-    mats = [linalg.as_matrix(op) for op in ops]
-    dim = mats[0].shape[0]
-    for op in mats[1:]:
-        if op.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"Kraus operators mix dimensions {dim} and {op.shape[0]}")
-    total = sum(linalg.dagger(op) @ op for op in mats)
-    residual = linalg.frob_norm(total - np.eye(dim))
+    stack = linalg._as_square(ops, 3)
+    total = (linalg.dagger(stack) @ stack).sum(axis=0)
+    residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
     if residual > tol:
         raise CompletenessError(residual)
-    return KrausChannel(kraus_ops=np.array(mats))
+    return KrausChannel(kraus_ops=stack)
 
 
 def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the channel: sum_i E_i rho E_i^dag, revalidated as a state."""
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dimension {phi.dim} does not match state dimension {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for op in phi.kraus_ops:
-        out += op @ rho.matrix @ linalg.dagger(op)
-    return make_density(out)
+    _same_dim(rho, phi.dim, "channel")
+    ops = phi.kraus_ops
+    return make_density((ops @ rho.matrix @ linalg.dagger(ops)).sum(axis=0))
 
 
 def _operand(rho: DensityMatrix, k) -> np.ndarray:
     """The check on an operator argument of a public function: ``as_matrix``
     plus the state's dimension."""
     k = linalg.as_matrix(k)
-    if k.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {k.shape[0]} does not match state dimension {rho.dim}")
+    _same_dim(rho, k.shape[0], "operator")
     return k
+
+
+def _same_dim(rho: DensityMatrix, dim: int, what: str) -> None:
+    """The check that an operator or channel argument acts on the state's dimension."""
+    if dim != rho.dim:
+        raise DimensionMismatchError(
+            f"{what} dimension {dim} does not match state dimension {rho.dim}")
 
 
 def center_operator(k, rho: DensityMatrix) -> np.ndarray:
@@ -153,38 +152,37 @@ def pad_channels(phi: KrausChannel, psi: KrausChannel
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def _entry_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _decode(parts: list, dim: int, where: str) -> np.ndarray:
+    """The ``(len(parts), dim, dim)`` complex stack of matrix documents, in one
+    conversion; where that fails, a row scan raises ``SchemaError`` naming
+    ``where.format(k)`` and the position of the first fault."""
+    cells = np.array(parts, dtype=object)
+    if (cells.shape == (len(parts), dim, dim, 2)
+            and set(map(type, cells.flat)) <= {int, float}):
+        with contextlib.suppress(OverflowError):  # an integer beyond the double range
+            pairs = cells.astype(float)
+            if np.isfinite(pairs).all():  # json reads NaN, Infinity and -Infinity
+                return pairs.view(complex)[..., 0]
+    for k, rows in enumerate(parts):
+        if not isinstance(rows, list) or len(rows) != dim:
+            raise SchemaError(f"{where.format(k)}: expected {dim} rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise SchemaError(f"{where.format(k)}: row {i} must hold {dim} entries")
+            faults = np.frompyfunc(_entry_fault, 1, 1)(np.fromiter(row, object, dim))
+            for j in np.flatnonzero(faults)[:1]:  # the first faulty entry, if any
+                raise SchemaError(f"{where.format(k)}: entry ({i},{j}) {faults[j]}")
 
 
-def _matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_entry_to_pair(complex(z)) for z in row] for row in m]
-
-
-def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise SchemaError(f"{where}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"{where}: row {i} must hold {dim} entries")
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in entry)):
-                raise SchemaError(
-                    f"{where}: entry ({i},{j}) must be a two-element [re, im] array")
-            try:
-                out[i, j] = complex(entry[0], entry[1])
-            except OverflowError:
-                raise SchemaError(
-                    f"{where}: entry ({i},{j}) is out of floating-point range") from None
-    # Python's json accepts the tokens NaN, Infinity and -Infinity
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        i, j = bad[0]
-        raise SchemaError(f"{where}: entry ({i},{j}) is not a finite number")
-    return out
+def _entry_fault(entry) -> str:
+    """Why ``entry`` is not an ``[re, im]`` pair of finite JSON numbers, or ''."""
+    if not (isinstance(entry, list) and len(entry) == 2
+            and {type(entry[0]), type(entry[1])} <= {int, float}):
+        return "must be a two-element [re, im] array"
+    try:
+        return "" if np.isfinite(complex(entry[0], entry[1])) else "is not a finite number"
+    except OverflowError:
+        return "is out of floating-point range"
 
 
 def _schema_dim(doc: dict, where: str, body_key: str) -> int:
@@ -200,18 +198,20 @@ def _schema_dim(doc: dict, where: str, body_key: str) -> int:
 
 
 def state_to_json(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "matrix": _matrix_to_rows(rho.matrix)}
+    m = rho.matrix
+    return {"dim": rho.dim, "matrix": np.stack([m.real, m.imag], -1).tolist()}
 
 
 def state_from_json(doc: dict) -> DensityMatrix:
     dim = _schema_dim(doc, "state", "matrix")
     if "matrix" not in doc:
         raise SchemaError("state: missing 'matrix'")
-    return make_density(_rows_to_matrix(doc["matrix"], dim, "state.matrix"))
+    return make_density(_decode([doc["matrix"]], dim, "state.matrix")[0])
 
 
 def channel_to_json(phi: KrausChannel) -> dict:
-    return {"dim": phi.dim, "kraus": [_matrix_to_rows(op) for op in phi.kraus_ops]}
+    ops = phi.kraus_ops
+    return {"dim": phi.dim, "kraus": np.stack([ops.real, ops.imag], -1).tolist()}
 
 
 def channel_from_json(doc: dict) -> KrausChannel:
@@ -219,6 +219,4 @@ def channel_from_json(doc: dict) -> KrausChannel:
     kraus = doc.get("kraus")
     if not isinstance(kraus, list) or len(kraus) == 0:
         raise SchemaError("channel: 'kraus' must be a nonempty array of matrices")
-    ops = [_rows_to_matrix(rows, dim, f"channel.kraus[{k}]")
-           for k, rows in enumerate(kraus)]
-    return make_channel(ops)
+    return make_channel(_decode(kraus, dim, "channel.kraus[{}]"))

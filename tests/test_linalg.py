@@ -207,3 +207,20 @@ def test_cartesian_modulus_split_identity():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(NumericError):
         linalg.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("m", [
+    [[1.0, 0.0], [0.0]],        # ragged rows
+    np.zeros((2, 3)),           # not square
+    np.zeros((2, 2, 2)),        # a stack, not one matrix
+])
+def test_as_matrix_rejects_shapes(m):
+    with pytest.raises(DimensionMismatchError):
+        linalg.as_matrix(m)
+
+
+def test_as_matrix_copies_its_input():
+    m = np.eye(2, dtype=complex)
+    a = linalg.as_matrix(m)
+    m[0, 0] = 5.0
+    assert a[0, 0] == 1.0

@@ -1,12 +1,14 @@
 """Unit tests for states, channels and the JSON wire format."""
 
+import json
+
 import numpy as np
 import pytest
 
 from chanuq import ensembles
 from chanuq.errors import (CompletenessError, DimensionMismatchError,
-                           NotHermitianError, NotPositiveError, SchemaError,
-                           TraceError, ValidationError)
+                           NotHermitianError, NotPositiveError, NumericError,
+                           SchemaError, TraceError, ValidationError)
 from chanuq.measures import channel_measures
 from chanuq.objects import (apply_channel, center_operator, channel_from_json,
                             channel_to_json, make_channel, make_density,
@@ -82,6 +84,24 @@ def test_make_channel_rejects_empty():
 def test_make_channel_rejects_mixed_dims():
     with pytest.raises(DimensionMismatchError):
         make_channel([I2, np.eye(3)])
+
+
+@pytest.mark.parametrize("ops, error", [
+    ([I2, np.full((2, 2), np.nan)], NumericError),        # non-finite entry
+    (np.zeros((2, 2, 3)), DimensionMismatchError),       # non-square stack
+    (I2, DimensionMismatchError),                          # one matrix, not a list
+])
+def test_make_channel_rejects_bad_stacks(ops, error):
+    with pytest.raises(error):
+        make_channel(ops)
+
+
+def test_make_channel_list_and_stack_agree():
+    ops = oracles.e_kraus(0.3)
+    from_list = make_channel(ops)
+    from_stack = make_channel(np.array(ops))
+    assert from_list.kraus_ops.shape == (2, 4, 4)
+    assert np.array_equal(from_list.kraus_ops, from_stack.kraus_ops)
 
 
 def test_apply_channel_identity_is_noop():
@@ -222,22 +242,25 @@ def test_joint_unitary_conjugation_leaves_measures_unchanged():
 
 # -- JSON ---------------------------------------------------------------------
 
+# The wire format holds the repr of each double, so a round trip through
+# JSON text is exact.
+
 def test_state_json_roundtrip():
     rho = make_density(oracles.werner_matrix(0.9))
     doc = state_to_json(rho)
     assert set(doc) == {"dim", "matrix"}
-    back = state_from_json(doc)
-    np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
+    back = state_from_json(json.loads(json.dumps(doc)))
+    assert np.array_equal(back.matrix, rho.matrix)
 
 
 def test_channel_json_roundtrip():
-    phi = make_channel(oracles.f_kraus(0.3))
-    doc = channel_to_json(phi)
-    assert set(doc) == {"dim", "kraus"}
-    back = channel_from_json(doc)
-    assert len(back) == 2
-    for a, b in zip(back.kraus_ops, phi.kraus_ops):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    for phi in (make_channel(oracles.f_kraus(0.3)),
+                ensembles.random_channel(16, 16, 7001)):
+        doc = channel_to_json(phi)
+        assert set(doc) == {"dim", "kraus"}
+        back = channel_from_json(json.loads(json.dumps(doc)))
+        assert len(back) == len(phi)
+        assert np.array_equal(back.kraus_ops, phi.kraus_ops)
 
 
 @pytest.mark.parametrize("doc", [
@@ -248,10 +271,28 @@ def test_channel_json_roundtrip():
     {"dim": 1, "matrix": [[[1.0, 0.0, 0.0]]]},         # entry wrong length
     {"dim": 2, "matrix": [[[1.0, 0.0], [0.0, 0.0]]]},  # wrong row count
     {"dim": 1, "matrix": [[["x", 0.0]]]},              # non-numeric component
+    {"dim": 1, "matrix": [[[True, 0.0]]]},             # JSON true
+    {"dim": 1, "matrix": [[["1.5", 0.0]]]},            # numeric string
+    {"dim": 1, "matrix": [[[None, 0.0]]]},             # null
+    {"dim": 1, "matrix": [[[1.0, [0.0]]]]},            # nested array
+    {"dim": 2, "matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                          [[0.5, 0.0]]]},              # ragged row
 ])
 def test_state_schema_errors(doc):
     with pytest.raises(SchemaError):
         state_from_json(doc)
+
+
+@pytest.mark.parametrize("entry", [
+    [True, 0.0], ["1.5", 0.0], [None, 0.0], [1.0, [0.0]], [1.0],
+], ids=["true", "string", "null", "nested", "ragged"])
+def test_channel_schema_errors_name_the_entry(entry):
+    doc = {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                               [[[0.0, 0.0], [0.0, 0.0]], [entry, [0.0, 0.0]]]]}
+    with pytest.raises(SchemaError) as info:
+        channel_from_json(doc)
+    assert "kraus[1]" in str(info.value)
+    assert "entry (1,0)" in str(info.value)
 
 
 def test_channel_schema_errors():
