@@ -46,22 +46,26 @@ def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
 # observable- and operator-level relations
 # ---------------------------------------------------------------------------
 
+def _comm_term(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> float:
+    """(1/4) |Tr(rho [x, y])|^2 of checked operands."""
+    return 0.25 * abs(_expect(rho, linalg.commutator(x, y))) ** 2
+
+
+def _anti_term(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
+    """(1/4) |Tr(rho {a0, b0})|^2 of checked operands, centered here."""
+    return 0.25 * abs(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho)))) ** 2
+
+
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
     """(1/4) |Tr(rho [A, B])|^2 for Hermitian observables A, B."""
-    a = _observable(rho, a)
-    b = _observable(rho, b)
-    return 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
+    return _comm_term(rho, _observable(rho, a), _observable(rho, b))
 
 
 def schrodinger_bound(rho: DensityMatrix, a, b) -> float:
     """Heisenberg term plus the centered anticommutator term."""
     a = _observable(rho, a)
     b = _observable(rho, b)
-    a0 = _center(a, rho)
-    b0 = _center(b, rho)
-    comm_term = 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
-    anti_term = 0.25 * abs(_expect(rho, linalg.anticommutator(a0, b0))) ** 2
-    return comm_term + anti_term
+    return _comm_term(rho, a, b) + _anti_term(rho, a, b)
 
 
 def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
@@ -73,9 +77,7 @@ def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
     """
     a = _observable(rho, a)
     b = _observable(rho, b)
-    lhs = _operator_u(rho, a) * _operator_u(rho, b)
-    rhs = 0.25 * abs(_expect(rho, linalg.commutator(a, b))) ** 2
-    return lhs, rhs
+    return _operator_u(rho, a) * _operator_u(rho, b), _comm_term(rho, a, b)
 
 
 def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
@@ -98,10 +100,9 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     l = _operand(rho, l)
     k0 = _center(k, rho)
     l0 = _center(l, rho)
-    comm = 0.25 * abs(_expect(rho, linalg.commutator(k, l))) ** 2
     sym_comm = 0.25 * abs(_expect(rho, linalg.sym_commutator(k, l))) ** 2
     sym_anti = 0.25 * abs(_expect(rho, linalg.sym_anticommutator(k0, l0))) ** 2
-    return comm, sym_comm + sym_anti, sym_comm
+    return _comm_term(rho, k, l), sym_comm + sym_anti, sym_comm
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .bounds import bound_report
-from .ensembles import BOUND_NAMES, EnsembleConfig, VerificationReport, verify_suite
+from .ensembles import EnsembleConfig, verify_suite
 from .errors import (BoundViolationError, ChanuqError, DimensionMismatchError,
                      NumericError, SchemaError, ValidationError)
 from .examples import (CLOSED_FORM_THETA, EXAMPLE_IDS, channel_E, channel_F,
@@ -104,6 +104,8 @@ def _load_json(path: str):
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: nested deeper than the JSON parser allows") from None
 
 
 def _unit_interval(ctx, param, value):
@@ -198,19 +200,6 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     click.echo(f"wrote {rows} rows to {out}")
 
 
-def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    merged = VerificationReport(
-        trials_run=sum(r.trials_run for r in reports),
-        violations=[v for r in reports for v in r.violations],
-        min_slack_per_bound={
-            name: min(r.min_slack_per_bound[name] for r in reports)
-            for name in BOUND_NAMES
-        },
-        elapsed=sum(r.elapsed for r in reports),
-    )
-    return merged
-
-
 @cli.command()
 @click.option("--dim", "dims", multiple=True, type=click.IntRange(2, 8),
               default=(2, 3, 4), show_default=True,
@@ -226,16 +215,11 @@ def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
 @_handle_errors
 def verify(dims, kraus_counts, trials, seed, self_test):
     """Run the randomized bound-verification suite; nonzero exit on violation."""
-    broken = "thm1_bound" if self_test else None
-    reports = []
-    for dim in dims:
-        for kraus_count in kraus_counts:
-            config = EnsembleConfig(dim=dim, kraus_count=kraus_count,
-                                    rank=dim, seed=seed, trials=trials)
-            reports.append(verify_suite(config, broken_bound=broken))
-    merged = _merge_reports(reports)
-    _echo_json(merged.to_dict())
-    if merged.violations:
+    configs = [EnsembleConfig(dim=d, kraus_count=k, rank=d, seed=seed, trials=trials)
+               for d in dims for k in kraus_counts]
+    report = verify_suite(*configs, broken_bound="thm1_bound" if self_test else None)
+    _echo_json(report.to_dict())
+    if report.violations:
         sys.exit(EXIT_VERIFICATION)
 
 

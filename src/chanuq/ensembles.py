@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_report, dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
+from .bounds import _anti_term, _comm_term, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import _u_from, abs_variance, mwy_skew_info, sym_abs_variance
+from .measures import _skew_info, _u_from, abs_variance, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
@@ -67,17 +67,10 @@ class SplitMix64:
         angle = 2.0 * math.pi * u2
         return r * math.cos(angle), r * math.sin(angle)
 
-    def complex_normal(self) -> complex:
-        re, im = self.gauss_pair()
-        return complex(re, im)
-
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major matrix of independent standard complex normals."""
-        out = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.complex_normal()
-        return out
+        entries = [complex(*self.gauss_pair()) for _ in range(rows * cols)]
+        return np.array(entries, dtype=complex).reshape(rows, cols)
 
 
 def _as_rng(seed) -> SplitMix64:
@@ -185,10 +178,16 @@ def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
     """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES`` on one trial."""
     relations = bound_report(rho, phi, psi, check=False).relations()
 
-    va_vb = abs_variance(rho, a) * abs_variance(rho, b)
-    relations["heisenberg_bound"] = (va_vb, heisenberg_bound(rho, a, b))
-    relations["schrodinger_bound"] = (va_vb, schrodinger_bound(rho, a, b))
-    relations["luo_bound"] = luo_bound(rho, a, b)
+    # a and b are exactly Hermitian (random_operator), so abs_variance equals
+    # sym_abs_variance to the bit and these are the bits of heisenberg_bound,
+    # schrodinger_bound and luo_bound, computed once
+    va = abs_variance(rho, a)
+    vb = abs_variance(rho, b)
+    comm = _comm_term(rho, a, b)
+    relations["heisenberg_bound"] = (va * vb, comm)
+    relations["schrodinger_bound"] = (va * vb, comm + _anti_term(rho, a, b))
+    relations["luo_bound"] = (_u_from(va, _skew_info(rho, a)) * _u_from(vb, _skew_info(rho, b)),
+                              comm)
 
     comm, brackets, u_comm = dou_bounds(rho, k, l)
     vk = sym_abs_variance(rho, k)
@@ -200,49 +199,53 @@ def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
     return relations
 
 
-def verify_suite(config: EnsembleConfig, broken_bound: str | None = None
+def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
                  ) -> VerificationReport:
     """Sweep random (state, channel, channel) triples through every bound.
 
-    Trial t draws everything from one SplitMix64 stream seeded with
-    ``config.seed + t``, so trials are independently reproducible. Each
-    trial also draws a general operator pair and a Hermitian observable
-    pair for the operator-level relations. Any slack below -SLACK_TOL is
-    recorded as a violation together with the trial seed.
+    The configs run in the order given and share one report: trials add
+    up, violations are listed in the order found, and each bound's
+    minimum slack is taken over every trial. Trial t of a config draws
+    everything from one SplitMix64 stream seeded with ``config.seed + t``,
+    so trials are independently reproducible. Each trial also draws a
+    general operator pair and a Hermitian observable pair for the
+    operator-level relations. Any slack below -SLACK_TOL is recorded as
+    a violation together with the trial seed.
     """
+    if not configs:
+        raise ValueError("verify_suite needs at least one EnsembleConfig")
     if broken_bound is not None and broken_bound not in BOUND_NAMES:
         raise ValueError(f"unknown bound name {broken_bound!r}")
     start = time.perf_counter()
     violations: list[Violation] = []
     min_slack = {name: math.inf for name in BOUND_NAMES}
-    for t in range(config.trials):
-        trial_seed = config.seed + t
-        rng = SplitMix64(trial_seed)
-        rho = random_density(config.dim, config.rank, rng)
-        phi = random_channel(config.dim, config.kraus_count, rng)
-        psi = random_channel(config.dim, config.kraus_count, rng)
-        k = random_operator(config.dim, rng)
-        l = random_operator(config.dim, rng)
-        a = random_operator(config.dim, rng, hermitian=True)
-        b = random_operator(config.dim, rng, hermitian=True)
-        try:
-            relations = _trial_relations(rho, phi, psi, k, l, a, b)
-        except NumericError as exc:
-            raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
-        for name in BOUND_NAMES:
-            lhs, bound = relations[name]
-            if name == broken_bound:
-                # self-test hook: inflate one bound tenfold to prove the detector fires
-                bound = 10.0 * bound
-            slack = lhs - bound
-            if slack < min_slack[name]:
-                min_slack[name] = slack
-            if slack < -SLACK_TOL:
-                violations.append(Violation(name, trial_seed, float(slack)))
-    elapsed = time.perf_counter() - start
+    for config in configs:
+        for trial_seed in range(config.seed, config.seed + config.trials):
+            rng = SplitMix64(trial_seed)
+            rho = random_density(config.dim, config.rank, rng)
+            phi = random_channel(config.dim, config.kraus_count, rng)
+            psi = random_channel(config.dim, config.kraus_count, rng)
+            k = random_operator(config.dim, rng)
+            l = random_operator(config.dim, rng)
+            a = random_operator(config.dim, rng, hermitian=True)
+            b = random_operator(config.dim, rng, hermitian=True)
+            try:
+                relations = _trial_relations(rho, phi, psi, k, l, a, b)
+            except NumericError as exc:
+                raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
+            for name in BOUND_NAMES:
+                lhs, bound = relations[name]
+                if name == broken_bound:
+                    # self-test hook: inflate one bound tenfold to prove the detector fires
+                    bound = 10.0 * bound
+                slack = lhs - bound
+                if slack < min_slack[name]:
+                    min_slack[name] = slack
+                if slack < -SLACK_TOL:
+                    violations.append(Violation(name, trial_seed, float(slack)))
     return VerificationReport(
-        trials_run=config.trials,
+        trials_run=sum(config.trials for config in configs),
         violations=violations,
         min_slack_per_bound={name: float(min_slack[name]) for name in BOUND_NAMES},
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - start,
     )

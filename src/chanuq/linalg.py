@@ -49,6 +49,8 @@ def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a square complex128 array and validate it.
 
     Raises ``DimensionMismatchError`` for ragged or non-square input and
+    for entries that are not numbers (text, even numeric text such as
+    ``"0.5"``, bytes, ``None``, dicts and other objects), and
     ``NumericError`` for non-finite entries.
     """
     return _as_square(m, 2)
@@ -58,9 +60,12 @@ def _as_square(m, ndim: int) -> np.ndarray:
     """:func:`as_matrix` of ``ndim`` axes, the last two square (3: an ``(N, d, d)`` stack)."""
     what = "a square matrix" if ndim == 2 else "a stack of square matrices"
     try:
-        a = np.array(m, dtype=complex, order="C")  # a copy: no caller can alter it later
-    except ValueError:  # ragged nesting, or text that is no number
-        raise DimensionMismatchError(f"expected {what}, got ragged or non-numeric input") from None
+        a = np.array(m, order="C")  # a copy: no caller can alter it later
+    except ValueError:  # ragged nesting
+        raise DimensionMismatchError(f"expected {what}, got ragged input") from None
+    if a.dtype.kind not in "biufc":  # text, bytes, None, dicts and other objects
+        raise DimensionMismatchError(f"expected {what}, got non-numeric input")
+    a = a.astype(complex, copy=False)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

@@ -4,6 +4,8 @@ Everything here is written directly against numpy, with no imports from
 the package under test, so the two evaluation paths share no code.
 """
 
+import math
+
 import numpy as np
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -210,3 +212,30 @@ def rand_kraus(rng, dim, count):
 def rand_op(rng, dim, hermitian=False):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m + dag(m)) if hermitian else m
+
+
+# -- the SplitMix64 stream, one scalar at a time ------------------------------
+
+def splitmix_complex_matrix(seed, rows, cols):
+    """Row-major standard complex normals straight from the documented equations:
+    SplitMix64 outputs, top 53 bits to (0, 1], Box-Muller per entry (real first)."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+
+    def uniform():
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        return ((z >> 11) + 1) * 2.0 ** -53
+
+    entries = []
+    for _ in range(rows * cols):
+        u1 = uniform()
+        u2 = uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        entries.append(complex(r * math.cos(2.0 * math.pi * u2),
+                               r * math.sin(2.0 * math.pi * u2)))
+    return np.array(entries, dtype=complex).reshape(rows, cols)

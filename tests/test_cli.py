@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,17 @@ def test_compute_unreadable_document_exits_2(runner, fixtures, tmp_path, target,
     files[target] = str(path)
     result = runner.invoke(cli, ["compute", "--state", files["state"],
                                  "--channel-a", files["channel"],
+                                 "--channel-b", fixtures["identity2.json"]])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("parse error:")
+
+
+@pytest.mark.parametrize("depth", [3_000, 100_000])
+def test_compute_overdeep_json_exits_2(runner, fixtures, tmp_path, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    result = runner.invoke(cli, ["compute", "--state", str(path),
+                                 "--channel-a", fixtures["identity2.json"],
                                  "--channel-b", fixtures["identity2.json"]])
     assert result.exit_code == 2
     assert result.stderr.startswith("parse error:")
@@ -254,6 +267,24 @@ def test_verify_self_test_exits_5(runner):
     assert result.exit_code == 5
     doc = json.loads(result.output)
     assert doc["violations"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_GOLDEN_ARGS = ["verify", "--dim", "2", "--dim", "3", "--kraus", "1", "--kraus", "3",
+                      "--trials", "4", "--seed", "11"]
+
+
+@pytest.mark.parametrize("extra, code, golden", [
+    ([], 0, "verify_small.txt"),
+    (["--self-test"], 5, "verify_small_self_test.txt"),
+], ids=["clean", "self-test"])
+def test_verify_stdout_matches_golden(runner, extra, code, golden):
+    # byte-for-byte over four (dim, kraus) configs: RNG streams, slack digits,
+    # violation order and the aggregation across configs
+    result = runner.invoke(cli, VERIFY_GOLDEN_ARGS + extra)
+    assert result.exit_code == code
+    stdout = re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', result.stdout)
+    assert stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_example_incoherent_point(runner):

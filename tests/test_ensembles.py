@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import chanuq.ensembles
-from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, random_channel,
-                              random_density, random_operator, verify_suite)
+from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
+from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _trial_relations,
+                              random_channel, random_density, random_operator, verify_suite)
+from chanuq.measures import abs_variance, sym_abs_variance
+
+import oracles
 
 # published reference outputs of the SplitMix64 update equations
 SPLITMIX_SEED = 1234567
@@ -36,6 +40,16 @@ def test_splitmix_uniform_range_and_goldens():
     assert all(0.0 < g2.uniform() <= 1.0 for _ in range(1000))
 
 
+@pytest.mark.parametrize("seed, rows, cols", [
+    (0, 1, 1), (42, 2, 2), (11, 12, 4), (2024, 8, 8), (2 ** 64 - 1, 3, 5),
+    (987654321, 16, 16),
+])
+def test_complex_matrix_matches_scalar_reference(seed, rows, cols):
+    m = SplitMix64(seed).complex_matrix(rows, cols)
+    assert m.shape == (rows, cols)
+    assert np.array_equal(m, oracles.splitmix_complex_matrix(seed, rows, cols))
+
+
 def test_gauss_pair_moments():
     g = SplitMix64(7)
     samples = []
@@ -48,8 +62,9 @@ def test_gauss_pair_moments():
 
 
 def test_random_operator_hermitian_flag():
+    # (M + M^dag)/2 is Hermitian to the bit: the operator-level relations rely on it
     m = random_operator(4, 3, hermitian=True)
-    np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
+    assert np.array_equal(m, m.conj().T)
 
 
 def test_random_operator_seeds_differ():
@@ -164,3 +179,55 @@ def test_verify_suite_rejects_unknown_broken_bound(monkeypatch):
     config = EnsembleConfig(dim=2, kraus_count=1, rank=2, seed=5, trials=1)
     with pytest.raises(ValueError):
         verify_suite(config, broken_bound="nope")
+
+
+def _harness_trial(dim, kraus_count, trial_seed):
+    """One verify trial's draws, in the harness's order (rank = dim, as the CLI runs it)."""
+    rng = SplitMix64(trial_seed)
+    rho = random_density(dim, dim, rng)
+    phi = random_channel(dim, kraus_count, rng)
+    psi = random_channel(dim, kraus_count, rng)
+    ops = [random_operator(dim, rng, hermitian=h) for h in (False, False, True, True)]
+    return (rho, phi, psi, *ops)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_harness_relations_match_public_functions_bitwise(dim):
+    # the harness shares terms between relations; on its exactly Hermitian a, b
+    # that must give the public functions' bits, not merely close values
+    for trial_seed in range(31, 36):
+        rho, phi, psi, k, l, a, b = _harness_trial(dim, 2, trial_seed)
+        for x in (a, b):
+            assert abs_variance(rho, x) == sym_abs_variance(rho, x)
+        relations = _trial_relations(rho, phi, psi, k, l, a, b)
+        assert relations["luo_bound"] == luo_bound(rho, a, b)
+        assert relations["heisenberg_bound"][1] == heisenberg_bound(rho, a, b)
+        assert relations["schrodinger_bound"][1] == schrodinger_bound(rho, a, b)
+        comm, brackets, u_comm = dou_bounds(rho, k, l)
+        assert relations["dou_comm"][1] == comm
+        assert relations["dou_brackets"][1] == brackets
+        assert relations["dou_u"][1] == u_comm
+
+
+@pytest.mark.parametrize("broken", [None, "thm1_bound", "luo_bound"])
+def test_verify_suite_of_two_configs_is_their_separate_runs_joined(broken):
+    c1 = EnsembleConfig(dim=2, kraus_count=2, rank=2, seed=5, trials=6)
+    c2 = EnsembleConfig(dim=3, kraus_count=1, rank=2, seed=40, trials=5)
+    alone = {c: verify_suite(c, broken_bound=broken) for c in (c1, c2)}
+    for configs in ((c1, c2), (c2, c1)):
+        first, second = (alone[c] for c in configs)
+        joint = verify_suite(*configs, broken_bound=broken)
+        assert joint.trials_run == first.trials_run + second.trials_run
+        assert joint.violations == first.violations + second.violations
+        assert joint.min_slack_per_bound == {
+            name: min(first.min_slack_per_bound[name], second.min_slack_per_bound[name])
+            for name in BOUND_NAMES}
+    if broken is not None:
+        assert all(report.violations for report in alone.values())
+
+
+def test_verify_suite_needs_a_config():
+    with pytest.raises(ValueError):
+        verify_suite()
+    with pytest.raises(ValueError):
+        verify_suite(broken_bound="thm1_bound")

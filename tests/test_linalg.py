@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chanuq import linalg
+from chanuq.objects import make_density
 from chanuq.errors import (DimensionMismatchError, NotHermitianError,
                            NotPositiveError, NumericError)
 
@@ -217,6 +218,19 @@ def test_as_matrix_rejects_nonfinite():
 def test_as_matrix_rejects_shapes(m):
     with pytest.raises(DimensionMismatchError):
         linalg.as_matrix(m)
+
+
+@pytest.mark.parametrize("m", [
+    [["0.5", 0], [0, "0.5"]],   # numeric text is still text
+    {},
+    b"0.5",
+], ids=["numeric-strings", "dict", "bytes"])
+def test_as_matrix_rejects_non_numeric_input(m):
+    # the state constructor goes through the same coercion
+    with pytest.raises(DimensionMismatchError, match="non-numeric"):
+        linalg.as_matrix(m)
+    with pytest.raises(DimensionMismatchError, match="non-numeric"):
+        make_density(m)
 
 
 def test_as_matrix_copies_its_input():
