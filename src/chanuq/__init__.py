@@ -19,7 +19,7 @@ from .measures import (MeasureSet, abs_variance, channel_measures, mwy_anti_info
                        mwy_skew_info, operator_u, sym_abs_variance)
 from .objects import (DensityMatrix, KrausChannel, apply_channel, center_operator,
                       channel_from_json, channel_to_json, make_channel, make_density,
-                      pad_channels, state_from_json, state_to_json)
+                      state_from_json, state_to_json)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "example_state", "fine_grained_terms", "frob_inner", "heisenberg_bound",
     "hermitian_eig", "lb1_eq14", "lb_eq13", "luo_bound", "make_channel",
     "make_density", "mwy_anti_info", "mwy_skew_info", "operator_u",
-    "pad_channels", "psd_sqrt", "random_channel", "random_density",
+    "psd_sqrt", "random_channel", "random_density",
     "random_operator", "rho_theta_state", "schrodinger_bound",
     "sym_abs_variance", "sym_anticommutator", "sym_commutator", "thm1_bound",
     "thm2_bound", "thm3_bound", "thm4_bound", "verify_suite", "werner_state",

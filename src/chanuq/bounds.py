@@ -10,8 +10,9 @@ including the fine-grained single-basis-vector machinery behind
 
 Conventions shared by all bound evaluators:
 
-* channels of unequal Kraus count are zero-padded to a common length N,
-  which also fixes the 1/(4 N^2) prefactors;
+* each bound reads the stored Kraus stacks of both channels as they are;
+  the common N, the longer list's length, enters only the 1/(4 N^2)
+  prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -30,16 +31,12 @@ from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
 from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
-from .objects import DensityMatrix, KrausChannel, _center, _operand, _same_dim, pad_channels
+from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand, _same_dim
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
     """Check an observable argument: an operand that is also Hermitian."""
     return linalg._require_hermitian(_operand(rho, m))
-
-
-def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
-    return complex(np.trace(rho.matrix @ k))
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +106,13 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel bounds
 # ---------------------------------------------------------------------------
 
-def _padded_stacks(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both Kraus stacks, zero-padded to the common length N, after checking
-    that the state and both channels share one dimension.
-
-    A zero operator adds only zero terms to every sum below, so the
-    bounds defined over the native lists (``lb_eq13``, the fine-grained
-    terms) use the padded stacks as well.
-    """
-    stacks = pad_channels(phi, psi)
+def _stacks(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Both Kraus stacks as stored, after checking each channel against the
+    state's dimension."""
     _same_dim(rho, phi.dim, "channel")
-    return stacks
+    _same_dim(rho, psi.dim, "channel")
+    return phi.kraus_ops, psi.kraus_ops
 
 
 def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +146,8 @@ def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij Tr(rho [E_i, F_j]) = Tr(rho [sum E, sum F]) and
     sum_ij Tr(rho {E0_i, F0_j}) = Tr(rho {center(sum E), center(sum F)}).
     """
-    e, f, n = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
+    n = max(len(e), len(f))
     sum_e, sum_f = e.sum(axis=0), f.sum(axis=0)
     comm_sum = _expect(rho, linalg.commutator(sum_e, sum_f))
     anti_sum = _expect(rho, linalg.anticommutator(_center(sum_e, rho), _center(sum_f, rho)))
@@ -173,7 +166,8 @@ def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     Tr(rho {center(sum E), center(sum F)}_sym), and likewise for the
     symmetrized commutator.
     """
-    e, f, n = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
+    n = max(len(e), len(f))
     e0 = _center(e.sum(axis=0), rho)
     f0 = _center(f.sum(axis=0), rho)
     anti_sum = _expect(rho, linalg.sym_anticommutator(e0, f0))
@@ -186,10 +180,10 @@ def lb_eq13(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """(1/4) sum_ij |Tr([F_j, E_i^dag] rho)|^2, bounding u(phi) * u(psi).
 
     By cyclicity of the trace, Tr([F_j, E_i^dag] rho) = <E_i, rho F_j - F_j rho>
-    (Frobenius), so the N x N matrix of these traces is the Gram matrix
-    M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
+    (Frobenius), so the N_phi x N_psi matrix of these traces is the Gram
+    matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
-    e, f, _ = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
     r = rho.matrix
     return 0.25 * _sq_norm(_gram(e, r @ f - f @ r))
 
@@ -203,9 +197,12 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     b_j = <{sqrt(rho), F_j}, {sqrt(rho), E_j}> - 4 <F_j^dag> <E_j>, so
     the (i, j) double sum multiplies an i-indexed factor by a j-indexed
     factor and factorises: (1/2) sum_ij |a_i b_j| = (1/2)(sum|a_i|)(sum|b_j|).
-    Lists are zero-padded to a common length first.
+    A position only one list has pairs with a zero operator and adds zero
+    to both factors, so only the first min(N_phi, N_psi) positions count.
     """
-    e, f, _ = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
+    n = min(len(e), len(f))
+    e, f = e[:n], f[:n]
     comm_e, anti_e = _sqrt_brackets(rho, e)
     comm_f, anti_f = _sqrt_brackets(rho, f)
     a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
@@ -246,7 +243,7 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     W are the u_i and w_j; so i1 = i0 minus that sum, and likewise for
     i1_tilde.
     """
-    e, f, _ = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
     if not 0 <= basis_index < rho.dim:
         raise IndexError(
             f"basis index {basis_index} out of range for dimension {rho.dim}")
@@ -291,7 +288,7 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij |<C_i, A_j>|^2 = ||C^* A^T||_F^2. The phi sums are squared
     norms of whole stacks.
     """
-    e, f, _ = _padded_stacks(rho, phi, psi)
+    e, f = _stacks(rho, phi, psi)
     comm_e, anti_e = _sqrt_brackets(rho, e)
     comm_f, anti_f = _sqrt_brackets(rho, f)
     f_term = _sq_norm(_gram(comm_f, anti_f))

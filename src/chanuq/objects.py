@@ -87,7 +87,7 @@ def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
     stack = linalg._as_square(ops, 3)
     total = (linalg.dagger(stack) @ stack).sum(axis=0)
     residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
-    if residual > tol:
+    if not residual <= tol:  # NaN-safe: an overflowing sum must fail too
         raise CompletenessError(residual)
     return KrausChannel(kraus_ops=stack)
 
@@ -119,33 +119,14 @@ def center_operator(k, rho: DensityMatrix) -> np.ndarray:
     return _center(_operand(rho, k), rho)
 
 
+def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
+    """Tr(rho K) of a checked operator."""
+    return complex(np.trace(rho.matrix @ k))
+
+
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     """:func:`center_operator` of a checked operator."""
-    expectation = complex(np.trace(rho.matrix @ k))
-    return k - expectation * np.eye(rho.dim)
-
-
-def pad_channels(phi: KrausChannel, psi: KrausChannel
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both Kraus stacks, extended with zero operators to a common length N.
-
-    Zero operators contribute nothing to any of the measures or trace
-    sums, so padding only pins down the common N used in prefactors.
-    Returns ``(ops_phi, ops_psi, n_common)``; a stack that already has
-    length N is returned as stored, and the channel objects are untouched.
-    """
-    if phi.dim != psi.dim:
-        raise DimensionMismatchError(
-            f"channels act on different dimensions: {phi.dim} vs {psi.dim}")
-    n_common = max(len(phi), len(psi))
-
-    def padded(ch: KrausChannel) -> np.ndarray:
-        if len(ch) == n_common:
-            return ch.kraus_ops
-        zeros = np.zeros((n_common - len(ch), ch.dim, ch.dim), dtype=complex)
-        return np.concatenate([ch.kraus_ops, zeros])
-
-    return padded(phi), padded(psi), n_common
+    return k - _expect(rho, k) * np.eye(rho.dim)
 
 
 # ---------------------------------------------------------------------------

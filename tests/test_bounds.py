@@ -426,6 +426,15 @@ def test_zero_padding_the_shorter_list_keeps_every_bound():
             assert after[name] == pytest.approx(before[name], abs=1e-12), name
 
 
+@pytest.mark.parametrize("off", ["phi", "psi"])
+@pytest.mark.parametrize("name", sorted(CHANNEL_BOUNDS))
+def test_channel_bound_checks_both_dimensions(werner1, name, off):
+    other = make_channel([np.eye(2)])
+    phi, psi = (other, ch_f(0.5)) if off == "phi" else (ch_e(0.5), other)
+    with pytest.raises(DimensionMismatchError):
+        CHANNEL_BOUNDS[name](werner1, phi, psi)
+
+
 def test_joint_unitary_conjugation_keeps_basis_free_bounds():
     # thm3 reads one basis vector, so it is the one bound that may move
     names = ("thm1", "thm2", "thm4", "lb_eq13", "lb1_eq14")

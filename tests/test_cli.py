@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import chanuq.bounds
 from chanuq.cli import cli
+from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.examples import channel_E, channel_F, werner_state
 from chanuq.objects import channel_to_json, make_channel, make_density, state_to_json
 
@@ -137,6 +138,17 @@ def test_compute_validation_failure_exits_3_with_residual(runner, fixtures):
     assert result.exit_code == 3
     assert "trace" in result.stderr
     assert "1" in result.stderr  # the residual itself is printed
+
+
+def test_compute_overflowing_channel_exits_3(runner, fixtures, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dim": 2, "kraus": [[[[1e200, 0], [0, 0]],
+                                                     [[0, 0], [1, 0]]]]}), encoding="utf-8")
+    result = runner.invoke(cli, ["compute", "--state", fixtures["mixed2.json"],
+                                 "--channel-a", str(path),
+                                 "--channel-b", fixtures["identity2.json"]])
+    assert result.exit_code == 3
+    assert "validation error" in result.stderr
 
 
 def test_compute_dimension_mismatch_exits_4(runner, fixtures):
@@ -285,6 +297,47 @@ def test_verify_stdout_matches_golden(runner, extra, code, golden):
     assert result.exit_code == code
     stdout = re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', result.stdout)
     assert stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+SWEEP_GOLDENS = {
+    "sweep_werner_1.csv": ["--example", "werner", "--theta", "1"],
+    "sweep_rho_theta_0.csv": ["--example", "rho_theta", "--theta", "0"],
+    "sweep_werner_0.3.csv": ["--example", "werner", "--theta", "0.3"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(SWEEP_GOLDENS))
+def test_sweep_csv_matches_golden(runner, tmp_path, golden):
+    # two canonical thetas (closed columns filled) and one that is not (empty)
+    out = tmp_path / golden
+    result = runner.invoke(cli, ["sweep", *SWEEP_GOLDENS[golden], "--grid-steps", "5",
+                                 "--out", str(out)])
+    assert result.exit_code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.fixture
+def random_triple(tmp_path):
+    """A d=4 state and two k=3 channels drawn from one SplitMix64 stream, as JSON files."""
+    rng = SplitMix64(2027)
+    docs = {"state": state_to_json(random_density(4, 4, rng)),
+            "channel-a": channel_to_json(random_channel(4, 3, rng)),
+            "channel-b": channel_to_json(random_channel(4, 3, rng))}
+    args = []
+    for option, doc in docs.items():
+        path = tmp_path / f"{option}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args += [f"--{option}", str(path)]
+    return args
+
+
+@pytest.mark.parametrize("basis_index", [0, 3])
+def test_compute_stdout_matches_golden(runner, random_triple, basis_index):
+    result = runner.invoke(cli, ["compute", *random_triple,
+                                 "--basis-index", str(basis_index)])
+    assert result.exit_code == 0
+    golden = GOLDEN / f"compute_d4_k3_basis{basis_index}.json"
+    assert result.stdout == golden.read_text(encoding="utf-8")
 
 
 def test_example_incoherent_point(runner):

@@ -12,7 +12,7 @@ from chanuq.errors import (CompletenessError, DimensionMismatchError,
 from chanuq.measures import channel_measures
 from chanuq.objects import (apply_channel, center_operator, channel_from_json,
                             channel_to_json, make_channel, make_density,
-                            pad_channels, state_from_json, state_to_json)
+                            state_from_json, state_to_json)
 
 import oracles
 from oracles import I2, SX, SZ, ketbra
@@ -74,6 +74,12 @@ def test_make_channel_example_pair():
 def test_make_channel_rejects_overcomplete():
     with pytest.raises(CompletenessError):
         make_channel([I2, I2])
+
+
+def test_make_channel_rejects_overflowing_completeness_sum():
+    # sum E^dag E overflows to a NaN residual, which must fail the check
+    with pytest.raises(CompletenessError):
+        make_channel([np.diag([1e200, 1.0])])
 
 
 def test_make_channel_rejects_empty():
@@ -171,29 +177,6 @@ def test_centering_leaves_sqrt_commutator_unchanged():
     np.testing.assert_allclose(rho.sqrt_matrix @ k0 - k0 @ rho.sqrt_matrix,
                                rho.sqrt_matrix @ k - k @ rho.sqrt_matrix,
                                atol=1e-14)
-
-
-def test_pad_channels_equal_lengths_untouched():
-    phi = make_channel(oracles.e_kraus(0.2))
-    psi = make_channel(oracles.f_kraus(0.7))
-    ops_e, ops_f, n = pad_channels(phi, psi)
-    assert n == 2
-    assert len(ops_e) == len(ops_f) == 2
-    np.testing.assert_array_equal(ops_e[0], phi.kraus_ops[0])
-
-
-def test_pad_channels_extends_with_zeros():
-    phi = make_channel([np.eye(4)])
-    psi = make_channel(oracles.f_kraus(0.5))
-    ops_e, ops_f, n = pad_channels(phi, psi)
-    assert n == 2
-    np.testing.assert_array_equal(ops_e[1], np.zeros((4, 4)))
-    assert len(phi) == 1  # original untouched
-
-
-def test_pad_channels_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        pad_channels(make_channel([I2]), make_channel([np.eye(3)]))
 
 
 def measure_draws(seed, count=25):
