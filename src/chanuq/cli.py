@@ -142,40 +142,30 @@ SWEEP_COLUMNS = ("p", "q", "u_phi", "u_psi", "product_u", "sum_u2",
                  "thm1", "thm2", "thm3", "lb_eq13", "lb1_eq14", "thm4",
                  "closed_thm3", "closed_lb", "closed_lb1", "closed_lb2")
 
+#: each bound with its closed-form field, in the order of the closed_* columns
+CLOSED_FORM_OF = {"thm3": "thm3_closed", "lb_eq13": "lb_closed",
+                  "lb1_eq14": "lb1_closed", "thm4": "lb2_closed"}
 
-def run_sweep(example_id: str, theta: float, grid_steps: int, basis_index: int,
-              output_path: str) -> int:
-    """Evaluate the example's (p, q) grid and write the CSV; returns the row count.
 
-    The closed_* columns are filled only when theta equals the canonical
-    value of the example's closed-form surfaces; otherwise they stay empty.
+def _grid_points(example_id: str, theta: float, ps, qs, basis_index: int):
+    """Evaluate the example family at every (p, q) of ``ps`` x ``qs``, p-major.
+
+    Yields ``(p, q, m_phi, m_psi, report, closed)``, where ``closed`` holds the
+    closed-form values, or None unless theta is the family's canonical value.
+    The state and each channel's measures are built once.
     """
     rho = example_state(example_id, theta)
-    grid = np.linspace(0.0, 1.0, grid_steps)
     with_closed = theta == CLOSED_FORM_THETA[example_id]
-    channels_f = [channel_F(float(q)) for q in grid]
+    channels_f = [channel_F(float(q)) for q in qs]
     measures_f = [channel_measures(rho, psi) for psi in channels_f]
-    lines = [",".join(SWEEP_COLUMNS)]
-    for p in grid:
+    for p in ps:
         phi = channel_E(float(p))
         m_phi = channel_measures(rho, phi)
-        for q, psi, m_psi in zip(grid, channels_f, measures_f):
+        for q, psi, m_psi in zip(qs, channels_f, measures_f):
             report = bound_report(rho, phi, psi, basis_index=basis_index,
                                   measures=(m_phi, m_psi))
-            row = [_fmt(p), _fmt(q), _fmt(m_phi.u_abs), _fmt(m_psi.u_abs),
-                   _fmt(report.lhs_product_u), _fmt(report.lhs_sum_u2),
-                   _fmt(report.thm1), _fmt(report.thm2), _fmt(report.thm3),
-                   _fmt(report.lb_eq13), _fmt(report.lb1_eq14), _fmt(report.thm4)]
-            if with_closed:
-                closed = closed_forms(example_id, float(p), float(q))
-                row += [_fmt(closed.thm3_closed), _fmt(closed.lb_closed),
-                        _fmt(closed.lb1_closed), _fmt(closed.lb2_closed)]
-            else:
-                row += ["", "", "", ""]
-            lines.append(",".join(row))
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return len(lines) - 1
+            closed = closed_forms(example_id, float(p), float(q)) if with_closed else None
+            yield p, q, m_phi, m_psi, report, closed
 
 
 @cli.command()
@@ -196,8 +186,19 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     value of the example's closed-form surfaces (1 for werner, 0 for
     rho_theta); otherwise they are left empty.
     """
-    rows = run_sweep(example_id, theta, grid_steps, basis_index, out)
-    click.echo(f"wrote {rows} rows to {out}")
+    grid = np.linspace(0.0, 1.0, grid_steps)
+    lines = [",".join(SWEEP_COLUMNS)]
+    for p, q, m_phi, m_psi, report, closed in _grid_points(example_id, theta, grid, grid,
+                                                           basis_index):
+        row = [_fmt(x) for x in (p, q, m_phi.u_abs, m_psi.u_abs, report.lhs_product_u,
+                                 report.lhs_sum_u2, report.thm1, report.thm2, report.thm3,
+                                 report.lb_eq13, report.lb1_eq14, report.thm4)]
+        row += ["" if closed is None else _fmt(getattr(closed, name))
+                for name in CLOSED_FORM_OF.values()]
+        lines.append(",".join(row))
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    click.echo(f"wrote {len(lines) - 1} rows to {out}")
 
 
 @cli.command()
@@ -236,13 +237,8 @@ def example(example_id, theta, p, q, basis_index):
     The closed-form block (and the difference block) is null unless theta
     equals the canonical value of the example's closed-form surfaces.
     """
-    rho = example_state(example_id, theta)
-    phi = channel_E(p)
-    psi = channel_F(q)
-    m_phi = channel_measures(rho, phi)
-    m_psi = channel_measures(rho, psi)
-    report = bound_report(rho, phi, psi, basis_index=basis_index,
-                          measures=(m_phi, m_psi))
+    _, _, m_phi, m_psi, report, closed = next(
+        _grid_points(example_id, theta, [p], [q], basis_index))
     doc = {
         "example": example_id,
         "theta": theta,
@@ -254,19 +250,11 @@ def example(example_id, theta, p, q, basis_index):
         "measures_phi": asdict(m_phi),
         "measures_psi": asdict(m_psi),
         "report": report.to_dict(),
+        "closed": None if closed is None else asdict(closed),
+        "abs_diff": None if closed is None else {
+            bound: abs(getattr(report, bound) - getattr(closed, name))
+            for bound, name in CLOSED_FORM_OF.items()},
     }
-    if theta == CLOSED_FORM_THETA[example_id]:
-        closed = closed_forms(example_id, p, q)
-        doc["closed"] = asdict(closed)
-        doc["abs_diff"] = {
-            "thm3": abs(report.thm3 - closed.thm3_closed),
-            "lb_eq13": abs(report.lb_eq13 - closed.lb_closed),
-            "lb1_eq14": abs(report.lb1_eq14 - closed.lb1_closed),
-            "thm4": abs(report.thm4 - closed.lb2_closed),
-        }
-    else:
-        doc["closed"] = None
-        doc["abs_diff"] = None
     _echo_json(doc)
 
 

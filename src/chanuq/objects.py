@@ -64,16 +64,18 @@ def make_density(m) -> DensityMatrix:
     eigendecomposition serves both the positivity check and the root.
     """
     m = linalg.as_matrix(m)
-    herm_res = linalg.frob_norm(m - linalg.dagger(m))
-    if herm_res > DENSITY_TOL:
-        raise NotHermitianError(herm_res)
-    trace_res = abs(complex(np.trace(m)) - 1.0)
-    if trace_res > DENSITY_TOL:
-        raise TraceError(trace_res)
-    spectrum = linalg.hermitian_eig(m)
-    if spectrum.eigenvalues[0] < -DENSITY_TOL:
-        raise NotPositiveError(float(spectrum.eigenvalues[0]))
-    return DensityMatrix(matrix=m, sqrt_matrix=linalg._sqrt_from_spectrum(m, spectrum))
+    # no numpy overflow warnings: the NaN-safe checks below reject such input
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_res = linalg.frob_norm(m - linalg.dagger(m))
+        if herm_res > DENSITY_TOL:
+            raise NotHermitianError(herm_res)
+        trace_res = abs(complex(np.trace(m)) - 1.0)
+        if not trace_res <= DENSITY_TOL:  # NaN-safe: an overflowing trace must fail too
+            raise TraceError(trace_res)
+        spectrum = linalg.hermitian_eig(m)
+        if spectrum.eigenvalues[0] < -DENSITY_TOL:
+            raise NotPositiveError(float(spectrum.eigenvalues[0]))
+        return DensityMatrix(matrix=m, sqrt_matrix=linalg._sqrt_from_spectrum(m, spectrum))
 
 
 def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
@@ -85,8 +87,9 @@ def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
         raise ValidationError("nonempty Kraus list", 0.0,
                               "a channel needs at least one Kraus operator")
     stack = linalg._as_square(ops, 3)
-    total = (linalg.dagger(stack) @ stack).sum(axis=0)
-    residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in make_density
+        total = (linalg.dagger(stack) @ stack).sum(axis=0)
+        residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
     if not residual <= tol:  # NaN-safe: an overflowing sum must fail too
         raise CompletenessError(residual)
     return KrausChannel(kraus_ops=stack)

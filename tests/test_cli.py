@@ -151,6 +151,20 @@ def test_compute_overflowing_channel_exits_3(runner, fixtures, tmp_path):
     assert "validation error" in result.stderr
 
 
+def test_compute_nan_trace_state_exits_3(runner, tmp_path):
+    diag = [1e308, -1e308] + [0.0] * 6 + [1e308, -1e308] + [0.0] * 6
+    matrix = [[[diag[i] if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+    state = tmp_path / "nan_trace.json"
+    state.write_text(json.dumps({"dim": 16, "matrix": matrix}), encoding="utf-8")
+    identity = tmp_path / "identity16.json"
+    identity.write_text(json.dumps(channel_to_json(make_channel([np.eye(16)]))),
+                        encoding="utf-8")
+    result = runner.invoke(cli, ["compute", "--state", str(state),
+                                 "--channel-a", str(identity), "--channel-b", str(identity)])
+    assert result.exit_code == 3
+    assert result.stderr == "validation error: trace differs from 1 by nan\n"
+
+
 def test_compute_dimension_mismatch_exits_4(runner, fixtures):
     result = runner.invoke(cli, ["compute", "--state", fixtures["mixed2.json"],
                                  "--channel-a", fixtures["identity4.json"],
@@ -379,3 +393,60 @@ def test_example_rejects_out_of_range_parameter(runner, option, value):
     result = runner.invoke(cli, ["example", "--example", "werner",
                                  *(item for pair in args.items() for item in pair)])
     assert result.exit_code == 2
+
+
+EXAMPLE_GOLDENS = {
+    "example_werner_1_basis0.json": ["--example", "werner", "--theta", "1",
+                                     "--p", "0.25", "--q", "0.6"],
+    "example_rho_theta_0_basis2.json": ["--example", "rho_theta", "--theta", "0",
+                                        "--p", "1", "--q", "1", "--basis-index", "2"],
+    "example_werner_0.3.json": ["--example", "werner", "--theta", "0.3",
+                                "--p", "0.5", "--q", "0.95"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(EXAMPLE_GOLDENS))
+def test_example_stdout_matches_golden(runner, golden):
+    # two canonical thetas (closed and abs_diff filled) and one that is not (null)
+    result = runner.invoke(cli, ["example", *EXAMPLE_GOLDENS[golden]])
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+SWEEP_CELLS = {"u_phi": ("u_phi",), "u_psi": ("u_psi",),
+               "product_u": ("report", "lhs_product_u"), "sum_u2": ("report", "lhs_sum_u2"),
+               **{b: ("report", b) for b in
+                  ("thm1", "thm2", "thm3", "lb_eq13", "lb1_eq14", "thm4")},
+               "closed_thm3": ("closed", "thm3_closed"), "closed_lb": ("closed", "lb_closed"),
+               "closed_lb1": ("closed", "lb1_closed"), "closed_lb2": ("closed", "lb2_closed")}
+
+
+@pytest.mark.parametrize("basis_index", ["0", "2"])
+@pytest.mark.parametrize("golden", sorted(SWEEP_GOLDENS))
+def test_example_reports_the_sweep_row_at_every_grid_point(runner, tmp_path, golden,
+                                                           basis_index):
+    out = tmp_path / golden
+    args = [*SWEEP_GOLDENS[golden], "--basis-index", basis_index]
+    assert runner.invoke(cli, ["sweep", *args, "--grid-steps", "5",
+                               "--out", str(out)]).exit_code == 0
+    header, *rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 25
+    for row in rows:
+        cells = dict(zip(header, row))
+        result = runner.invoke(cli, ["example", *args, "--p", cells["p"], "--q", cells["q"]])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        for column, path in SWEEP_CELLS.items():
+            value = doc
+            for key in path:
+                value = None if value is None else value[key]
+            text = "" if value is None else format(float(value) + 0.0, ".17g")
+            assert text == cells[column], (cells["p"], cells["q"], column)
+
+
+def test_example_bad_basis_index_exits_2(runner):
+    result = runner.invoke(cli, ["example", "--example", "werner", "--theta", "1",
+                                 "--p", "0.5", "--q", "0.5", "--basis-index", "9"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "parameter error: basis index 9 out of range for dimension 4\n"

@@ -1,6 +1,7 @@
 """Unit tests for states, channels and the JSON wire format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_make_channel_rejects_overflowing_completeness_sum():
     # sum E^dag E overflows to a NaN residual, which must fail the check
     with pytest.raises(CompletenessError):
         make_channel([np.diag([1e200, 1.0])])
+
+
+@pytest.mark.parametrize("build, arg, error", [
+    (make_channel, [np.diag([1e200, 1.0])], CompletenessError),
+    # pairwise summation of this diagonal gives a trace of inf + (-inf) = NaN
+    (make_density, np.diag([1e308, -1e308, 0, 0, 0, 0, 0, 0] * 2), TraceError),
+], ids=["channel", "nan-trace-state"])
+def test_overflowing_input_fails_validation_without_numpy_warnings(build, arg, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build(arg)
 
 
 def test_make_channel_rejects_empty():
