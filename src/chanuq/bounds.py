@@ -13,6 +13,11 @@ Conventions shared by all bound evaluators:
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
+* what the bounds read about one channel under one state (traces,
+  brackets with sqrt(rho), sums and their norms) is built once by
+  ``_terms`` and kept on the channel, keyed by the state object, so all
+  six bounds and every sweep cell that reuses the channel share it; the
+  arrays of validated objects are read-only, so it cannot go stale;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -24,6 +29,7 @@ Conventions shared by all bound evaluators:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +37,8 @@ from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
 from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
-from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand, _same_dim
+from .objects import (DensityMatrix, KrausChannel, _center, _expect, _frozen, _operand,
+                      _same_dim)
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -106,25 +113,10 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel bounds
 # ---------------------------------------------------------------------------
 
-def _stacks(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Both Kraus stacks as stored, after checking each channel against the
-    state's dimension."""
-    _same_dim(rho, phi.dim, "channel")
-    _same_dim(rho, psi.dim, "channel")
-    return phi.kraus_ops, psi.kraus_ops
-
-
 def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacks of [sqrt(rho), K_i] and {sqrt(rho), K_i}."""
-    left = rho.sqrt_matrix @ stack
-    right = stack @ rho.sqrt_matrix
-    return left - right, left + right
-
-
-def _traces(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
-    """The vector of Tr(rho K_i)."""
-    return np.einsum("ab,iba->i", rho.matrix, stack)
+    left, right = rho.sqrt_matrix @ stack, stack @ rho.sqrt_matrix
+    return _frozen(left - right), _frozen(left + right)
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,6 +129,52 @@ def _sq_norm(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
+class _lazy(cached_property):
+    """``cached_property`` without the lock Python 3.11 takes on each first use."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
+class _Terms:
+    """What the bounds read about one Kraus stack ``x`` under the state ``rho``,
+    each field built on first use: Tr(rho K_i) and Tr(rho K_i^dag), the brackets
+    [sqrt(rho), K_i], {sqrt(rho), K_i} of the raw and of the centered K_i and
+    their squared norms, sum_i K_i and its centered form, rho K_i - K_i rho,
+    and the two terms of ``thm4``."""
+
+    def __init__(self, rho: DensityMatrix, x: np.ndarray):
+        self.rho = rho  # held, so the state's identity cannot be reused while cached
+        self.x = x
+
+    traces = _lazy(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
+    traces_dag = _lazy(lambda t: _frozen(
+        np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
+    brackets = _lazy(lambda t: _sqrt_brackets(t.rho, t.x))
+    brackets0 = _lazy(lambda t: _sqrt_brackets(
+        t.rho, t.x - t.traces[:, None, None] * np.eye(t.rho.dim)))
+    total = _lazy(lambda t: _frozen(t.x.sum(axis=0)))
+    total0 = _lazy(lambda t: _frozen(_center(t.total, t.rho)))
+    rho_comm = _lazy(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
+    comm0_sq = _lazy(lambda t: _sq_norm(t.brackets0[0]))
+    anti0_sq = _lazy(lambda t: _sq_norm(t.brackets0[1]))
+    thm4_e = _lazy(lambda t: _sq_norm(t.brackets[0])
+                   * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
+    thm4_f = _lazy(lambda t: _sq_norm(_gram(*t.brackets)))
+
+
+def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
+    """The channel's terms under ``rho``, after checking the channel against the
+    state's dimension. They are kept on the channel in one slot keyed by the
+    identity of the state; a call with another state replaces them."""
+    _same_dim(rho, channel.dim, "channel")
+    terms = channel._bound_terms
+    if terms is None or terms.rho is not rho:
+        terms = _Terms(rho, channel.kraus_ops)
+        object.__setattr__(channel, "_bound_terms", terms)  # the channel is frozen
+    return terms
+
+
 def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """Larger of the commutator and centered-anticommutator trace sums,
     each with prefactor 1/(4 N^2), bounding v_sym(phi) * v_sym(psi).
@@ -146,11 +184,10 @@ def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij Tr(rho [E_i, F_j]) = Tr(rho [sum E, sum F]) and
     sum_ij Tr(rho {E0_i, F0_j}) = Tr(rho {center(sum E), center(sum F)}).
     """
-    e, f = _stacks(rho, phi, psi)
-    n = max(len(e), len(f))
-    sum_e, sum_f = e.sum(axis=0), f.sum(axis=0)
-    comm_sum = _expect(rho, linalg.commutator(sum_e, sum_f))
-    anti_sum = _expect(rho, linalg.anticommutator(_center(sum_e, rho), _center(sum_f, rho)))
+    e, f = _terms(rho, phi), _terms(rho, psi)
+    n = max(len(phi), len(psi))
+    comm_sum = _expect(rho, linalg.commutator(e.total, f.total))
+    anti_sum = _expect(rho, linalg.anticommutator(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
     return max(pref * abs(comm_sum) ** 2, pref * abs(anti_sum) ** 2)
 
@@ -166,12 +203,10 @@ def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     Tr(rho {center(sum E), center(sum F)}_sym), and likewise for the
     symmetrized commutator.
     """
-    e, f = _stacks(rho, phi, psi)
-    n = max(len(e), len(f))
-    e0 = _center(e.sum(axis=0), rho)
-    f0 = _center(f.sum(axis=0), rho)
-    anti_sum = _expect(rho, linalg.sym_anticommutator(e0, f0))
-    comm_sum = _expect(rho, linalg.sym_commutator(e0, f0))
+    e, f = _terms(rho, phi), _terms(rho, psi)
+    n = max(len(phi), len(psi))
+    anti_sum = _expect(rho, linalg.sym_anticommutator(e.total0, f.total0))
+    comm_sum = _expect(rho, linalg.sym_commutator(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
     return pref * (abs(anti_sum) ** 2 + abs(comm_sum) ** 2)
 
@@ -183,9 +218,8 @@ def lb_eq13(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     (Frobenius), so the N_phi x N_psi matrix of these traces is the Gram
     matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
-    e, f = _stacks(rho, phi, psi)
-    r = rho.matrix
-    return 0.25 * _sq_norm(_gram(e, r @ f - f @ r))
+    e, f = _terms(rho, phi), _terms(rho, psi)
+    return 0.25 * _sq_norm(_gram(e.x, f.rho_comm))
 
 
 def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
@@ -200,14 +234,13 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     A position only one list has pairs with a zero operator and adds zero
     to both factors, so only the first min(N_phi, N_psi) positions count.
     """
-    e, f = _stacks(rho, phi, psi)
-    n = min(len(e), len(f))
-    e, f = e[:n], f[:n]
-    comm_e, anti_e = _sqrt_brackets(rho, e)
-    comm_f, anti_f = _sqrt_brackets(rho, f)
+    e, f = _terms(rho, phi), _terms(rho, psi)
+    n = min(len(phi), len(psi))
+    comm_e, anti_e = (x[:n] for x in e.brackets)
+    comm_f, anti_f = (x[:n] for x in f.brackets)
     a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
     b = (np.einsum("iab,iab->i", anti_f.conj(), anti_e)
-         - 4.0 * _traces(rho, linalg.dagger(f)) * _traces(rho, e))
+         - 4.0 * f.traces_dag[:n] * e.traces[:n])
     return 0.5 * float(np.abs(a).sum() * np.abs(b).sum())
 
 
@@ -243,24 +276,19 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     W are the u_i and w_j; so i1 = i0 minus that sum, and likewise for
     i1_tilde.
     """
-    e, f = _stacks(rho, phi, psi)
+    e, f = _terms(rho, phi), _terms(rho, psi)
     if not 0 <= basis_index < rho.dim:
         raise IndexError(
             f"basis index {basis_index} out of range for dimension {rho.dim}")
-    t = basis_index
-    eye = np.eye(rho.dim)
-    comm_e, anti_e = _sqrt_brackets(rho, e - _traces(rho, e)[:, None, None] * eye)
-    comm_f, anti_f = _sqrt_brackets(rho, f - _traces(rho, f)[:, None, None] * eye)
 
     def gap_sum(x: np.ndarray, y: np.ndarray) -> float:
-        u = x[:, :, t]
-        w = y[:, :, t]
+        u, w = x[:, :, basis_index], y[:, :, basis_index]
         return 0.25 * (_sq_norm(u) * _sq_norm(w) - _sq_norm(_gram(u, w)))
 
-    i0 = 0.5 * _sq_norm(comm_e) * 0.5 * _sq_norm(anti_f)
-    i0_tilde = 0.5 * _sq_norm(comm_f) * 0.5 * _sq_norm(anti_e)
-    i1 = i0 - gap_sum(comm_e, anti_f)
-    i1_tilde = i0_tilde - gap_sum(comm_f, anti_e)
+    i0 = 0.5 * e.comm0_sq * 0.5 * f.anti0_sq
+    i0_tilde = 0.5 * f.comm0_sq * 0.5 * e.anti0_sq
+    i1 = i0 - gap_sum(e.brackets0[0], f.brackets0[1])
+    i1_tilde = i0_tilde - gap_sum(f.brackets0[0], e.brackets0[1])
     return FineGrainedTerms(i1=_nonneg(i1, "fine-grained term"),
                             i1_tilde=_nonneg(i1_tilde, "fine-grained tilde term"),
                             i0=float(i0), i0_tilde=float(i0_tilde),
@@ -288,13 +316,8 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij |<C_i, A_j>|^2 = ||C^* A^T||_F^2. The phi sums are squared
     norms of whole stacks.
     """
-    e, f = _stacks(rho, phi, psi)
-    comm_e, anti_e = _sqrt_brackets(rho, e)
-    comm_f, anti_f = _sqrt_brackets(rho, f)
-    f_term = _sq_norm(_gram(comm_f, anti_f))
-    e_comm = _sq_norm(comm_e)
-    e_anti = _sq_norm(anti_e) - 4.0 * _sq_norm(_traces(rho, e))
-    return _nonneg(0.25 * (f_term + e_comm * e_anti), "thm4 bound")
+    e, f = _terms(rho, phi), _terms(rho, psi)
+    return _nonneg(0.25 * (f.thm4_f + e.thm4_e), "thm4 bound")
 
 
 # ---------------------------------------------------------------------------

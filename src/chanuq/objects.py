@@ -46,6 +46,7 @@ class KrausChannel:
     """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
     kraus_ops: np.ndarray
+    _bound_terms: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -56,7 +57,7 @@ class KrausChannel:
 
 
 def make_density(m) -> DensityMatrix:
-    """Validate a matrix as a quantum state and cache its square root.
+    """Validate a matrix as a quantum state and cache its square root (both read-only).
 
     Checks, in order: Hermiticity, unit trace, positive semidefiniteness,
     each within ``DENSITY_TOL``. The corresponding :class:`ValidationError`
@@ -75,11 +76,12 @@ def make_density(m) -> DensityMatrix:
         spectrum = linalg.hermitian_eig(m)
         if spectrum.eigenvalues[0] < -DENSITY_TOL:
             raise NotPositiveError(float(spectrum.eigenvalues[0]))
-        return DensityMatrix(matrix=m, sqrt_matrix=linalg._sqrt_from_spectrum(m, spectrum))
+        return DensityMatrix(matrix=_frozen(m),
+                             sqrt_matrix=_frozen(linalg._sqrt_from_spectrum(m, spectrum)))
 
 
 def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
-    """Validate a list of Kraus operators as a CPTP channel, stored as one stack.
+    """Validate a list of Kraus operators as a CPTP channel, stored as one read-only stack.
 
     Completeness is checked as ``||sum E_i^dag E_i - I||_F <= tol``.
     """
@@ -92,7 +94,13 @@ def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
         residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
     if not residual <= tol:  # NaN-safe: an overflowing sum must fail too
         raise CompletenessError(residual)
-    return KrausChannel(kraus_ops=stack)
+    return KrausChannel(kraus_ops=_frozen(stack))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only so no result cached from it can go stale."""
+    a.setflags(write=False)
+    return a
 
 
 def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -506,3 +506,89 @@ def test_bound_report_check_raises_on_violated_bound(werner1, monkeypatch):
 def test_bound_report_dim_mismatch(werner1):
     with pytest.raises(DimensionMismatchError):
         bound_report(werner1, make_channel([I2]), ch_f(0.5))
+
+
+# -- terms shared between bounds and calls ---------------------------------------
+#
+# Each channel keeps the terms the bounds read under one state. A channel
+# reused across calls ("warm") must give exactly the values of a channel
+# built afresh from the same Kraus stack, whatever the order of the calls.
+
+def fresh(channel):
+    return make_channel(channel.kraus_ops)
+
+
+def fresh_values(rho, phi, psi, basis_index=0):
+    report = bound_report(rho, fresh(phi), fresh(psi), basis_index=basis_index)
+    bounds = {name: CHANNEL_BOUNDS[name](rho, fresh(phi), fresh(psi))
+              for name in CHANNEL_BOUNDS}
+    return report, bounds
+
+
+def test_warm_channels_give_the_values_of_fresh_channels():
+    for k, (rho_m, ops_e, ops_f) in enumerate(random_triples(47)):
+        rho = make_density(rho_m)
+        expected_report, expected = fresh_values(rho, make_channel(ops_e),
+                                                 make_channel(ops_f))
+        for order in (list(CHANNEL_BOUNDS), list(CHANNEL_BOUNDS)[::-1]):
+            phi, psi = make_channel(ops_e), make_channel(ops_f)
+            for name in order:  # one public bound at a time, from cold channels
+                assert CHANNEL_BOUNDS[name](rho, phi, psi) == expected[name], (k, name)
+            assert bound_report(rho, phi, psi) == expected_report, k
+            assert bound_report(rho, phi, psi) == expected_report, k
+        t = rho.dim - 1
+        assert bound_report(rho, phi, psi, basis_index=t) == fresh_values(
+            rho, phi, psi, t)[0], k
+
+
+def test_one_channel_as_both_arguments():
+    for rho_m, ops_e, _ in random_triples(48, count=10):
+        rho = make_density(rho_m)
+        phi = make_channel(ops_e)
+        expected_report, expected = fresh_values(rho, phi, phi)
+        for name in CHANNEL_BOUNDS:
+            assert CHANNEL_BOUNDS[name](rho, phi, phi) == expected[name], name
+        assert bound_report(rho, phi, phi) == expected_report
+
+
+def test_one_channel_with_two_states():
+    rng = np.random.default_rng(49)
+    for dim, n_e, n_f in ((2, 1, 3), (4, 3, 2), (7, 5, 5)):
+        rho_a = make_density(oracles.rand_rho(rng, dim))
+        rho_b = make_density(oracles.rand_rho(rng, dim))
+        phi = make_channel(oracles.rand_kraus(rng, dim, n_e))
+        psi = make_channel(oracles.rand_kraus(rng, dim, n_f))
+        expected = {id(rho): fresh_values(rho, phi, psi) for rho in (rho_a, rho_b)}
+        for rho in (rho_a, rho_b, rho_a, rho_b):
+            report, bounds = expected[id(rho)]
+            assert bound_report(rho, phi, psi) == report
+            for name in CHANNEL_BOUNDS:
+                assert CHANNEL_BOUNDS[name](rho, phi, psi) == bounds[name], name
+        # an equal state that is another object
+        twin = make_density(rho_a.matrix)
+        assert bound_report(twin, phi, psi) == expected[id(rho_a)][0]
+
+
+def test_warm_channel_still_checks_the_state_dimension(werner1):
+    phi, psi = ch_e(0.5), ch_f(0.5)
+    bound_report(werner1, phi, psi)
+    small = make_density(np.eye(2) / 2)
+    for name, bound in CHANNEL_BOUNDS.items():
+        with pytest.raises(DimensionMismatchError):
+            bound(small, phi, psi)
+    with pytest.raises(DimensionMismatchError):
+        bound_report(small, phi, psi)
+    with pytest.raises(DimensionMismatchError):
+        fine_grained_terms(small, phi, psi)
+    assert bound_report(werner1, phi, psi) == bound_report(werner1, ch_e(0.5), ch_f(0.5))
+
+
+def test_kept_terms_are_read_only(werner1):
+    phi, psi = ch_e(0.5), ch_f(0.5)
+    bound_report(werner1, phi, psi)
+    for channel in (phi, psi):
+        fields = vars(channel._bound_terms).values()
+        arrays = [a for v in fields for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 7
+        assert not any(a.flags.writeable for a in arrays)

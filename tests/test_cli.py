@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import chanuq.bounds
-from chanuq.cli import cli
+from chanuq.bounds import bound_report
+from chanuq.cli import _grid_points, cli
 from chanuq.ensembles import SplitMix64, random_channel, random_density
-from chanuq.examples import channel_E, channel_F, werner_state
+from chanuq.examples import channel_E, channel_F, example_state, werner_state
+from chanuq.measures import channel_measures
 from chanuq.objects import channel_to_json, make_channel, make_density, state_to_json
 
 import oracles
@@ -450,3 +452,21 @@ def test_example_bad_basis_index_exits_2(runner):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "parameter error: basis index 9 out of range for dimension 4\n"
+
+
+@pytest.mark.parametrize("example_id, theta", [("werner", 1.0), ("rho_theta", 0.0)])
+@pytest.mark.parametrize("basis_index", [0, 2])
+def test_grid_points_equal_fresh_reports_in_every_cell(example_id, theta, basis_index):
+    # the grid reuses each channel across a row or a column; every cell must
+    # read exactly as a report on freshly built objects
+    grid = np.linspace(0.0, 1.0, 21)
+    rho = example_state(example_id, theta)
+    cells = 0
+    for p, q, m_phi, m_psi, report, _ in _grid_points(example_id, theta, grid, grid,
+                                                      basis_index):
+        phi, psi = channel_E(float(p)), channel_F(float(q))
+        assert m_phi == channel_measures(rho, phi)
+        assert m_psi == channel_measures(rho, psi)
+        assert report == bound_report(rho, phi, psi, basis_index=basis_index), (p, q)
+        cells += 1
+    assert cells == 21 * 21

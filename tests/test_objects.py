@@ -303,3 +303,17 @@ def test_state_json_validation_still_applies():
                                 [[0.0, 0.0], [1.0, 0.0]]]}  # trace 2
     with pytest.raises(TraceError):
         state_from_json(doc)
+
+
+def test_validated_arrays_are_read_only():
+    # cached results derived from a state or a channel cannot go stale
+    m = oracles.werner_matrix(0.5)
+    ops = np.array(oracles.e_kraus(0.5))
+    rho = make_density(m)
+    phi = make_channel(ops)
+    for array in (rho.matrix, rho.sqrt_matrix, phi.kraus_ops):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    # the caller's own arrays were copied and stay writable
+    m[0, 0] = m[0, 0]
+    ops[0, 0, 0] = ops[0, 0, 0]
