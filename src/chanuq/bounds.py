@@ -37,8 +37,8 @@ from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
 from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
-from .objects import (DensityMatrix, KrausChannel, _center, _expect, _frozen, _operand,
-                      _same_dim)
+from .objects import (DensityMatrix, KrausChannel, _center, _expect, _eye, _frozen,
+                      _operand, _same_dim)
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -152,7 +152,7 @@ class _Terms:
         np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
     brackets = _lazy(lambda t: _sqrt_brackets(t.rho, t.x))
     brackets0 = _lazy(lambda t: _sqrt_brackets(
-        t.rho, t.x - t.traces[:, None, None] * np.eye(t.rho.dim)))
+        t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
     total = _lazy(lambda t: _frozen(t.x.sum(axis=0)))
     total0 = _lazy(lambda t: _frozen(_center(t.total, t.rho)))
     rho_comm = _lazy(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))

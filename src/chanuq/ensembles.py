@@ -14,6 +14,16 @@ Uniforms map the top 53 bits into (0, 1]; Gaussians come from Box-Muller
 applied to consecutive uniform pairs; complex normals use one pair per
 entry (real part first). Isometries are built by modified Gram-Schmidt
 with a second re-orthogonalization pass in fixed column order.
+
+``next_u64``, ``uniform`` and ``gauss_pair`` state these equations one
+draw at a time. Matrices are drawn in blocks instead: output k of a
+stream (counted from 1) is the mix of ``seed + k * gamma``, so a block of
+outputs is one ``uint64`` array expression, and ``verify`` draws all of a
+trial's matrices as one block. A block gives the bits of the scalar
+equations: the uniforms are exact, numpy computes only the IEEE-rounded
+``*``, ``sqrt`` and ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay
+scalar ``math`` calls, since numpy's versions can differ from them in the
+last bit and pick their SIMD kernels per CPU.
 """
 
 from __future__ import annotations
@@ -68,13 +78,49 @@ class SplitMix64:
         return r * math.cos(angle), r * math.sin(angle)
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major matrix of independent standard complex normals."""
-        entries = [complex(*self.gauss_pair()) for _ in range(rows * cols)]
-        return np.array(entries, dtype=complex).reshape(rows, cols)
+        """Row-major matrix of independent standard complex normals, drawn as
+        one block of ``2 * rows * cols`` outputs."""
+        n = rows * cols
+        m = _normals(self._state, n).reshape(rows, cols)
+        self._state = (self._state + 2 * n * _GAMMA) & _MASK64
+        return m
 
 
-def _as_rng(seed) -> SplitMix64:
-    return seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
+def _normals(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` complex normals of the stream seeded ``seed``, by the
+    scalar equations: entry j takes outputs 2j+1 and 2j+2 as (u1, u2) of
+    ``gauss_pair``. Every ``uint64`` step acts on an array, where numpy wraps
+    silently (it warns when a 0-d scalar wraps)."""
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    u = ((z >> 11) + 1).astype(float) * 2.0 ** -53  # exact: (z >> 11) + 1 <= 2^53
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, n))
+    angle = (2.0 * math.pi * u[1::2]).tolist()
+    out = np.empty(n, dtype=complex)
+    out.real = r * np.fromiter(map(math.cos, angle), float, n)
+    out.imag = r * np.fromiter(map(math.sin, angle), float, n)
+    return out
+
+
+class _Block:
+    """A stream's first complex normals, drawn as one block and handed out in
+    order by ``complex_matrix``: the matrices ``SplitMix64(seed)`` gives."""
+
+    def __init__(self, seed: int, n: int):
+        self._normals = _normals(seed, n)
+        self._used = 0
+
+    def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
+        start = self._used
+        self._used += rows * cols
+        return self._normals[start:self._used].reshape(rows, cols)
+
+
+def _as_rng(seed) -> SplitMix64 | _Block:
+    return seed if isinstance(seed, (SplitMix64, _Block)) else SplitMix64(seed)
 
 
 def random_operator(dim: int, seed, hermitian: bool = False) -> np.ndarray:
@@ -207,10 +253,10 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     up, violations are listed in the order found, and each bound's
     minimum slack is taken over every trial. Trial t of a config draws
     everything from one SplitMix64 stream seeded with ``config.seed + t``,
-    so trials are independently reproducible. Each trial also draws a
-    general operator pair and a Hermitian observable pair for the
-    operator-level relations. Any slack below -SLACK_TOL is recorded as
-    a violation together with the trial seed.
+    as one block of normals, so trials are independently reproducible.
+    Each trial also draws a general operator pair and a Hermitian
+    observable pair for the operator-level relations. Any slack below
+    -SLACK_TOL is recorded as a violation together with the trial seed.
     """
     if not configs:
         raise ValueError("verify_suite needs at least one EnsembleConfig")
@@ -220,15 +266,18 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     violations: list[Violation] = []
     min_slack = {name: math.inf for name in BOUND_NAMES}
     for config in configs:
+        dim = config.dim
+        # a state, two channels and four operators
+        draws = dim * config.rank + 2 * dim * dim * config.kraus_count + 4 * dim * dim
         for trial_seed in range(config.seed, config.seed + config.trials):
-            rng = SplitMix64(trial_seed)
-            rho = random_density(config.dim, config.rank, rng)
-            phi = random_channel(config.dim, config.kraus_count, rng)
-            psi = random_channel(config.dim, config.kraus_count, rng)
-            k = random_operator(config.dim, rng)
-            l = random_operator(config.dim, rng)
-            a = random_operator(config.dim, rng, hermitian=True)
-            b = random_operator(config.dim, rng, hermitian=True)
+            rng = _Block(trial_seed, draws)
+            rho = random_density(dim, config.rank, rng)
+            phi = random_channel(dim, config.kraus_count, rng)
+            psi = random_channel(dim, config.kraus_count, rng)
+            k = random_operator(dim, rng)
+            l = random_operator(dim, rng)
+            a = random_operator(dim, rng, hermitian=True)
+            b = random_operator(dim, rng, hermitian=True)
             try:
                 relations = _trial_relations(rho, phi, psi, k, l, a, b)
             except NumericError as exc:

@@ -68,7 +68,7 @@ def _as_square(m, ndim: int) -> np.ndarray:
     a = a.astype(complex, copy=False)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # complex: both parts finite
         raise NumericError("matrix contains non-finite entries")
     return a
 

@@ -19,6 +19,7 @@ two-element array ``[re, im]`` of finite JSON numbers (not booleans):
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,14 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus_ops.shape[1]
+
+    def __getstate__(self) -> dict:
+        # the kept bound terms are a cache: a pickle or a copy builds its own
+        return {"kraus_ops": self.kraus_ops}
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or copied array is writable again; terms built from it must not go stale
+        object.__setattr__(self, "kraus_ops", _frozen(state["kraus_ops"]))
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
@@ -137,7 +146,13 @@ def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
 
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     """:func:`center_operator` of a checked operator."""
-    return k - _expect(rho, k) * np.eye(rho.dim)
+    return k - _expect(rho, k) * _eye(rho.dim)
+
+
+@functools.lru_cache(maxsize=64)
+def _eye(dim: int) -> np.ndarray:
+    """The read-only ``dim`` x ``dim`` identity, built once per dimension."""
+    return _frozen(np.eye(dim))
 
 
 # ---------------------------------------------------------------------------

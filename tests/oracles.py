@@ -216,6 +216,20 @@ def rand_op(rng, dim, hermitian=False):
 
 # -- the SplitMix64 stream, one scalar at a time ------------------------------
 
+def splitmix_u64s(seed, count):
+    """The first ``count`` SplitMix64 outputs of ``seed``, one update step at a time."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    outputs = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
 def splitmix_complex_matrix(seed, rows, cols):
     """Row-major standard complex normals straight from the documented equations:
     SplitMix64 outputs, top 53 bits to (0, 1], Box-Muller per entry (real first)."""

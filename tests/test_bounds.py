@@ -1,5 +1,8 @@
 """Unit tests for the bound catalog."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -592,3 +595,20 @@ def test_kept_terms_are_read_only(werner1):
                   if isinstance(a, np.ndarray)]
         assert len(arrays) >= 7
         assert not any(a.flags.writeable for a in arrays)
+
+
+def test_kept_terms_are_not_pickled_or_copied():
+    rho_m, ops_e, ops_f = next(random_triples(50, count=1))  # d = N = 16
+    rho = make_density(rho_m)
+    phi, psi = make_channel(ops_e), make_channel(ops_f)
+    size = len(pickle.dumps(phi))
+    report = bound_report(rho, phi, psi)
+    assert phi._bound_terms is not None
+    assert len(pickle.dumps(phi)) == size
+    for twin in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+        assert twin._bound_terms is None
+        assert np.array_equal(twin.kraus_ops, phi.kraus_ops)
+        assert not twin.kraus_ops.flags.writeable
+        assert bound_report(rho, twin, psi) == report
+        assert twin._bound_terms is not None
+        assert twin._bound_terms is not phi._bound_terms

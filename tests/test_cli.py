@@ -302,14 +302,20 @@ VERIFY_GOLDEN_ARGS = ["verify", "--dim", "2", "--dim", "3", "--kraus", "1", "--k
                       "--trials", "4", "--seed", "11"]
 
 
-@pytest.mark.parametrize("extra, code, golden", [
-    ([], 0, "verify_small.txt"),
-    (["--self-test"], 5, "verify_small_self_test.txt"),
-], ids=["clean", "self-test"])
-def test_verify_stdout_matches_golden(runner, extra, code, golden):
+VERIFY_WRAP_ARGS = ["verify", "--dim", "8", "--kraus", "5", "--trials", "3",
+                    "--seed", str(2 ** 64 - 2)]
+
+
+@pytest.mark.parametrize("args, code, golden", [
+    (VERIFY_GOLDEN_ARGS, 0, "verify_small.txt"),
+    (VERIFY_GOLDEN_ARGS + ["--self-test"], 5, "verify_small_self_test.txt"),
+    (VERIFY_WRAP_ARGS, 0, "verify_wrap.txt"),
+], ids=["clean", "self-test", "wrap"])
+def test_verify_stdout_matches_golden(runner, args, code, golden):
     # byte-for-byte over four (dim, kraus) configs: RNG streams, slack digits,
-    # violation order and the aggregation across configs
-    result = runner.invoke(cli, VERIFY_GOLDEN_ARGS + extra)
+    # violation order and the aggregation across configs; and at the largest
+    # shape, over trial seeds that wrap past 2^64 to 0
+    result = runner.invoke(cli, args)
     assert result.exit_code == code
     stdout = re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', result.stdout)
     assert stdout == (GOLDEN / golden).read_text(encoding="utf-8")

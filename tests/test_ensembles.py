@@ -50,6 +50,20 @@ def test_complex_matrix_matches_scalar_reference(seed, rows, cols):
     assert np.array_equal(m, oracles.splitmix_complex_matrix(seed, rows, cols))
 
 
+@pytest.mark.parametrize("seed, rows, cols", [
+    (0, 1, 1), (-7, 1, 1), (2 ** 64 - 1, 1, 1), (2 ** 64 - 2, 3, 5), (2 ** 70 + 1, 8, 4),
+    (987654321, 16, 16),
+])
+def test_complex_matrix_leaves_the_stream_after_its_outputs(seed, rows, cols):
+    # a matrix uses two outputs per entry; the next draw is the one after them
+    g = SplitMix64(seed)
+    g.complex_matrix(rows, cols)
+    assert g.next_u64() == oracles.splitmix_u64s(seed, 2 * rows * cols + 1)[-1]
+    g = SplitMix64(seed)
+    both = np.vstack([g.complex_matrix(rows, cols), g.complex_matrix(rows, cols)])
+    assert np.array_equal(both, oracles.splitmix_complex_matrix(seed, 2 * rows, cols))
+
+
 def test_gauss_pair_moments():
     g = SplitMix64(7)
     samples = []
@@ -181,10 +195,11 @@ def test_verify_suite_rejects_unknown_broken_bound(monkeypatch):
         verify_suite(config, broken_bound="nope")
 
 
-def _harness_trial(dim, kraus_count, trial_seed):
-    """One verify trial's draws, in the harness's order (rank = dim, as the CLI runs it)."""
+def _harness_trial(dim, kraus_count, trial_seed, rank=None):
+    """One verify trial's draws, one object after another from the trial's stream,
+    in the harness's order (rank = dim unless given, as the CLI runs it)."""
     rng = SplitMix64(trial_seed)
-    rho = random_density(dim, dim, rng)
+    rho = random_density(dim, dim if rank is None else rank, rng)
     phi = random_channel(dim, kraus_count, rng)
     psi = random_channel(dim, kraus_count, rng)
     ops = [random_operator(dim, rng, hermitian=h) for h in (False, False, True, True)]
@@ -207,6 +222,33 @@ def test_harness_relations_match_public_functions_bitwise(dim):
         assert relations["dou_comm"][1] == comm
         assert relations["dou_brackets"][1] == brackets
         assert relations["dou_u"][1] == u_comm
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2, 2 ** 70 + 1])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_verify_trial_draws_equal_the_stream_draws(monkeypatch, dim, seed):
+    # verify_suite hands each trial's objects to _trial_relations; they must be
+    # the objects the public generators draw one after another from
+    # SplitMix64(seed + t), including where seed + t wraps past 2^64
+    seen = []
+
+    def record(*objects):
+        seen.append(objects)
+        return {name: (0.0, 0.0) for name in BOUND_NAMES}
+
+    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", record)
+    configs = [EnsembleConfig(dim=dim, kraus_count=k, rank=rank, seed=seed, trials=3)
+               for k in range(1, 6) for rank in (dim - 1, dim)]
+    verify_suite(*configs)
+    expected = [_harness_trial(c.dim, c.kraus_count, c.seed + t, c.rank)
+                for c in configs for t in range(c.trials)]
+    assert len(seen) == len(expected)
+    for (rho, phi, psi, *ops), (rho0, phi0, psi0, *ops0) in zip(seen, expected):
+        assert np.array_equal(rho.matrix, rho0.matrix)
+        assert np.array_equal(rho.sqrt_matrix, rho0.sqrt_matrix)
+        assert np.array_equal(phi.kraus_ops, phi0.kraus_ops)
+        assert np.array_equal(psi.kraus_ops, psi0.kraus_ops)
+        assert all(np.array_equal(x, x0) for x, x0 in zip(ops, ops0, strict=True))
 
 
 @pytest.mark.parametrize("broken", [None, "thm1_bound", "luo_bound"])
