@@ -13,10 +13,9 @@ Conventions shared by all bound evaluators:
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
-* what the bounds read about one channel under one state (traces,
-  brackets with sqrt(rho), sums and their norms) is built once by
-  ``_terms`` and kept on the channel, keyed by the state object, so all
-  six bounds and every sweep cell that reuses the channel share it; the
+* the bounds read a channel's traces, brackets with sqrt(rho), sums and
+  norms from the record ``measures._terms`` keeps on it with its measures,
+  keyed by the state object and shared by every bound and sweep cell; the
   arrays of validated objects are read-only, so it cannot go stale;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
@@ -29,16 +28,14 @@ Conventions shared by all bound evaluators:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
-from .measures import MeasureSet, _nonneg, _operator_u, channel_measures
-from .objects import (DensityMatrix, KrausChannel, _center, _expect, _eye, _frozen,
-                      _operand, _same_dim)
+from .measures import _gram, _nonneg, _operator_u, _sq_norm, _terms, channel_measures
+from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -112,68 +109,6 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # channel bounds
 # ---------------------------------------------------------------------------
-
-def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks of [sqrt(rho), K_i] and {sqrt(rho), K_i}."""
-    left, right = rho.sqrt_matrix @ stack, stack @ rho.sqrt_matrix
-    return _frozen(left - right), _frozen(left + right)
-
-
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x."""
-    return x.reshape(len(x), -1).conj() @ y.reshape(len(y), -1).T
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    """Squared Frobenius norm of an array of any shape."""
-    return float(np.vdot(x, x).real)
-
-
-class _lazy(cached_property):
-    """``cached_property`` without the lock Python 3.11 takes on each first use."""
-
-    def __get__(self, obj, owner=None):
-        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
-
-
-class _Terms:
-    """What the bounds read about one Kraus stack ``x`` under the state ``rho``,
-    each field built on first use: Tr(rho K_i) and Tr(rho K_i^dag), the brackets
-    [sqrt(rho), K_i], {sqrt(rho), K_i} of the raw and of the centered K_i and
-    their squared norms, sum_i K_i and its centered form, rho K_i - K_i rho,
-    and the two terms of ``thm4``."""
-
-    def __init__(self, rho: DensityMatrix, x: np.ndarray):
-        self.rho = rho  # held, so the state's identity cannot be reused while cached
-        self.x = x
-
-    traces = _lazy(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
-    traces_dag = _lazy(lambda t: _frozen(
-        np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
-    brackets = _lazy(lambda t: _sqrt_brackets(t.rho, t.x))
-    brackets0 = _lazy(lambda t: _sqrt_brackets(
-        t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
-    total = _lazy(lambda t: _frozen(t.x.sum(axis=0)))
-    total0 = _lazy(lambda t: _frozen(_center(t.total, t.rho)))
-    rho_comm = _lazy(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
-    comm0_sq = _lazy(lambda t: _sq_norm(t.brackets0[0]))
-    anti0_sq = _lazy(lambda t: _sq_norm(t.brackets0[1]))
-    thm4_e = _lazy(lambda t: _sq_norm(t.brackets[0])
-                   * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
-    thm4_f = _lazy(lambda t: _sq_norm(_gram(*t.brackets)))
-
-
-def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
-    """The channel's terms under ``rho``, after checking the channel against the
-    state's dimension. They are kept on the channel in one slot keyed by the
-    identity of the state; a call with another state replaces them."""
-    _same_dim(rho, channel.dim, "channel")
-    terms = channel._bound_terms
-    if terms is None or terms.rho is not rho:
-        terms = _Terms(rho, channel.kraus_ops)
-        object.__setattr__(channel, "_bound_terms", terms)  # the channel is frozen
-    return terms
-
 
 def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     """Larger of the commutator and centered-anticommutator trace sums,
@@ -360,8 +295,7 @@ class BoundReport:
 
 
 def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
-                 basis_index: int = 0, check: bool = True,
-                 measures: tuple[MeasureSet, MeasureSet] | None = None) -> BoundReport:
+                 basis_index: int = 0, check: bool = True) -> BoundReport:
     """Evaluate every bound and its left-hand side.
 
     With ``check=True`` (the default) a slack below ``-SLACK_TOL`` raises
@@ -369,9 +303,7 @@ def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     verification harness passes ``check=False`` and inspects the slacks
     itself.
     """
-    if measures is None:
-        measures = (channel_measures(rho, phi), channel_measures(rho, psi))
-    m_phi, m_psi = measures
+    m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
     report = BoundReport(
         lhs_product_v=m_phi.v_sym * m_psi.v_sym,
         lhs_product_u=m_phi.u_abs * m_psi.u_abs,

@@ -152,20 +152,18 @@ def _grid_points(example_id: str, theta: float, ps, qs, basis_index: int):
 
     Yields ``(p, q, m_phi, m_psi, report, closed)``, where ``closed`` holds the
     closed-form values, or None unless theta is the family's canonical value.
-    The state and each channel's measures are built once.
+    The state and each channel are built once; each channel keeps its terms.
     """
     rho = example_state(example_id, theta)
     with_closed = theta == CLOSED_FORM_THETA[example_id]
     channels_f = [channel_F(float(q)) for q in qs]
-    measures_f = [channel_measures(rho, psi) for psi in channels_f]
     for p in ps:
         phi = channel_E(float(p))
         m_phi = channel_measures(rho, phi)
-        for q, psi, m_psi in zip(qs, channels_f, measures_f):
-            report = bound_report(rho, phi, psi, basis_index=basis_index,
-                                  measures=(m_phi, m_psi))
+        for q, psi in zip(qs, channels_f):
+            report = bound_report(rho, phi, psi, basis_index=basis_index)
             closed = closed_forms(example_id, float(p), float(q)) if with_closed else None
-            yield p, q, m_phi, m_psi, report, closed
+            yield p, q, m_phi, channel_measures(rho, psi), report, closed
 
 
 @cli.command()

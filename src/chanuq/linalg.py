@@ -15,6 +15,7 @@ functions take arrays that passed it and do not check them again.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -128,9 +129,12 @@ class SpectralDecomposition(NamedTuple):
 
 
 def _require_hermitian(h: np.ndarray) -> np.ndarray:
-    """Check Hermiticity within ``HERMITICITY_TOL * max(1, ||h||_F)``; return ``h``."""
-    res = frob_norm(h - dagger(h))
-    if res > HERMITICITY_TOL * max(1.0, frob_norm(h)):
+    """Check Hermiticity within ``HERMITICITY_TOL * max(1, ||h||_F)``; return ``h``.
+    A residual that overflows is not finite and fails, whatever the scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = frob_norm(h - dagger(h))
+        scale = max(1.0, frob_norm(h))
+    if not (math.isfinite(res) and res <= HERMITICITY_TOL * scale):
         raise NotHermitianError(res)
     return h
 

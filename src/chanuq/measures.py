@@ -6,19 +6,22 @@ and the skew-information pair built from the commutator and
 anticommutator of K with sqrt(rho). A channel aggregates the
 per-Kraus-operator values; the derived quantity ``u_abs`` interpolates
 between total and quantum uncertainty and obeys
-``u_abs^2 = i_tilde * j_tilde``.
+``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each
+channel by ``_terms``, holds everything derived from a (state, channel)
+pair: the channel's measures and the terms :mod:`chanuq.bounds` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
-from .objects import DensityMatrix, KrausChannel, _center, _operand, _same_dim
+from .objects import DensityMatrix, KrausChannel, _center, _eye, _frozen, _operand, _same_dim
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,94 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     for the anticommutator part); ``u_abs`` is derived from ``v_sym`` and
     ``c_abs`` with clamping, and the internal identities
     ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
-    asserted before returning.
+    asserted. The result is a field of the channel's kept ``_terms(rho, phi)``.
     """
-    _same_dim(rho, phi.dim, "channel")
-    v_sym = 0.0
-    i_tilde = 0.0
-    j_tilde = 0.0
-    # the public measures re-check each stored operator; perfbench/spans.py
-    # times this path as its measures.operator layer until the loop is stacked
-    for op in phi.kraus_ops:
-        centered = _center(op, rho)
-        v_sym += sym_abs_variance(rho, op)
-        i_tilde += mwy_skew_info(rho, centered)
-        j_tilde += mwy_anti_info(rho, centered)
-    c_abs = v_sym - i_tilde
-    u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
-    if not _close(u_abs * u_abs, i_tilde * j_tilde):
-        raise NumericError(
-            f"u^2 = {u_abs * u_abs!r} disagrees with i_tilde*j_tilde = "
-            f"{i_tilde * j_tilde!r}")
-    if not _close(i_tilde + j_tilde, 2.0 * v_sym):
-        raise NumericError(
-            f"i_tilde + j_tilde = {i_tilde + j_tilde!r} disagrees with "
-            f"2*v_sym = {2.0 * v_sym!r}")
-    return MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
-                      j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs)
+    return _terms(rho, phi).measures
+
+
+def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of [sqrt(rho), K_i] and {sqrt(rho), K_i}."""
+    left, right = rho.sqrt_matrix @ stack, stack @ rho.sqrt_matrix
+    return _frozen(left - right), _frozen(left + right)
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x."""
+    return x.reshape(len(x), -1).conj() @ y.reshape(len(y), -1).T
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared Frobenius norm of an array of any shape."""
+    return float(np.vdot(x, x).real)
+
+
+class _lazy(cached_property):
+    """``cached_property`` without the lock Python 3.11 takes on each first use."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
+class _Terms:
+    """Everything derived from one Kraus stack ``x`` under the state ``rho``,
+    each field built on first use: the channel's :class:`MeasureSet`, and what
+    the bounds read: Tr(rho K_i) and Tr(rho K_i^dag), the brackets
+    [sqrt(rho), K_i], {sqrt(rho), K_i} of the raw and of the centered K_i and
+    their squared norms, sum_i K_i and its centered form, rho K_i - K_i rho,
+    and the two terms of ``thm4``."""
+
+    def __init__(self, rho: DensityMatrix, x: np.ndarray):
+        self.rho = rho  # held, so the state's identity cannot be reused while cached
+        self.x = x
+
+    @_lazy
+    def measures(self) -> MeasureSet:
+        """:func:`channel_measures`, summed one operator at a time."""
+        rho, v_sym, i_tilde, j_tilde = self.rho, 0.0, 0.0, 0.0
+        # the public measures re-check each stored operator; perfbench/spans.py
+        # times this path as its measures.operator layer until the loop is stacked
+        for op in self.x:
+            centered = _center(op, rho)
+            v_sym += sym_abs_variance(rho, op)
+            i_tilde += mwy_skew_info(rho, centered)
+            j_tilde += mwy_anti_info(rho, centered)
+        c_abs = v_sym - i_tilde
+        u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
+        if not _close(u_abs * u_abs, i_tilde * j_tilde):
+            raise NumericError(
+                f"u^2 = {u_abs * u_abs!r} disagrees with i_tilde*j_tilde = "
+                f"{i_tilde * j_tilde!r}")
+        if not _close(i_tilde + j_tilde, 2.0 * v_sym):
+            raise NumericError(
+                f"i_tilde + j_tilde = {i_tilde + j_tilde!r} disagrees with "
+                f"2*v_sym = {2.0 * v_sym!r}")
+        return MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
+                          j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs)
+
+    traces = _lazy(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
+    traces_dag = _lazy(lambda t: _frozen(
+        np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
+    brackets = _lazy(lambda t: _sqrt_brackets(t.rho, t.x))
+    brackets0 = _lazy(lambda t: _sqrt_brackets(
+        t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
+    total = _lazy(lambda t: _frozen(t.x.sum(axis=0)))
+    total0 = _lazy(lambda t: _frozen(_center(t.total, t.rho)))
+    rho_comm = _lazy(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
+    comm0_sq = _lazy(lambda t: _sq_norm(t.brackets0[0]))
+    anti0_sq = _lazy(lambda t: _sq_norm(t.brackets0[1]))
+    thm4_e = _lazy(lambda t: _sq_norm(t.brackets[0])
+                   * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
+    thm4_f = _lazy(lambda t: _sq_norm(_gram(*t.brackets)))
+
+
+def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
+    """The channel's terms under ``rho``, kept on the channel in one slot keyed by the
+    identity of the state. Another state is first checked against the channel's
+    dimension, then replaces them; a kept record passed that check when built."""
+    terms = channel._terms
+    if terms is not None and terms.rho is rho:
+        return terms
+    _same_dim(rho, channel.dim, "channel")
+    terms = _Terms(rho, channel.kraus_ops)
+    object.__setattr__(channel, "_terms", terms)  # the channel is frozen
+    return terms

@@ -30,12 +30,21 @@ from .errors import (CompletenessError, DimensionMismatchError, NotHermitianErro
 from .linalg import CPTP_TOL, DENSITY_TOL
 
 
+def _refreeze(obj, state: dict) -> None:
+    """``__setstate__`` of the validated classes: an unpickled or copied array is
+    writable again, and results kept from it must not go stale."""
+    for name, array in state.items():
+        object.__setattr__(obj, name, _frozen(array))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A quantum state: Hermitian, PSD, unit-trace matrix with cached square root."""
 
     matrix: np.ndarray
     sqrt_matrix: np.ndarray = field(repr=False)
+
+    __setstate__ = _refreeze
 
     @property
     def dim(self) -> int:
@@ -47,19 +56,17 @@ class KrausChannel:
     """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
     kraus_ops: np.ndarray
-    _bound_terms: object = field(default=None, init=False, compare=False, repr=False)
+    _terms: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.kraus_ops.shape[1]
 
     def __getstate__(self) -> dict:
-        # the kept bound terms are a cache: a pickle or a copy builds its own
+        # the kept terms are a cache: a pickle or a copy builds its own
         return {"kraus_ops": self.kraus_ops}
 
-    def __setstate__(self, state: dict) -> None:
-        # an unpickled or copied array is writable again; terms built from it must not go stale
-        object.__setattr__(self, "kraus_ops", _frozen(state["kraus_ops"]))
+    __setstate__ = _refreeze
 
     def __len__(self) -> int:
         return len(self.kraus_ops)

@@ -214,6 +214,20 @@ def rand_op(rng, dim, hermitian=False):
     return 0.5 * (m + dag(m)) if hermitian else m
 
 
+def random_triples(seed, count=50):
+    """Seeded (full-rank state, Kraus list, Kraus list) draws.
+
+    The first draw has the d = 16, N = 16 shape of the large benchmark
+    workload; the rest draw d in [2, 16] and the two Kraus counts
+    independently in [1, 16], so most pair lists of unequal length.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim, n_e, n_f = (16, 16, 16) if k == 0 else (
+            int(x) for x in (rng.integers(2, 17), rng.integers(1, 17), rng.integers(1, 17)))
+        yield rand_rho(rng, dim), rand_kraus(rng, dim, n_e), rand_kraus(rng, dim, n_f)
+
+
 # -- the SplitMix64 stream, one scalar at a time ------------------------------
 
 def splitmix_u64s(seed, count):

@@ -17,7 +17,7 @@ from chanuq.measures import abs_variance, channel_measures, operator_u, sym_abs_
 from chanuq.objects import make_channel, make_density
 
 import oracles
-from oracles import I2, SX, SY, ketbra
+from oracles import I2, SX, SY, ketbra, random_triples
 
 THM1_AT_HALF_HALF = 0.00022997852752233925  # frozen from the reference script
 
@@ -42,21 +42,6 @@ def ch_f(q):
 
 def identity_channel(dim=4):
     return make_channel([np.eye(dim)])
-
-
-def random_triples(seed, count=50):
-    """Seeded (full-rank state, Kraus list, Kraus list) draws.
-
-    The first draw has the d = 16, N = 16 shape of the large benchmark
-    workload; the rest draw d in [2, 16] and the two Kraus counts
-    independently in [1, 16], so most pair lists of unequal length.
-    """
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        dim, n_e, n_f = (16, 16, 16) if k == 0 else (
-            int(x) for x in (rng.integers(2, 17), rng.integers(1, 17), rng.integers(1, 17)))
-        yield (oracles.rand_rho(rng, dim), oracles.rand_kraus(rng, dim, n_e),
-               oracles.rand_kraus(rng, dim, n_f))
 
 
 # -- observable-level ---------------------------------------------------------
@@ -452,6 +437,45 @@ def test_joint_unitary_conjugation_keeps_basis_free_bounds():
             assert after[name] == pytest.approx(before[name], abs=1e-12), name
 
 
+def haar_unitary(rng, n):
+    """An n x n unitary from the Haar measure: QR, with the phases of R's diagonal fixed."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def remixed(rng, ops):
+    """``ops`` zero-padded by 0-2 operators, then mixed by a Haar unitary U:
+    E'_i = sum_j U_ij E_j is another Kraus list of the same channel."""
+    stack = np.array(list(ops) + [np.zeros_like(ops[0])] * int(rng.integers(0, 3)))
+    return list(np.einsum("ij,jab->iab", haar_unitary(rng, len(stack)), stack))
+
+
+def representation_free_values(rho, ops_e, ops_f):
+    phi, psi = make_channel(ops_e), make_channel(ops_f)
+    values = {f"{name}[{t}]": getattr(channel_measures(rho, channel), name)
+              for t, channel in (("phi", phi), ("psi", psi))
+              for name in ("v_sym", "i_tilde", "j_tilde", "u_abs")}
+    values.update({f"thm3[{t}]": thm3_bound(rho, phi, psi, t) for t in range(rho.dim)})
+    values.update(thm4=thm4_bound(rho, phi, psi), lb_eq13=lb_eq13(rho, phi, psi))
+    return values
+
+
+def test_kraus_representation_keeps_channel_quantities():
+    # the measures, thm3, thm4 and lb_eq13 are properties of the channel;
+    # thm1, thm2 and lb1_eq14 read the list itself and may move
+    rng = np.random.default_rng(51)
+    for k in range(200):
+        dim = int(rng.integers(2, 7))
+        rho = make_density(oracles.rand_rho(rng, dim, int(rng.integers(1, dim + 1))))
+        ops_e = oracles.rand_kraus(rng, dim, int(rng.integers(1, 5)))
+        ops_f = oracles.rand_kraus(rng, dim, int(rng.integers(1, 5)))
+        before = representation_free_values(rho, ops_e, ops_f)
+        after = representation_free_values(rho, remixed(rng, ops_e), remixed(rng, ops_f))
+        for name, value in before.items():
+            assert after[name] == pytest.approx(value, abs=1e-12), (k, name)
+
+
 # -- aggregate report -----------------------------------------------------------
 
 def test_bound_report_identity_channels(werner1):
@@ -590,7 +614,7 @@ def test_kept_terms_are_read_only(werner1):
     phi, psi = ch_e(0.5), ch_f(0.5)
     bound_report(werner1, phi, psi)
     for channel in (phi, psi):
-        fields = vars(channel._bound_terms).values()
+        fields = vars(channel._terms).values()
         arrays = [a for v in fields for a in (v if isinstance(v, tuple) else (v,))
                   if isinstance(a, np.ndarray)]
         assert len(arrays) >= 7
@@ -603,12 +627,12 @@ def test_kept_terms_are_not_pickled_or_copied():
     phi, psi = make_channel(ops_e), make_channel(ops_f)
     size = len(pickle.dumps(phi))
     report = bound_report(rho, phi, psi)
-    assert phi._bound_terms is not None
+    assert phi._terms is not None
     assert len(pickle.dumps(phi)) == size
     for twin in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
-        assert twin._bound_terms is None
+        assert twin._terms is None
         assert np.array_equal(twin.kraus_ops, phi.kraus_ops)
         assert not twin.kraus_ops.flags.writeable
         assert bound_report(rho, twin, psi) == report
-        assert twin._bound_terms is not None
-        assert twin._bound_terms is not phi._bound_terms
+        assert twin._terms is not None
+        assert twin._terms is not phi._terms

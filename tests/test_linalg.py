@@ -1,9 +1,12 @@
 """Unit tests for the matrix primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chanuq import linalg
+from chanuq.bounds import heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.objects import make_density
 from chanuq.errors import (DimensionMismatchError, NotHermitianError,
                            NotPositiveError, NumericError)
@@ -238,3 +241,23 @@ def test_as_matrix_copies_its_input():
     a = linalg.as_matrix(m)
     m[0, 0] = 5.0
     assert a[0, 0] == 1.0
+
+
+OVERFLOWING_NON_HERMITIAN = np.array([[1e308, 1e308], [-1e308, 1e308]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho, h: linalg.hermitian_eig(h),
+    lambda rho, h: linalg.psd_sqrt(h),
+    lambda rho, h: heisenberg_bound(rho, h, I2),
+    lambda rho, h: schrodinger_bound(rho, h, I2),
+    lambda rho, h: luo_bound(rho, h, I2),
+], ids=["hermitian_eig", "psd_sqrt", "heisenberg", "schrodinger", "luo"])
+def test_overflowing_hermiticity_residual_is_rejected(call):
+    # h - h^dag overflows, so residual and scale are both inf; an inf residual
+    # must still fail the check, and quietly: no overflow warning escapes
+    rho = make_density(I2 / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError):
+            call(rho, OVERFLOWING_NON_HERMITIAN)

@@ -175,6 +175,17 @@ def test_channel_measures_match_oracle():
         assert m.u_abs == pytest.approx(u, abs=1e-11)
 
 
+def test_channel_measures_match_oracle_up_to_d16():
+    # the first list of each draw; the first draw has d = N = 16
+    for k, (rho_m, ops, _) in enumerate(oracles.random_triples(52)):
+        m = channel_measures(make_density(rho_m), make_channel(ops))
+        v, it, jt, u = oracles.channel_measures(rho_m, ops)
+        assert m.v_sym == pytest.approx(v, abs=1e-11), k
+        assert m.i_tilde == pytest.approx(it, abs=1e-11), k
+        assert m.j_tilde == pytest.approx(jt, abs=1e-11), k
+        assert m.u_abs == pytest.approx(u, abs=1e-11), k
+
+
 def test_channel_measures_internal_identities():
     rng = np.random.default_rng(28)
     for _ in range(100):

@@ -1,6 +1,8 @@
 """Unit tests for states, channels and the JSON wire format."""
 
+import copy
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -317,3 +319,16 @@ def test_validated_arrays_are_read_only():
     # the caller's own arrays were copied and stay writable
     m[0, 0] = m[0, 0]
     ops[0, 0, 0] = ops[0, 0, 0]
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_state_stays_read_only(copy_of):
+    rho = make_density(oracles.werner_matrix(0.5))
+    twin = copy_of(rho)
+    assert np.array_equal(twin.matrix, rho.matrix)
+    assert np.array_equal(twin.sqrt_matrix, rho.sqrt_matrix)
+    for array in (twin.matrix, twin.sqrt_matrix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
