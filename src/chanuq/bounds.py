@@ -49,12 +49,13 @@ def _observable(rho: DensityMatrix, m) -> np.ndarray:
 
 def _comm_term(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> float:
     """(1/4) |Tr(rho [x, y])|^2 of checked operands."""
-    return 0.25 * abs(_expect(rho, linalg.commutator(x, y))) ** 2
+    return _nonneg(0.25 * abs(_expect(rho, linalg.commutator(x, y))) ** 2, "commutator term")
 
 
 def _anti_term(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
     """(1/4) |Tr(rho {a0, b0})|^2 of checked operands, centered here."""
-    return 0.25 * abs(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho)))) ** 2
+    value = 0.25 * abs(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho)))) ** 2
+    return _nonneg(value, "anticommutator term")
 
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
@@ -103,7 +104,8 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     l0 = _center(l, rho)
     sym_comm = 0.25 * abs(_expect(rho, linalg.sym_commutator(k, l))) ** 2
     sym_anti = 0.25 * abs(_expect(rho, linalg.sym_anticommutator(k0, l0))) ** 2
-    return _comm_term(rho, k, l), sym_comm + sym_anti, sym_comm
+    # both terms are >= 0, so a finite sum means two finite terms
+    return _comm_term(rho, k, l), _nonneg(sym_comm + sym_anti, "Dou bracket bound"), sym_comm
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ def _dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _echo_json(obj) -> None:
-    click.echo(_dumps(obj))
-
-
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -135,7 +131,7 @@ def compute(state, channel_a, channel_b, basis_index):
     phi = channel_from_json(_load_json(channel_a))
     psi = channel_from_json(_load_json(channel_b))
     report = bound_report(rho, phi, psi, basis_index=basis_index)
-    _echo_json(report.to_dict())
+    click.echo(_dumps(report.to_dict()))
 
 
 SWEEP_COLUMNS = ("p", "q", "u_phi", "u_psi", "product_u", "sum_u2",
@@ -217,7 +213,7 @@ def verify(dims, kraus_counts, trials, seed, self_test):
     configs = [EnsembleConfig(dim=d, kraus_count=k, rank=d, seed=seed, trials=trials)
                for d in dims for k in kraus_counts]
     report = verify_suite(*configs, broken_bound="thm1_bound" if self_test else None)
-    _echo_json(report.to_dict())
+    click.echo(_dumps(report.to_dict()))
     if report.violations:
         sys.exit(EXIT_VERIFICATION)
 
@@ -253,7 +249,7 @@ def example(example_id, theta, p, q, basis_index):
             bound: abs(getattr(report, bound) - getattr(closed, name))
             for bound, name in CLOSED_FORM_OF.items()},
     }
-    _echo_json(doc)
+    click.echo(_dumps(doc))
 
 
 def main():

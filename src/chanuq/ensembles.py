@@ -10,20 +10,22 @@ equations alone, on any platform. SplitMix64 is used:
                z = (z xor (z >> 27)) * 0x94D049BB133111EB   mod 2^64
                return z xor (z >> 31)
 
-Uniforms map the top 53 bits into (0, 1]; Gaussians come from Box-Muller
+Uniforms map the top 53 bits into (0, 1] as u = ((z >> 11) + 1) * 2^-53;
+Gaussians come from Box-Muller, r = sqrt(-2 log u1) and angle 2 pi u2,
 applied to consecutive uniform pairs; complex normals use one pair per
 entry (real part first). Isometries are built by modified Gram-Schmidt
 with a second re-orthogonalization pass in fixed column order.
 
-``next_u64``, ``uniform`` and ``gauss_pair`` state these equations one
-draw at a time. Matrices are drawn in blocks instead: output k of a
+Every draw goes through one block kernel, ``_normals``: output k of a
 stream (counted from 1) is the mix of ``seed + k * gamma``, so a block of
-outputs is one ``uint64`` array expression, and ``verify`` draws all of a
-trial's matrices as one block. A block gives the bits of the scalar
-equations: the uniforms are exact, numpy computes only the IEEE-rounded
-``*``, ``sqrt`` and ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay
-scalar ``math`` calls, since numpy's versions can differ from them in the
-last bit and pick their SIMD kernels per CPU.
+outputs is one ``uint64`` array expression, ``SplitMix64.complex_matrix``
+draws one matrix as a block, and ``verify`` draws all of a trial's
+matrices as one. A block gives the bits of the equations above taken one
+draw at a time, as ``tests/oracles.py`` states them: the uniforms are
+exact, numpy computes only the IEEE-rounded ``*``, ``sqrt`` and
+``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar ``math`` calls,
+since numpy's versions can differ from them in the last bit and pick
+their SIMD kernels per CPU.
 """
 
 from __future__ import annotations
@@ -58,25 +60,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform double in (0, 1]."""
-        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-
-    def gauss_pair(self) -> tuple[float, float]:
-        """Two independent standard normals via Box-Muller."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        return r * math.cos(angle), r * math.sin(angle)
-
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major matrix of independent standard complex normals, drawn as
         one block of ``2 * rows * cols`` outputs."""
@@ -88,9 +71,9 @@ class SplitMix64:
 
 def _normals(seed: int, n: int) -> np.ndarray:
     """The first ``n`` complex normals of the stream seeded ``seed``, by the
-    scalar equations: entry j takes outputs 2j+1 and 2j+2 as (u1, u2) of
-    ``gauss_pair``. Every ``uint64`` step acts on an array, where numpy wraps
-    silently (it warns when a 0-d scalar wraps)."""
+    equations: entry j takes outputs 2j+1 and 2j+2 as the uniforms (u1, u2) of
+    its Box-Muller pair. Every ``uint64`` step acts on an array, where numpy
+    wraps silently (it warns when a 0-d scalar wraps)."""
     z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK64)
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)

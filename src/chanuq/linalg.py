@@ -128,14 +128,28 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _scale(h: np.ndarray) -> tuple[float, float]:
+    """``(scale, unit)`` of the relative tolerances on ``h``: a residual ``r`` passes
+    ``||r / unit||_F <= tol * scale``, where ``scale`` is ``max(1, ||h||_F)`` in
+    units of ``unit``. The unit is 1, and the scale the plain norm bit for bit,
+    unless the squares in ``||h||_F`` overflow (``||h||_F`` above about 1.3e154);
+    then the unit is the largest real or imaginary part of ``h`` in magnitude,
+    so the scale stays finite."""
+    scale = frob_norm(h)
+    if scale < math.inf:
+        return max(1.0, scale), 1.0
+    unit = max(float(np.abs(h.real).max()), float(np.abs(h.imag).max()))
+    return frob_norm(h / unit), unit
+
+
 def _require_hermitian(h: np.ndarray) -> np.ndarray:
     """Check Hermiticity within ``HERMITICITY_TOL * max(1, ||h||_F)``; return ``h``.
     A residual that overflows is not finite and fails, whatever the scale."""
     with np.errstate(over="ignore", invalid="ignore"):
-        res = frob_norm(h - dagger(h))
-        scale = max(1.0, frob_norm(h))
-    if not (math.isfinite(res) and res <= HERMITICITY_TOL * scale):
-        raise NotHermitianError(res)
+        scale, unit = _scale(h)
+        res = frob_norm((h - dagger(h)) / unit)
+    if not res <= HERMITICITY_TOL * scale:
+        raise NotHermitianError(res * unit)
     return h
 
 
@@ -158,23 +172,26 @@ def hermitian_eig(h) -> SpectralDecomposition:
     ``h`` is a square finite array, as :func:`as_matrix` returns. Raises
     ``NotHermitianError`` if it is not Hermitian within tolerance, and
     ``NumericError`` if the solver fails or a residual exceeds its
-    contract (a non-finite residual counts as exceeding it).
+    contract (a non-finite residual counts as exceeding it). Near the
+    double limit the decomposition is that of ``h`` in the unit of
+    ``_scale``, scaled back, so an eigenvalue beyond the range is +-inf.
     """
     _require_hermitian(h)
-    hs = 0.5 * (h + dagger(h))
+    hs = 0.5 * h + 0.5 * dagger(h)  # not 0.5 * (h + h^dag), whose sum can overflow
+    scale, unit = _scale(hs)
+    hs = hs / unit
     try:
         w, v = np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
     v = _normalize_phases(v)
-    scale = max(1.0, frob_norm(hs))
     recon = frob_norm((v * w) @ dagger(v) - hs)
     ortho = frob_norm(dagger(v) @ v - np.eye(h.shape[0]))
     if not (recon <= RECONSTRUCTION_TOL * scale and ortho <= RECONSTRUCTION_TOL):
         raise NumericError(
             f"eigendecomposition residuals out of tolerance: "
-            f"reconstruction {recon:.3e}, orthonormality {ortho:.3e}")
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+            f"reconstruction {recon * unit:.3e}, orthonormality {ortho:.3e}")
+    return SpectralDecomposition(eigenvalues=w * unit, eigenvectors=v)
 
 
 def psd_sqrt(h) -> np.ndarray:
@@ -194,16 +211,16 @@ def psd_sqrt(h) -> np.ndarray:
 def _sqrt_from_spectrum(h: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
     """:func:`psd_sqrt` of ``h``, given ``spectrum = hermitian_eig(h)``."""
     w, v = spectrum
-    scale = max(1.0, frob_norm(h))
-    tol = PSD_CLAMP_TOL * scale
+    scale, unit = _scale(h)
+    tol = PSD_CLAMP_TOL * scale * unit
     if w[0] < -tol:
         raise NotPositiveError(float(w[0]))
     w = np.where(w <= tol, 0.0, w)
     s = (v * np.sqrt(w)) @ dagger(v)
     s = 0.5 * (s + dagger(s))
-    residual = frob_norm(s @ s - 0.5 * (h + dagger(h)))
-    if residual > SQRT_TOL * scale:
-        raise NumericError(f"square-root residual {residual:.3e} out of tolerance")
+    residual = frob_norm((s @ s - (0.5 * h + 0.5 * dagger(h))) / unit)
+    if not residual <= SQRT_TOL * scale:
+        raise NumericError(f"square-root residual {residual * unit:.3e} out of tolerance")
     return s
 
 

@@ -13,6 +13,7 @@ pair: the channel's measures and the terms :mod:`chanuq.bounds` reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +37,11 @@ class MeasureSet:
 
 
 def _nonneg(value: float, what: str) -> float:
-    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0; below it signals a bug."""
-    if value < NEGATIVITY_FLOOR:
-        raise NumericError(f"{what} evaluated to {value!r}, beyond rounding tolerance")
+    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0. A value below it
+    signals a bug, and NaN or inf an overflow; both raise ``NumericError``."""
+    if not NEGATIVITY_FLOOR <= value < math.inf:
+        raise NumericError(
+            f"{what} evaluated to {value!r}: negative beyond rounding, or not finite")
     return max(value, 0.0)
 
 
@@ -71,13 +74,14 @@ def mwy_skew_info(rho: DensityMatrix, k) -> float:
 
 
 def _skew_info(rho: DensityMatrix, k: np.ndarray) -> float:
-    return 0.5 * linalg.frob_norm(linalg.commutator(rho.sqrt_matrix, k)) ** 2
+    return _nonneg(0.5 * linalg.frob_norm(linalg.commutator(rho.sqrt_matrix, k)) ** 2,
+                   "skew information")
 
 
 def mwy_anti_info(rho: DensityMatrix, k) -> float:
     """Half the squared Frobenius norm of {sqrt(rho), K}."""
     a = linalg.anticommutator(rho.sqrt_matrix, _operand(rho, k))
-    return 0.5 * linalg.frob_norm(a) ** 2
+    return _nonneg(0.5 * linalg.frob_norm(a) ** 2, "anticommutator information")
 
 
 def operator_u(rho: DensityMatrix, k) -> float:
@@ -96,7 +100,7 @@ def _operator_u(rho: DensityMatrix, k: np.ndarray) -> float:
 
 def _u_from(v: float, i: float) -> float:
     """|U_rho|(K) from V_sym(K) and the skew information I(K)."""
-    return float(np.sqrt(max(v * v - (v - i) ** 2, 0.0)))
+    return _nonneg(float(np.sqrt(max(v * v - (v - i) ** 2, 0.0))), "|U|")
 
 
 def _close(a: float, b: float) -> bool:
@@ -132,13 +136,6 @@ def _sq_norm(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-class _lazy(cached_property):
-    """``cached_property`` without the lock Python 3.11 takes on each first use."""
-
-    def __get__(self, obj, owner=None):
-        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
-
-
 class _Terms:
     """Everything derived from one Kraus stack ``x`` under the state ``rho``,
     each field built on first use: the channel's :class:`MeasureSet`, and what
@@ -151,7 +148,7 @@ class _Terms:
         self.rho = rho  # held, so the state's identity cannot be reused while cached
         self.x = x
 
-    @_lazy
+    @cached_property
     def measures(self) -> MeasureSet:
         """:func:`channel_measures`, summed one operator at a time."""
         rho, v_sym, i_tilde, j_tilde = self.rho, 0.0, 0.0, 0.0
@@ -175,20 +172,20 @@ class _Terms:
         return MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
                           j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs)
 
-    traces = _lazy(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
-    traces_dag = _lazy(lambda t: _frozen(
+    traces = cached_property(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
+    traces_dag = cached_property(lambda t: _frozen(
         np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
-    brackets = _lazy(lambda t: _sqrt_brackets(t.rho, t.x))
-    brackets0 = _lazy(lambda t: _sqrt_brackets(
+    brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
+    brackets0 = cached_property(lambda t: _sqrt_brackets(
         t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
-    total = _lazy(lambda t: _frozen(t.x.sum(axis=0)))
-    total0 = _lazy(lambda t: _frozen(_center(t.total, t.rho)))
-    rho_comm = _lazy(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
-    comm0_sq = _lazy(lambda t: _sq_norm(t.brackets0[0]))
-    anti0_sq = _lazy(lambda t: _sq_norm(t.brackets0[1]))
-    thm4_e = _lazy(lambda t: _sq_norm(t.brackets[0])
-                   * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
-    thm4_f = _lazy(lambda t: _sq_norm(_gram(*t.brackets)))
+    total = cached_property(lambda t: _frozen(t.x.sum(axis=0)))
+    total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
+    rho_comm = cached_property(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
+    comm0_sq = cached_property(lambda t: _sq_norm(t.brackets0[0]))
+    anti0_sq = cached_property(lambda t: _sq_norm(t.brackets0[1]))
+    thm4_e = cached_property(lambda t: _sq_norm(t.brackets[0])
+                             * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
+    thm4_f = cached_property(lambda t: _sq_norm(_gram(*t.brackets)))
 
 
 def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:

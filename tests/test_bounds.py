@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from chanuq.bounds import (bound_report, dou_bounds, fine_grained_terms,
                            thm3_bound, thm4_bound)
 import chanuq.bounds
 from chanuq.errors import (BoundViolationError, DimensionMismatchError,
-                           NotHermitianError)
+                           NotHermitianError, NumericError)
 from chanuq.measures import abs_variance, channel_measures, operator_u, sym_abs_variance
 from chanuq.objects import make_channel, make_density
 
@@ -151,6 +152,29 @@ def test_dou_uncentered_anticommutator_would_be_invalid():
     assert brackets == pytest.approx(0.0, abs=1e-15)
     raw_term = 0.25 * abs(np.trace(rho.matrix @ (2 * I2))) ** 2
     assert raw_term > 0.9
+
+
+HUGE_DIAGONAL = np.diag([1e308, -1e308])
+# they commute, so only the centered anticommutator term overflows
+HUGE_COMMUTING = (np.diag([1e160, 0.0]), np.diag([0.0, 1e160]))
+
+
+@pytest.mark.parametrize("relation, a, b", [
+    (heisenberg_bound, HUGE_DIAGONAL, HUGE_DIAGONAL),
+    (schrodinger_bound, HUGE_DIAGONAL, HUGE_DIAGONAL),
+    (schrodinger_bound, *HUGE_COMMUTING),
+    (luo_bound, HUGE_DIAGONAL, HUGE_DIAGONAL),
+    (dou_bounds, HUGE_DIAGONAL, HUGE_DIAGONAL),
+    (dou_bounds, *HUGE_COMMUTING),
+], ids=["heisenberg", "schrodinger", "schrodinger-commuting", "luo", "dou", "dou-commuting"])
+def test_overflowing_operator_relations_raise(relation, a, b):
+    # the operands are finite and Hermitian, but their products overflow:
+    # NaN or inf must not come back
+    rho = make_density(I2 / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on such operands
+        with pytest.raises(NumericError):
+            relation(rho, a, b)
 
 
 # -- channel bounds: thm1 and thm2 -------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,87 @@ def test_compute_nan_trace_state_exits_3(runner, tmp_path):
     assert result.exit_code == 3
     assert result.stderr == "validation error: trace differs from 1 by nan\n"
 
+
+@pytest.mark.parametrize("pair", [[1e308, 0], [1e308, 1e308], [1.7e308, -1.7e308], [1e154, 0]],
+                         ids=["1e308", "1e308-complex", "beyond-range", "1e154"])
+def test_compute_state_near_the_double_limit_exits_3(runner, fixtures, tmp_path, pair):
+    # finite, Hermitian and of unit trace, with eigenvalues 0.5 +- |x|: no state
+    x, y = pair
+    state = tmp_path / "near_limit.json"
+    state.write_text(json.dumps({"dim": 2, "matrix": [[[0.5, 0], [x, y]],
+                                                      [[x, -y], [0.5, 0]]]}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli, ["compute", "--state", str(state),
+                                     "--channel-a", fixtures["identity2.json"],
+                                     "--channel-b", fixtures["identity2.json"]])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("validation error:")
+    assert "Warning" not in result.stderr
+
+
+HUGE = (1e154, 1.4e154, 1e200, 1e300, 9e307, 1e308, 1.7e308)
+ODD_ENTRIES = ([5e-324, 0], [1e308, 0], [-1e308, 5e-324], [True, 0], ["0.5", 0], [1], [1, 2, 3],
+               None, {}, "x", [10 ** 400, 0], [0, -(10 ** 400)])
+
+
+def _mutate(docs, others, rng):
+    """Apply one seeded mutation to one of the ``compute`` documents in place;
+    ``others`` holds valid triples to draw replacement documents from."""
+    name = ("state", "channel-a", "channel-b")[rng.integers(3)]
+    doc = docs[name]
+    mats = [doc["matrix"]] if name == "state" else doc["kraus"]
+    m = mats[rng.integers(len(mats))]
+    d = len(m)
+    i, j = (int(x) for x in rng.integers(d, size=2))
+    kind = int(rng.integers(10))
+    if kind < 3:  # a Hermitian pair of huge values at (i, j) and (j, i)
+        x = float(rng.choice(HUGE)) * rng.choice([-1.0, 1.0])
+        y = 0.0 if i == j else float(rng.choice(HUGE + (0.0,))) * rng.choice([-1.0, 1.0])
+        m[i][j], m[j][i] = [x, y], [x, -y]
+    elif kind == 3:
+        m[i][j] = ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))]
+    elif kind == 4:
+        (m if rng.integers(2) else m[i]).pop(j)  # a row or an entry
+    elif kind == 5:
+        m.insert(i, list(m[i]))
+    elif kind == 6:
+        doc["dim"] = (d + 1, d - 1, 0, -1, "2", True, 2.0, None)[rng.integers(8)]
+    elif kind == 7:
+        docs[name] = ([], {}, {**doc, "extra": 1}, {"dim": d},
+                      docs["state" if name != "state" else "channel-a"])[rng.integers(5)]
+    elif kind == 8:  # a valid document of another triple, which may differ in dimension
+        docs[name] = json.loads(others[rng.integers(len(others))])[name]
+    else:  # valid still: the same operators in reverse order, or the keys reordered
+        docs[name] = {k: v[::-1] if k == "kraus" else v for k, v in reversed(doc.items())}
+
+
+def test_compute_input_mutations_map_to_documented_exit_codes(runner, tmp_path):
+    # any input mutation exits 0, 2, 3 or 4: never 5 (a verification failure),
+    # a traceback or a numpy warning
+    rng = np.random.default_rng(2029)
+    valid = []
+    for seed, (dim, kraus) in enumerate((d, k) for d in (2, 3, 4) for k in (1, 2, 3)):
+        g = SplitMix64(seed)
+        valid.append(json.dumps({"state": state_to_json(random_density(dim, dim, g)),
+                                 "channel-a": channel_to_json(random_channel(dim, kraus, g)),
+                                 "channel-b": channel_to_json(random_channel(dim, kraus, g))}))
+    faults = []
+    for case in range(300):
+        docs = json.loads(valid[case % len(valid)])
+        _mutate(docs, valid, rng)
+        args = ["compute"]
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            args += [f"--{name}", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, args)
+        if (result.exit_code not in (0, 2, 3, 4)
+                or not isinstance(result.exception, (SystemExit, type(None)))):
+            faults.append((case, result.exit_code, repr(result.exception), result.stderr))
+    assert not faults, faults[:5]
 
 def test_compute_dimension_mismatch_exits_4(runner, fixtures):
     result = runner.invoke(cli, ["compute", "--state", fixtures["mixed2.json"],

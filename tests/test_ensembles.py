@@ -1,5 +1,7 @@
 """Unit tests for the seeded generators and the verification harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,16 +30,24 @@ DENSITY_SEED42 = np.array([
 
 
 def test_splitmix_reference_vector():
-    g = SplitMix64(SPLITMIX_SEED)
-    assert [g.next_u64() for _ in range(5)] == SPLITMIX_REF
+    # the oracle states the update equations; test_complex_matrix_matches_scalar_reference
+    # ties the library's block kernel to the oracle
+    assert oracles.splitmix_u64s(SPLITMIX_SEED, 5) == SPLITMIX_REF
+
+
+def _uniforms(seed, count):
+    """The documented map of the oracle's outputs into (0, 1]."""
+    return [((z >> 11) + 1) * 2.0 ** -53 for z in oracles.splitmix_u64s(seed, count)]
 
 
 def test_splitmix_uniform_range_and_goldens():
-    g = SplitMix64(42)
-    vals = [g.uniform() for _ in range(4)]
-    assert vals == UNIFORMS_SEED42
-    g2 = SplitMix64(42)
-    assert all(0.0 < g2.uniform() <= 1.0 for _ in range(1000))
+    assert _uniforms(42, 4) == UNIFORMS_SEED42
+    assert all(0.0 < u <= 1.0 for u in _uniforms(42, 1000))
+    # the library's first normal of seed 42 is the Box-Muller pair of those uniforms
+    u1, u2 = UNIFORMS_SEED42[:2]
+    r = math.sqrt(-2.0 * math.log(u1))
+    first = complex(r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2))
+    assert SplitMix64(42).complex_matrix(1, 1)[0, 0] == first
 
 
 @pytest.mark.parametrize("seed, rows, cols", [
@@ -55,22 +65,16 @@ def test_complex_matrix_matches_scalar_reference(seed, rows, cols):
     (987654321, 16, 16),
 ])
 def test_complex_matrix_leaves_the_stream_after_its_outputs(seed, rows, cols):
-    # a matrix uses two outputs per entry; the next draw is the one after them
-    g = SplitMix64(seed)
-    g.complex_matrix(rows, cols)
-    assert g.next_u64() == oracles.splitmix_u64s(seed, 2 * rows * cols + 1)[-1]
+    # a matrix uses two outputs per entry; the next matrix starts right after them
     g = SplitMix64(seed)
     both = np.vstack([g.complex_matrix(rows, cols), g.complex_matrix(rows, cols)])
     assert np.array_equal(both, oracles.splitmix_complex_matrix(seed, 2 * rows, cols))
 
 
 def test_gauss_pair_moments():
-    g = SplitMix64(7)
-    samples = []
-    for _ in range(5000):
-        a, b = g.gauss_pair()
-        samples += [a, b]
-    samples = np.array(samples)
+    # each entry's real and imaginary parts are one Box-Muller pair
+    m = SplitMix64(7).complex_matrix(5000, 1)
+    samples = np.concatenate([m.real, m.imag]).ravel()
     assert abs(samples.mean()) < 0.05
     assert abs(samples.std() - 1.0) < 0.05
 

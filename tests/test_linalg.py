@@ -261,3 +261,52 @@ def test_overflowing_hermiticity_residual_is_rejected(call):
         warnings.simplefilter("error")
         with pytest.raises(NotHermitianError):
             call(rho, OVERFLOWING_NON_HERMITIAN)
+
+
+# ||h||_F overflows for every matrix below (above about 1.3e154); the relative
+# tolerances must keep their meaning there
+NEAR_LIMIT_ASYMMETRIC = np.array([[0, 1e155], [1e155 + 1e150, 0]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda rho: linalg.psd_sqrt(np.diag([1e155, -1e155])), NotPositiveError),
+    (lambda rho: linalg._require_hermitian(NEAR_LIMIT_ASYMMETRIC), NotHermitianError),
+    (lambda rho: heisenberg_bound(rho, NEAR_LIMIT_ASYMMETRIC, SZ), NotHermitianError),
+], ids=["indefinite-sqrt", "asymmetric", "asymmetric-heisenberg"])
+def test_near_limit_matrices_fail_their_checks(call, error):
+    rho = make_density(I2 / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy may warn on the plain norm
+        with pytest.raises(error):
+            call(rho)
+
+
+def test_near_limit_spectral_kernels_keep_their_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        root = linalg.psd_sqrt(np.diag([4e160, 1e160]))
+        # -1e185 lies within PSD_CLAMP_TOL * ||h||_F = 1e190 of zero, and clamps
+        clamped = linalg.psd_sqrt(np.diag([1e200, -1e185]))
+        # an asymmetry of 1e-13 relative is within HERMITICITY_TOL
+        linalg._require_hermitian(np.array([[0, 1e200], [1e200 * (1 + 1e-13), 0]]))
+        w, v = linalg.hermitian_eig(np.diag([1e308, -1e308]))
+    np.testing.assert_allclose(root, np.diag([2e80, 1e80]), rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(clamped, np.diag([1e100, 0.0]))
+    assert w.tolist() == [-1e308, 1e308]
+    np.testing.assert_array_equal(np.abs(v), [[0, 1], [1, 0]])
+
+
+def test_spectrum_beyond_the_double_range_is_not_positive():
+    # a finite, Hermitian, unit-trace matrix whose eigenvalues overflow is no state
+    x = 1.7e308 + 1.7e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveError):
+            make_density(np.array([[0.5, x], [np.conj(x), 0.5]]))
+
+
+def test_scale_is_the_plain_norm_in_the_finite_range():
+    rng = np.random.default_rng(3)
+    for exponent in (-30, 0, 30, 150):
+        h = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 10.0 ** exponent
+        assert linalg._scale(h) == (max(1.0, linalg.frob_norm(h)), 1.0)

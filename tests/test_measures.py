@@ -1,11 +1,13 @@
 """Unit tests for the uncertainty measures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
-from chanuq.measures import (abs_variance, channel_measures, mwy_anti_info,
+from chanuq.measures import (_nonneg, abs_variance, channel_measures, mwy_anti_info,
                              mwy_skew_info, operator_u, sym_abs_variance)
 from chanuq.objects import center_operator, make_channel, make_density
 
@@ -207,3 +209,32 @@ def test_operator_u_matches_skew_product():
         rho = make_density(rho_m)
         assert operator_u(rho, k) == pytest.approx(
             oracles.u_of_operator(rho_m, k), abs=1e-11)
+
+
+@pytest.mark.parametrize("measure, state, k", [
+    *((measure, [[0.75, 0.25], [0.25, 0.25]], [[1e160, 0], [0, 0]])
+      for measure in (abs_variance, sym_abs_variance, mwy_skew_info, mwy_anti_info, operator_u)),
+    # V_sym = I = 1e160 is finite, but V_sym^2 overflows inside |U|
+    (operator_u, [[1, 0], [0, 0]], 1e80 * SX),
+], ids=["abs_variance", "sym_abs_variance", "mwy_skew_info", "mwy_anti_info", "operator_u",
+        "operator_u-pure"])
+def test_overflowing_operator_measures_raise(measure, state, k):
+    # the operands are finite, but the measure overflows: no NaN or inf may come back
+    rho = make_density(np.array(state))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on such operands
+        with pytest.raises(NumericError):
+            measure(rho, np.array(k))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.5, 0.5), (0.0, 0.0), (-1e-13, 0.0),
+    (-1e-11, NumericError), (float("nan"), NumericError), (float("inf"), NumericError),
+    (float("-inf"), NumericError),
+])
+def test_nonneg_clamps_rounding_and_rejects_the_rest(value, expected):
+    if expected is NumericError:
+        with pytest.raises(NumericError):
+            _nonneg(value, "test value")
+    else:
+        assert _nonneg(value, "test value") == expected
