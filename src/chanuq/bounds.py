@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
-from .measures import _gram, _nonneg, _operator_u, _sq_norm, _terms, channel_measures
+from .measures import _abs_sq, _gram, _nonneg, _sq_norm, _terms, channel_measures, operator_u
 from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
 
 
@@ -49,12 +49,12 @@ def _observable(rho: DensityMatrix, m) -> np.ndarray:
 
 def _comm_term(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> float:
     """(1/4) |Tr(rho [x, y])|^2 of checked operands."""
-    return _nonneg(0.25 * abs(_expect(rho, linalg.commutator(x, y))) ** 2, "commutator term")
+    return _nonneg(0.25 * _abs_sq(_expect(rho, linalg.commutator(x, y))), "commutator term")
 
 
 def _anti_term(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
     """(1/4) |Tr(rho {a0, b0})|^2 of checked operands, centered here."""
-    value = 0.25 * abs(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho)))) ** 2
+    value = 0.25 * _abs_sq(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho))))
     return _nonneg(value, "anticommutator term")
 
 
@@ -79,7 +79,7 @@ def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
     """
     a = _observable(rho, a)
     b = _observable(rho, b)
-    return _operator_u(rho, a) * _operator_u(rho, b), _comm_term(rho, a, b)
+    return operator_u(rho, a) * operator_u(rho, b), _comm_term(rho, a, b)
 
 
 def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
@@ -102,8 +102,8 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     l = _operand(rho, l)
     k0 = _center(k, rho)
     l0 = _center(l, rho)
-    sym_comm = 0.25 * abs(_expect(rho, linalg.sym_commutator(k, l))) ** 2
-    sym_anti = 0.25 * abs(_expect(rho, linalg.sym_anticommutator(k0, l0))) ** 2
+    sym_comm = 0.25 * _abs_sq(_expect(rho, linalg.sym_commutator(k, l)))
+    sym_anti = 0.25 * _abs_sq(_expect(rho, linalg.sym_anticommutator(k0, l0)))
     # both terms are >= 0, so a finite sum means two finite terms
     return _comm_term(rho, k, l), _nonneg(sym_comm + sym_anti, "Dou bracket bound"), sym_comm
 

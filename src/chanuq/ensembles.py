@@ -39,7 +39,7 @@ import numpy as np
 from .bounds import _anti_term, _comm_term, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import _skew_info, _u_from, abs_variance, mwy_skew_info, sym_abs_variance
+from .measures import _u_from, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
@@ -207,24 +207,22 @@ def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
     """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES`` on one trial."""
     relations = bound_report(rho, phi, psi, check=False).relations()
 
-    # a and b are exactly Hermitian (random_operator), so abs_variance equals
-    # sym_abs_variance to the bit and these are the bits of heisenberg_bound,
-    # schrodinger_bound and luo_bound, computed once
-    va = abs_variance(rho, a)
-    vb = abs_variance(rho, b)
+    # the four operators as one stack; a and b are exactly Hermitian
+    # (random_operator), so sym_abs_variance equals abs_variance to the bit and
+    # these are the bits of heisenberg_bound, schrodinger_bound and luo_bound
+    ops = np.stack([k, l, a, b])
+    v = sym_abs_variance(rho, ops)
+    uk, ul, ua, ub = _u_from(v, mwy_skew_info(rho, ops)).tolist()
+    vk, vl, va, vb = v.tolist()
     comm = _comm_term(rho, a, b)
     relations["heisenberg_bound"] = (va * vb, comm)
     relations["schrodinger_bound"] = (va * vb, comm + _anti_term(rho, a, b))
-    relations["luo_bound"] = (_u_from(va, _skew_info(rho, a)) * _u_from(vb, _skew_info(rho, b)),
-                              comm)
+    relations["luo_bound"] = (ua * ub, comm)
 
     comm, brackets, u_comm = dou_bounds(rho, k, l)
-    vk = sym_abs_variance(rho, k)
-    vl = sym_abs_variance(rho, l)
-    uk_ul = _u_from(vk, mwy_skew_info(rho, k)) * _u_from(vl, mwy_skew_info(rho, l))
     relations["dou_comm"] = (vk * vl, comm)
     relations["dou_brackets"] = (vk * vl, brackets)
-    relations["dou_u"] = (uk_ul, u_comm)
+    relations["dou_u"] = (uk * ul, u_comm)
     return relations
 
 

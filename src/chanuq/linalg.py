@@ -8,8 +8,8 @@ eigenvector phases, and the PSD matrix square root.
 
 :func:`as_matrix` is the one validation step. ``make_density`` and the
 operand arguments of the public operator-level functions (here
-``frob_inner`` and ``cartesian_decompose``) run it, ``make_channel`` its
-stacked form on a whole Kraus list; the brackets and the spectral
+``frob_inner`` and ``cartesian_decompose``) run it, ``make_channel`` and
+the measures their stacked form on a Kraus stack; the brackets and the spectral
 functions take arrays that passed it and do not check them again.
 """
 
@@ -54,12 +54,12 @@ def as_matrix(m) -> np.ndarray:
     ``"0.5"``, bytes, ``None``, dicts and other objects), and
     ``NumericError`` for non-finite entries.
     """
-    return _as_square(m, 2)
+    return _as_square(m, (2,))
 
 
-def _as_square(m, ndim: int) -> np.ndarray:
-    """:func:`as_matrix` of ``ndim`` axes, the last two square (3: an ``(N, d, d)`` stack)."""
-    what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+def _as_square(m, ndims: tuple[int, ...]) -> np.ndarray:
+    """:func:`as_matrix` of ``ndims`` axes, the last two square (3: an ``(N, d, d)`` stack)."""
+    what = " or ".join({2: "a square matrix", 3: "a stack of square matrices"}[n] for n in ndims)
     try:
         a = np.array(m, order="C")  # a copy: no caller can alter it later
     except ValueError:  # ragged nesting
@@ -67,7 +67,7 @@ def _as_square(m, ndim: int) -> np.ndarray:
     if a.dtype.kind not in "biufc":  # text, bytes, None, dicts and other objects
         raise DimensionMismatchError(f"expected {what}, got non-numeric input")
     a = a.astype(complex, copy=False)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
     if not np.isfinite(a).all():  # complex: both parts finite
         raise NumericError("matrix contains non-finite entries")
@@ -135,7 +135,8 @@ def _scale(h: np.ndarray) -> tuple[float, float]:
     unless the squares in ``||h||_F`` overflow (``||h||_F`` above about 1.3e154);
     then the unit is the largest real or imaginary part of ``h`` in magnitude,
     so the scale stays finite."""
-    scale = frob_norm(h)
+    with np.errstate(over="ignore"):  # an overflowing norm takes the branch below
+        scale = frob_norm(h)
     if scale < math.inf:
         return max(1.0, scale), 1.0
     unit = max(float(np.abs(h.real).max()), float(np.abs(h.imag).max()))

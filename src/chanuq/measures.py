@@ -3,8 +3,9 @@
 For an operator K and state rho these are the absolute variance
 Tr(rho K0^dag K0) (K0 the centered operator), its symmetrized version,
 and the skew-information pair built from the commutator and
-anticommutator of K with sqrt(rho). A channel aggregates the
-per-Kraus-operator values; the derived quantity ``u_abs`` interpolates
+anticommutator of K with sqrt(rho); each measure takes one operator or
+an ``(N, d, d)`` stack. A channel's measures are those of its Kraus
+stack, summed in Kraus order; the derived quantity ``u_abs`` interpolates
 between total and quantum uncertainty and obeys
 ``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each
 channel by ``_terms``, holds everything derived from a (state, channel)
@@ -14,8 +15,9 @@ pair: the channel's measures and the terms :mod:`chanuq.bounds` reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -36,71 +38,82 @@ class MeasureSet:
     u_abs: float
 
 
-def _nonneg(value: float, what: str) -> float:
-    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0. A value below it
-    signals a bug, and NaN or inf an overflow; both raise ``NumericError``."""
+def _nonneg(value, what: str):
+    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0, in a float or in each entry
+    of an array. A value below it signals a bug, and NaN or inf an overflow; both raise
+    ``NumericError``."""
+    if isinstance(value, np.ndarray):
+        return np.array([_nonneg(v, what) for v in value.tolist()], dtype=float)
     if not NEGATIVITY_FLOOR <= value < math.inf:
         raise NumericError(
             f"{what} evaluated to {value!r}: negative beyond rounding, or not finite")
-    return max(value, 0.0)
+    return max(float(value), 0.0)
 
 
-# Each public measure checks its operand once and hands it to the private
-# kernel of the same name; compositions call the kernels, not the checks.
+def _abs_sq(x) -> float:
+    """|x|^2 by Python's ``abs`` and ``**`` (libm ``pow``, whose bits the outputs keep),
+    with their ``OverflowError`` past the double range raised as ``NumericError``."""
+    try:
+        return abs(x) ** 2
+    except OverflowError:
+        raise NumericError(f"|{x!r}|^2 is beyond the double range") from None
 
-def abs_variance(rho: DensityMatrix, k) -> float:
+
+# Each public measure takes one operator K, giving a float, or an (N, d, d) stack,
+# giving per operator the bits of that operator alone: one operand check, products
+# and traces on the whole stack, and one Frobenius norm and ``**`` per matrix.
+
+def abs_variance(rho: DensityMatrix, k):
     """Tr(rho K^dag K) - |Tr(rho K)|^2, via the centered operator."""
-    return _abs_variance(rho, _operand(rho, k))
+    return _abs_variance(rho, _operand(rho, k, stack=True))
 
 
-def _abs_variance(rho: DensityMatrix, k: np.ndarray) -> float:
+def _abs_variance(rho: DensityMatrix, k: np.ndarray):
     k0 = _center(k, rho)
-    value = complex(np.trace(rho.matrix @ linalg.dagger(k0) @ k0)).real
+    value = np.trace(rho.matrix @ linalg.dagger(k0) @ k0, axis1=-2, axis2=-1).real
     return _nonneg(value, "absolute variance")
 
 
-def sym_abs_variance(rho: DensityMatrix, k) -> float:
+def sym_abs_variance(rho: DensityMatrix, k):
     """Average of the absolute variances of K and K^dag."""
-    return _sym_abs_variance(rho, _operand(rho, k))
-
-
-def _sym_abs_variance(rho: DensityMatrix, k: np.ndarray) -> float:
+    k = _operand(rho, k, stack=True)
     return 0.5 * (_abs_variance(rho, k) + _abs_variance(rho, linalg.dagger(k)))
 
 
-def mwy_skew_info(rho: DensityMatrix, k) -> float:
+def _half_sq_norm(x: np.ndarray, what: str):
+    """0.5 ||x||_F^2 of a matrix, or of each matrix of a stack."""
+    values = np.array([0.5 * linalg.frob_norm(m) ** 2 for m in x.reshape(-1, *x.shape[-2:])])
+    return _nonneg(values if x.ndim == 3 else values[0], what)
+
+
+def mwy_skew_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
-    return _skew_info(rho, _operand(rho, k))
+    c = linalg.commutator(rho.sqrt_matrix, _operand(rho, k, stack=True))
+    return _half_sq_norm(c, "skew information")
 
 
-def _skew_info(rho: DensityMatrix, k: np.ndarray) -> float:
-    return _nonneg(0.5 * linalg.frob_norm(linalg.commutator(rho.sqrt_matrix, k)) ** 2,
-                   "skew information")
-
-
-def mwy_anti_info(rho: DensityMatrix, k) -> float:
+def mwy_anti_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of {sqrt(rho), K}."""
-    a = linalg.anticommutator(rho.sqrt_matrix, _operand(rho, k))
-    return _nonneg(0.5 * linalg.frob_norm(a) ** 2, "anticommutator information")
+    a = linalg.anticommutator(rho.sqrt_matrix, _operand(rho, k, stack=True))
+    return _half_sq_norm(a, "anticommutator information")
 
 
-def operator_u(rho: DensityMatrix, k) -> float:
-    """The uncertainty quantity |U_rho|(K) of a single operator.
-
-    Equals sqrt(I0 * J0) with I0, J0 the skew-information pair of the
-    centered operator; computed here from the variance form
-    sqrt(V_sym^2 - (V_sym - I)^2) with clamping against rounding.
-    """
-    return _operator_u(rho, _operand(rho, k))
+def operator_u(rho: DensityMatrix, k):
+    """|U_rho|(K) = sqrt(I0 * J0), with I0, J0 the skew-information pair of the centered
+    operator; computed from the variance form sqrt(V_sym^2 - (V_sym - I)^2), clamped."""
+    return _u_from(sym_abs_variance(rho, k), mwy_skew_info(rho, k))
 
 
-def _operator_u(rho: DensityMatrix, k: np.ndarray) -> float:
-    return _u_from(_sym_abs_variance(rho, k), _skew_info(rho, k))
+def _u_from(v, i):
+    """|U_rho|(K) from V_sym(K) and the skew information I(K), floats or arrays."""
+    if isinstance(v, np.ndarray):
+        return np.array([_u_from(*vi) for vi in zip(v.tolist(), i.tolist())], dtype=float)
+    return _nonneg(float(np.sqrt(max(v * v - _abs_sq(v - i), 0.0))), "|U|")
 
 
-def _u_from(v: float, i: float) -> float:
-    """|U_rho|(K) from V_sym(K) and the skew information I(K)."""
-    return _nonneg(float(np.sqrt(max(v * v - (v - i) ** 2, 0.0))), "|U|")
+def _kraus_sum(values: np.ndarray) -> float:
+    """Add one at a time in Kraus order (Python 3.12's sum compensates, ndarray.sum pairs)."""
+    return reduce(operator.add, values.tolist(), 0.0)
 
 
 def _close(a: float, b: float) -> bool:
@@ -150,15 +163,11 @@ class _Terms:
 
     @cached_property
     def measures(self) -> MeasureSet:
-        """:func:`channel_measures`, summed one operator at a time."""
-        rho, v_sym, i_tilde, j_tilde = self.rho, 0.0, 0.0, 0.0
-        # the public measures re-check each stored operator; perfbench/spans.py
-        # times this path as its measures.operator layer until the loop is stacked
-        for op in self.x:
-            centered = _center(op, rho)
-            v_sym += sym_abs_variance(rho, op)
-            i_tilde += mwy_skew_info(rho, centered)
-            j_tilde += mwy_anti_info(rho, centered)
+        """:func:`channel_measures`: the stack's measures, each summed in Kraus order."""
+        rho, x0 = self.rho, _center(self.x, self.rho)
+        v_sym = _kraus_sum(sym_abs_variance(rho, self.x))
+        i_tilde = _kraus_sum(mwy_skew_info(rho, x0))
+        j_tilde = _kraus_sum(mwy_anti_info(rho, x0))
         c_abs = v_sym - i_tilde
         u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
         if not _close(u_abs * u_abs, i_tilde * j_tilde):

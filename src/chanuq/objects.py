@@ -104,7 +104,7 @@ def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
     if len(ops) == 0:
         raise ValidationError("nonempty Kraus list", 0.0,
                               "a channel needs at least one Kraus operator")
-    stack = linalg._as_square(ops, 3)
+    stack = linalg._as_square(ops, (3,))
     with np.errstate(over="ignore", invalid="ignore"):  # as in make_density
         total = (linalg.dagger(stack) @ stack).sum(axis=0)
         residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
@@ -126,11 +126,11 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return make_density((ops @ rho.matrix @ linalg.dagger(ops)).sum(axis=0))
 
 
-def _operand(rho: DensityMatrix, k) -> np.ndarray:
-    """The check on an operator argument of a public function: ``as_matrix``
-    plus the state's dimension."""
-    k = linalg.as_matrix(k)
-    _same_dim(rho, k.shape[0], "operator")
+def _operand(rho: DensityMatrix, k, stack: bool = False) -> np.ndarray:
+    """The check on an operator argument of a public function: ``as_matrix`` (with
+    ``stack``, of an ``(N, d, d)`` stack too) plus the state's dimension."""
+    k = linalg._as_square(k, (2, 3) if stack else (2,))
+    _same_dim(rho, k.shape[-1], "operator")
     return k
 
 
@@ -152,8 +152,8 @@ def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
 
 
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """:func:`center_operator` of a checked operator."""
-    return k - _expect(rho, k) * _eye(rho.dim)
+    """:func:`center_operator` of a checked operator, or of each operator of a stack."""
+    return k - np.trace(rho.matrix @ k, axis1=-2, axis2=-1)[..., None, None] * _eye(rho.dim)
 
 
 @functools.lru_cache(maxsize=64)

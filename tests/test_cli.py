@@ -386,17 +386,21 @@ VERIFY_GOLDEN_ARGS = ["verify", "--dim", "2", "--dim", "3", "--kraus", "1", "--k
 
 VERIFY_WRAP_ARGS = ["verify", "--dim", "8", "--kraus", "5", "--trials", "3",
                     "--seed", str(2 ** 64 - 2)]
+VERIFY_LARGE_ARGS = ["verify", "--dim", "5", "--dim", "8", "--kraus", "2", "--kraus", "5",
+                     "--trials", "6", "--seed", "13"]
 
 
 @pytest.mark.parametrize("args, code, golden", [
     (VERIFY_GOLDEN_ARGS, 0, "verify_small.txt"),
     (VERIFY_GOLDEN_ARGS + ["--self-test"], 5, "verify_small_self_test.txt"),
     (VERIFY_WRAP_ARGS, 0, "verify_wrap.txt"),
-], ids=["clean", "self-test", "wrap"])
+    (VERIFY_LARGE_ARGS, 0, "verify_d5_d8.txt"),
+], ids=["clean", "self-test", "wrap", "d5-d8"])
 def test_verify_stdout_matches_golden(runner, args, code, golden):
     # byte-for-byte over four (dim, kraus) configs: RNG streams, slack digits,
-    # violation order and the aggregation across configs; and at the largest
-    # shape, over trial seeds that wrap past 2^64 to 0
+    # violation order and the aggregation across configs; at the largest
+    # shape, over trial seeds that wrap past 2^64 to 0; and at d = 5 and 8,
+    # where a trace sums 8 diagonal entries through numpy's pairwise summation
     result = runner.invoke(cli, args)
     assert result.exit_code == code
     stdout = re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', result.stdout)
@@ -420,19 +424,25 @@ def test_sweep_csv_matches_golden(runner, tmp_path, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.fixture
-def random_triple(tmp_path):
-    """A d=4 state and two k=3 channels drawn from one SplitMix64 stream, as JSON files."""
-    rng = SplitMix64(2027)
-    docs = {"state": state_to_json(random_density(4, 4, rng)),
-            "channel-a": channel_to_json(random_channel(4, 3, rng)),
-            "channel-b": channel_to_json(random_channel(4, 3, rng))}
+def _triple_args(tmp_path, seed: int, dim: int, kraus: int) -> list:
+    """The ``compute`` options of a full-rank state and two channels drawn from
+    one SplitMix64 stream, written as JSON files."""
+    rng = SplitMix64(seed)
+    docs = {"state": state_to_json(random_density(dim, dim, rng)),
+            "channel-a": channel_to_json(random_channel(dim, kraus, rng)),
+            "channel-b": channel_to_json(random_channel(dim, kraus, rng))}
     args = []
     for option, doc in docs.items():
         path = tmp_path / f"{option}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         args += [f"--{option}", str(path)]
     return args
+
+
+@pytest.fixture
+def random_triple(tmp_path):
+    """A d=4 state and two k=3 channels, as ``compute`` options."""
+    return _triple_args(tmp_path, 2027, 4, 3)
 
 
 @pytest.mark.parametrize("basis_index", [0, 3])
@@ -442,6 +452,14 @@ def test_compute_stdout_matches_golden(runner, random_triple, basis_index):
     assert result.exit_code == 0
     golden = GOLDEN / f"compute_d4_k3_basis{basis_index}.json"
     assert result.stdout == golden.read_text(encoding="utf-8")
+
+
+def test_compute_d16_k16_stdout_matches_golden(runner, tmp_path):
+    # the shape of the large benchmark workload: traces of 16 diagonal entries
+    # and sums over 16 Kraus operators
+    result = runner.invoke(cli, ["compute", *_triple_args(tmp_path, 1616, 16, 16)])
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / "compute_d16_k16.json").read_text(encoding="utf-8")
 
 
 def test_example_incoherent_point(runner):

@@ -276,14 +276,14 @@ NEAR_LIMIT_ASYMMETRIC = np.array([[0, 1e155], [1e155 + 1e150, 0]])
 def test_near_limit_matrices_fail_their_checks(call, error):
     rho = make_density(I2 / 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy may warn on the plain norm
+        warnings.simplefilter("error")  # the overflowing plain norm is handled, not warned
         with pytest.raises(error):
             call(rho)
 
 
 def test_near_limit_spectral_kernels_keep_their_values():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")  # as above: no warning from the public kernels
         root = linalg.psd_sqrt(np.diag([4e160, 1e160]))
         # -1e185 lies within PSD_CLAMP_TOL * ||h||_F = 1e190 of zero, and clamps
         clamped = linalg.psd_sqrt(np.diag([1e200, -1e185]))

@@ -1,14 +1,16 @@
 """Unit tests for the uncertainty measures."""
 
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
-from chanuq.measures import (_nonneg, abs_variance, channel_measures, mwy_anti_info,
-                             mwy_skew_info, operator_u, sym_abs_variance)
+from chanuq.examples import channel_E, channel_F, rho_theta_state, werner_state
+from chanuq.measures import (MeasureSet, _nonneg, abs_variance, channel_measures,
+                             mwy_anti_info, mwy_skew_info, operator_u, sym_abs_variance)
 from chanuq.objects import center_operator, make_channel, make_density
 
 import oracles
@@ -238,3 +240,119 @@ def test_nonneg_clamps_rounding_and_rejects_the_rest(value, expected):
             _nonneg(value, "test value")
     else:
         assert _nonneg(value, "test value") == expected
+
+
+# -- Kraus stacks --------------------------------------------------------------
+
+STACK_MEASURES = {
+    "abs_variance": abs_variance,
+    "sym_abs_variance": sym_abs_variance,
+    "mwy_skew_info": mwy_skew_info,
+    "mwy_anti_info": mwy_anti_info,
+    "operator_u": operator_u,
+}
+
+
+def _bits(values) -> list:
+    """The bit patterns of floats: equal only if the values are equal to the bit,
+    the sign of a zero included."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _stack_draws():
+    """(state, operator stack) draws over d 2-16 and N 1-16, with full-rank,
+    pure and rank-deficient states, general and Hermitian operators."""
+    rng = np.random.default_rng(61)
+    for dim in range(2, 17):
+        for n, rank in ((1, dim), (16, 1), (int(rng.integers(2, 16)), int(rng.integers(1, dim)))):
+            stack = np.array([oracles.rand_op(rng, dim, hermitian=bool(i % 3 == 2))
+                              for i in range(n)])
+            yield make_density(oracles.rand_rho(rng, dim, rank)), stack
+    for rho, phi in _example_pairs():
+        yield rho, phi.kraus_ops
+
+
+def _example_pairs():
+    # at p = 0 each example channel holds a zero operator
+    for rho in (werner_state(1.0), werner_state(0.3), rho_theta_state(0.0)):
+        for phi in (channel_E(0.0), channel_F(0.0), channel_E(0.5), channel_F(1.0)):
+            yield rho, phi
+
+
+@pytest.mark.parametrize("name", STACK_MEASURES)
+def test_stacked_measures_equal_their_single_operator_values(name):
+    # one value per operator, each the bits of the measure of that operator alone
+    measure = STACK_MEASURES[name]
+    for rho, stack in _stack_draws():
+        singles = [measure(rho, op) for op in stack]
+        assert all(type(value) is float for value in singles)
+        values = measure(rho, stack)
+        assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+        assert _bits(values) == _bits(singles)
+
+
+def _per_operator_loop(rho, phi) -> MeasureSet:
+    """:func:`channel_measures` summed one operator at a time through the
+    single-operator measures, in Kraus order: the oracle of the stacked sums."""
+    v_sym = i_tilde = j_tilde = 0.0
+    for op in phi.kraus_ops:
+        centered = center_operator(op, rho)
+        v_sym += sym_abs_variance(rho, op)
+        i_tilde += mwy_skew_info(rho, centered)
+        j_tilde += mwy_anti_info(rho, centered)
+    c_abs = v_sym - i_tilde
+    u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
+    return MeasureSet(v_sym=v_sym, i_tilde=i_tilde, j_tilde=j_tilde, c_abs=c_abs, u_abs=u_abs)
+
+
+def _channel_draws():
+    rng = np.random.default_rng(62)
+    for dim in range(2, 17):
+        for n, rank in ((1, dim), (16, 1), (int(rng.integers(2, 16)), int(rng.integers(1, dim)))):
+            yield (make_density(oracles.rand_rho(rng, dim, rank)),
+                   make_channel(oracles.rand_kraus(rng, dim, n)))
+    yield from _example_pairs()
+
+
+def test_channel_measures_equal_the_per_operator_loop():
+    for rho, phi in _channel_draws():
+        expected = _per_operator_loop(rho, phi)
+        assert _bits(astuple(channel_measures(rho, phi))) == _bits(astuple(expected))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([[[1, 0], [0, 1]], [[1, 0]]], DimensionMismatchError),
+    (np.ones(2), DimensionMismatchError),
+    (np.zeros((1, 1, 2, 2)), DimensionMismatchError),
+    ([[["1", "0"], ["0", "1"]]], DimensionMismatchError),
+    (np.zeros((2, 3, 3)), DimensionMismatchError),
+    (np.stack([I2, np.array([[np.nan, 0], [0, 1]]), SX]), NumericError),
+], ids=["ragged", "1-D", "4-D", "text", "wrong-dim", "nan-slice"])
+@pytest.mark.parametrize("name", STACK_MEASURES)
+def test_stack_operand_check(mixed_qubit, name, bad, error):
+    with pytest.raises(error):
+        STACK_MEASURES[name](mixed_qubit, bad)
+
+
+@pytest.mark.parametrize("name", STACK_MEASURES)
+def test_empty_stack_gives_empty_values(mixed_qubit, name):
+    values = STACK_MEASURES[name](mixed_qubit, np.zeros((0, 2, 2)))
+    assert isinstance(values, np.ndarray) and values.shape == (0,)
+
+
+HUGE_SQUARE = np.diag([1e100, -1e100])  # finite products, but their squares overflow
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: schrodinger_bound(rho, HUGE_SQUARE, HUGE_SQUARE),
+    lambda rho: luo_bound(rho, HUGE_SQUARE, HUGE_SQUARE),
+    lambda rho: operator_u(rho, HUGE_SQUARE),
+    lambda rho: dou_bounds(rho, HUGE_SQUARE, HUGE_SQUARE),
+    lambda rho: operator_u(rho, np.stack([SX, HUGE_SQUARE, SZ])),
+], ids=["schrodinger", "luo", "operator_u", "dou", "operator_u-stack"])
+def test_squares_beyond_the_double_range_raise_numeric_error(call):
+    # Python's float ** raises OverflowError there; it must surface as a NumericError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            call(make_density(I2 / 2))
