@@ -6,9 +6,10 @@ verification), ``example`` (numeric vs closed-form values at one point).
 
 Exit codes: 0 ok, 1 I/O error (a file that cannot be read or written,
 such as ``sweep --out`` into a missing directory), 2 parse/usage,
-3 validation, 4 dimension mismatch, 5 verification failure. All floats
-are printed with 17 significant digits so output is byte-deterministic
-and round-trips exactly.
+3 validation, 4 dimension mismatch, 5 verification failure; the table
+``ERROR_EXITS`` maps each error class to its code. All floats are printed
+with 17 significant digits so output is byte-deterministic and round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .examples import (CLOSED_FORM_THETA, EXAMPLE_IDS, channel_E, channel_F,
 from .measures import channel_measures
 from .objects import channel_from_json, state_from_json
 
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_DIMENSION = 4
 EXIT_VERIFICATION = 5
 
 
@@ -65,32 +63,29 @@ def _dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+#: The exit-code contract: an error takes the stderr label and the exit code of
+#: the first row whose classes it is an instance of.
+ERROR_EXITS = (
+    ((SchemaError, json.JSONDecodeError), "parse error", 2),
+    ((IndexError,), "parameter error", 2),
+    ((ValidationError,), "validation error", 3),
+    ((DimensionMismatchError,), "dimension error", 4),
+    ((BoundViolationError, NumericError), "verification failure", EXIT_VERIFICATION),
+    ((ChanuqError,), "error", 3),
+    ((OSError,), "io error", 1),
+)
+_CAUGHT = tuple(cls for classes, _, _ in ERROR_EXITS for cls in classes)
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SchemaError, json.JSONDecodeError) as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except IndexError as exc:
-            click.echo(f"parameter error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except ValidationError as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except DimensionMismatchError as exc:
-            click.echo(f"dimension error: {exc}", err=True)
-            sys.exit(EXIT_DIMENSION)
-        except (BoundViolationError, NumericError) as exc:
-            click.echo(f"verification failure: {exc}", err=True)
-            sys.exit(EXIT_VERIFICATION)
-        except ChanuqError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except OSError as exc:
-            click.echo(f"io error: {exc}", err=True)
-            sys.exit(1)
+        except _CAUGHT as exc:
+            label, code = next(row[1:] for row in ERROR_EXITS if isinstance(exc, row[0]))
+            click.echo(f"{label}: {exc}", err=True)
+            sys.exit(code)
     return wrapper
 
 

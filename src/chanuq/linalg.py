@@ -155,16 +155,11 @@ def _require_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero component is positive real."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    """Rotate each column so its first entry above ``PHASE_PIVOT_TOL`` in magnitude is
+    positive real. A unit column has one: its largest is at least 1/sqrt(d)."""
+    mag = np.hypot(vecs.real, vecs.imag)  # the scalar abs bit for bit; np.abs can differ
+    pivot = np.argmax(mag > PHASE_PIVOT_TOL, axis=0), np.arange(vecs.shape[1])
+    return vecs * (vecs[pivot].conj() / mag[pivot])
 
 
 def hermitian_eig(h) -> SpectralDecomposition:

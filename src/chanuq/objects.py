@@ -37,7 +37,7 @@ def _refreeze(obj, state: dict) -> None:
         object.__setattr__(obj, name, _frozen(array))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hashing: the fields are arrays
 class DensityMatrix:
     """A quantum state: Hermitian, PSD, unit-trace matrix with cached square root."""
 
@@ -51,12 +51,12 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hashing, as DensityMatrix
 class KrausChannel:
     """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
     kraus_ops: np.ndarray
-    _terms: object = field(default=None, init=False, compare=False, repr=False)
+    _terms: object = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import chanuq.bounds
+import chanuq.cli
+import chanuq.ensembles
+import chanuq.errors
 from chanuq.bounds import bound_report
 from chanuq.cli import _grid_points, cli
 from chanuq.ensembles import SplitMix64, random_channel, random_density
@@ -322,6 +325,44 @@ def test_compute_violated_bound_exits_5(runner, fixtures, monkeypatch):
                                  "--channel-b", fixtures["f_full.json"]])
     assert result.exit_code == 5
     assert "thm4_bound" in result.stderr
+
+
+@pytest.mark.parametrize("error, label, code", [
+    (chanuq.errors.SchemaError("x"), "parse error", 2),
+    (json.JSONDecodeError("x", "", 0), "parse error", 2),
+    (IndexError("x"), "parameter error", 2),
+    (chanuq.errors.NotHermitianError(1.0), "validation error", 3),
+    (chanuq.errors.DimensionMismatchError("x"), "dimension error", 4),
+    (chanuq.errors.BoundViolationError("thm1", 0.0, 1.0), "verification failure", 5),
+    (chanuq.errors.NumericError("x"), "verification failure", 5),
+    (chanuq.errors.ChanuqError("x"), "error", 3),
+    (OSError("x"), "io error", 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_raised_in_a_command_maps_to_its_exit_code(runner, fixtures, monkeypatch,
+                                                        error, label, code):
+    # one error of each row of the exit-code table; a bare ChanuqError takes the
+    # catch-all row, after every more specific one
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(chanuq.cli, "bound_report", fail)
+    result = runner.invoke(cli, ["compute", "--state", fixtures["werner1.json"],
+                                 "--channel-a", fixtures["e_full.json"],
+                                 "--channel-b", fixtures["f_full.json"]])
+    assert result.exit_code == code
+    assert result.stderr == f"{label}: {error}\n"
+
+
+def test_verify_numeric_error_names_the_trial_seed_and_exits_5(runner, monkeypatch):
+    def fail(*args):
+        raise chanuq.errors.NumericError("injected")
+
+    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", fail)
+    result = runner.invoke(cli, ["verify", "--dim", "2", "--kraus", "1", "--trials", "2",
+                                 "--seed", "7"])
+    assert result.exit_code == 5
+    assert result.stderr == "verification failure: trial seed 7: injected\n"
+    assert result.stdout == ""
 
 
 def test_sweep_noncanonical_theta_leaves_closed_columns_empty(runner, tmp_path):

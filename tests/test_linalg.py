@@ -130,6 +130,38 @@ def test_hermitian_eig_deterministic_phases():
         assert pivot.real > 0
 
 
+def _normalize_phases_loop(vecs):
+    """The column-by-column phase normalization that the vectorized step replaced."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > linalg.PHASE_PIVOT_TOL)
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_normalize_phases_matches_the_column_loop_bit_for_bit(dim):
+    # random Hermitian matrices, diagonal ones (basis-vector eigenvectors, whose
+    # pivot is the only nonzero entry) and ones with repeated eigenvalues
+    rng = np.random.default_rng(400 + dim)
+    for trial in range(360):
+        kind = trial % 3
+        if kind == 0:
+            h = oracles.rand_op(rng, dim, hermitian=True)
+        elif kind == 1:
+            h = np.diag(rng.integers(-2, 3, dim) * rng.normal()).astype(complex)
+        else:
+            u = np.linalg.qr(oracles.rand_op(rng, dim))[0]
+            h = (u * rng.integers(0, 3, dim)) @ u.conj().T
+        v = np.linalg.eigh(h)[1]
+        got, want = linalg._normalize_phases(v), _normalize_phases_loop(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_psd_sqrt_diagonal():
     np.testing.assert_allclose(linalg.psd_sqrt(np.diag([4.0, 1.0])),
                                np.diag([2.0, 1.0]), atol=1e-12)

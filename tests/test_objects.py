@@ -332,3 +332,18 @@ def test_copied_state_stays_read_only(copy_of):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [lambda: make_density(np.eye(2) / 2),
+                                   lambda: make_channel([np.eye(2)])],
+                         ids=["state", "channel"])
+def test_validated_objects_compare_and_hash_by_identity(build):
+    # a field-wise comparison would ask an array for its truth value and raise
+    obj, equal_valued = build(), build()
+    assert obj == obj
+    for other in (equal_valued, copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert obj != other
+        assert not obj == other
+    assert len({obj, obj, equal_valued}) == 2
+    table = {obj: "a", equal_valued: "b"}
+    assert table[obj] == "a" and table[equal_valued] == "b"
