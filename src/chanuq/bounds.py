@@ -10,6 +10,9 @@ including the fine-grained single-basis-vector machinery behind
 
 Conventions shared by all bound evaluators:
 
+* a channel argument may be a *family*, a sequence of channels of one dimension
+  and Kraus count; then a bound gives a ``(len(phi), len(psi))`` array (a lone
+  channel counts as a family of one), each cell bit for bit that pair's value;
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
@@ -34,8 +37,9 @@ import numpy as np
 from . import linalg
 from .errors import BoundViolationError
 from .linalg import SLACK_TOL
-from .measures import _abs_sq, _gram, _nonneg, _sq_norm, _terms, channel_measures, operator_u
-from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
+from .measures import (_abs_sq, _Family, _gram, _grid_terms, _nonneg, _sq_norms,
+                       channel_measures, operator_u)
+from .objects import DensityMatrix, _center, _expect, _operand
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -112,7 +116,12 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel bounds
 # ---------------------------------------------------------------------------
 
-def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
+def _value(x):
+    """A bound over a grid as an array; a single pair's as a float."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def thm1_bound(rho: DensityMatrix, phi, psi):
     """Larger of the commutator and centered-anticommutator trace sums,
     each with prefactor 1/(4 N^2), bounding v_sym(phi) * v_sym(psi).
 
@@ -121,15 +130,16 @@ def thm1_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij Tr(rho [E_i, F_j]) = Tr(rho [sum E, sum F]) and
     sum_ij Tr(rho {E0_i, F0_j}) = Tr(rho {center(sum E), center(sum F)}).
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
-    n = max(len(phi), len(psi))
+    e, f = _grid_terms(rho, phi, psi)
+    n = max(e.x.shape[-3], f.x.shape[-3])
     comm_sum = _expect(rho, linalg.commutator(e.total, f.total))
     anti_sum = _expect(rho, linalg.anticommutator(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
-    return max(pref * abs(comm_sum) ** 2, pref * abs(anti_sum) ** 2)
+    comm, anti = pref * _abs_sq(comm_sum), pref * _abs_sq(anti_sum)
+    return np.maximum(comm, anti) if isinstance(comm, np.ndarray) else max(comm, anti)
 
 
-def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
+def thm2_bound(rho: DensityMatrix, phi, psi):
     """Sum of the squared symmetrized-anticommutator and
     symmetrized-commutator trace sums over centered Kraus operators,
     with prefactor 1/(4 N^2).
@@ -140,26 +150,26 @@ def thm2_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     Tr(rho {center(sum E), center(sum F)}_sym), and likewise for the
     symmetrized commutator.
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
-    n = max(len(phi), len(psi))
+    e, f = _grid_terms(rho, phi, psi)
+    n = max(e.x.shape[-3], f.x.shape[-3])
     anti_sum = _expect(rho, linalg.sym_anticommutator(e.total0, f.total0))
     comm_sum = _expect(rho, linalg.sym_commutator(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
-    return pref * (abs(anti_sum) ** 2 + abs(comm_sum) ** 2)
+    return pref * (_abs_sq(anti_sum) + _abs_sq(comm_sum))
 
 
-def lb_eq13(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
+def lb_eq13(rho: DensityMatrix, phi, psi):
     """(1/4) sum_ij |Tr([F_j, E_i^dag] rho)|^2, bounding u(phi) * u(psi).
 
     By cyclicity of the trace, Tr([F_j, E_i^dag] rho) = <E_i, rho F_j - F_j rho>
     (Frobenius), so the N_phi x N_psi matrix of these traces is the Gram
     matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
-    return 0.25 * _sq_norm(_gram(e.x, f.rho_comm))
+    e, f = _grid_terms(rho, phi, psi)
+    return 0.25 * _sq_norms(_gram(e.x, f.rho_comm))
 
 
-def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
+def lb1_eq14(rho: DensityMatrix, phi, psi):
     """(1/2) sum_ij |a_i * b_j|, bounding u(phi)^2 + u(psi)^2.
 
     The index pattern pairs position i of *both* Kraus lists inside the
@@ -171,14 +181,14 @@ def lb1_eq14(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
     A position only one list has pairs with a zero operator and adds zero
     to both factors, so only the first min(N_phi, N_psi) positions count.
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
-    n = min(len(phi), len(psi))
-    comm_e, anti_e = (x[:n] for x in e.brackets)
-    comm_f, anti_f = (x[:n] for x in f.brackets)
-    a = np.einsum("iab,iab->i", comm_f.conj(), comm_e)
-    b = (np.einsum("iab,iab->i", anti_f.conj(), anti_e)
-         - 4.0 * f.traces_dag[:n] * e.traces[:n])
-    return 0.5 * float(np.abs(a).sum() * np.abs(b).sum())
+    e, f = _grid_terms(rho, phi, psi)
+    n = min(e.x.shape[-3], f.x.shape[-3])
+    comm_e, anti_e = (x[..., :n, :, :] for x in e.brackets)
+    comm_f, anti_f = (x[..., :n, :, :] for x in f.brackets)
+    a = np.einsum("...iab,...iab->...i", comm_f.conj(), comm_e)
+    b = (np.einsum("...iab,...iab->...i", anti_f.conj(), anti_e)
+         - 4.0 * f.traces_dag[..., :n] * e.traces[..., :n])
+    return _value(0.5 * (np.abs(a).sum(axis=-1) * np.abs(b).sum(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -197,8 +207,7 @@ class FineGrainedTerms:
     basis_index: int
 
 
-def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
-                       basis_index: int = 0) -> FineGrainedTerms:
+def fine_grained_terms(rho: DensityMatrix, phi, psi, basis_index: int = 0) -> FineGrainedTerms:
     """Fine-grained terms built from single basis-vector columns.
 
     For basis vector |t>, each per-pair term replaces the product of the
@@ -213,14 +222,14 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     W are the u_i and w_j; so i1 = i0 minus that sum, and likewise for
     i1_tilde.
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
+    e, f = _grid_terms(rho, phi, psi)
     if not 0 <= basis_index < rho.dim:
         raise IndexError(
             f"basis index {basis_index} out of range for dimension {rho.dim}")
 
-    def gap_sum(x: np.ndarray, y: np.ndarray) -> float:
-        u, w = x[:, :, basis_index], y[:, :, basis_index]
-        return 0.25 * (_sq_norm(u) * _sq_norm(w) - _sq_norm(_gram(u, w)))
+    def gap_sum(x: np.ndarray, y: np.ndarray):
+        u, w = x[..., basis_index], y[..., basis_index]  # rows: the columns u_i, w_j
+        return 0.25 * (_sq_norms(u) * _sq_norms(w) - _sq_norms(u.conj() @ w.swapaxes(-1, -2)))
 
     i0 = 0.5 * e.comm0_sq * 0.5 * f.anti0_sq
     i0_tilde = 0.5 * f.comm0_sq * 0.5 * e.anti0_sq
@@ -228,18 +237,17 @@ def fine_grained_terms(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
     i1_tilde = i0_tilde - gap_sum(f.brackets0[0], e.brackets0[1])
     return FineGrainedTerms(i1=_nonneg(i1, "fine-grained term"),
                             i1_tilde=_nonneg(i1_tilde, "fine-grained tilde term"),
-                            i0=float(i0), i0_tilde=float(i0_tilde),
+                            i0=i0, i0_tilde=i0_tilde,
                             basis_index=basis_index)
 
 
-def thm3_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
-               basis_index: int = 0) -> float:
+def thm3_bound(rho: DensityMatrix, phi, psi, basis_index: int = 0):
     """sqrt(i1 * i1_tilde), bounding u(phi) * u(psi)."""
     terms = fine_grained_terms(rho, phi, psi, basis_index)
-    return float(np.sqrt(max(terms.i1 * terms.i1_tilde, 0.0)))
+    return _value(np.sqrt(terms.i1 * terms.i1_tilde))  # both clamped to >= 0
 
 
-def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> float:
+def thm4_bound(rho: DensityMatrix, phi, psi):
     """Bound on u(phi)^2 + u(psi)^2 from one Cauchy-Schwarz step.
 
     The psi part pairs the commutator of each F_i with the anticommutator
@@ -253,7 +261,7 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
     sum_ij |<C_i, A_j>|^2 = ||C^* A^T||_F^2. The phi sums are squared
     norms of whole stacks.
     """
-    e, f = _terms(rho, phi), _terms(rho, psi)
+    e, f = _grid_terms(rho, phi, psi)
     return _nonneg(0.25 * (f.thm4_f + e.thm4_e), "thm4 bound")
 
 
@@ -263,7 +271,7 @@ def thm4_bound(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel) -> floa
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All left-hand sides and all bounds for one triple."""
+    """All left-hand sides and all bounds for one triple, or arrays of them over a grid."""
 
     lhs_product_v: float
     lhs_product_u: float
@@ -295,31 +303,41 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "slacks": self.slacks}
 
+    def cells(self):
+        """The report of each (phi[i], psi[j]) cell of a report on two families, row-major."""
+        *grids, n = vars(self).values()
+        for i in range(len(self.thm1)):
+            for values in zip(*[grid[i].tolist() for grid in grids]):
+                yield BoundReport(*values, n_common=n)
 
-def bound_report(rho: DensityMatrix, phi: KrausChannel, psi: KrausChannel,
-                 basis_index: int = 0, check: bool = True) -> BoundReport:
+
+def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
+                 check: bool = True) -> BoundReport:
     """Evaluate every bound and its left-hand side.
 
-    With ``check=True`` (the default) a slack below ``-SLACK_TOL`` raises
-    ``BoundViolationError`` naming the offending bound; the randomized
-    verification harness passes ``check=False`` and inspects the slacks
-    itself.
+    ``phi`` and ``psi`` are channels or families. With ``check=True`` (the default)
+    a slack below ``-SLACK_TOL`` raises ``BoundViolationError`` naming the offending
+    bound, at the first violating cell in row-major order; the randomized
+    verification harness passes ``check=False`` and inspects the slacks itself.
     """
-    m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
+    e, f = _grid_terms(rho, phi, psi)
+    m_phi, m_psi = ((e.measures, f.measures) if isinstance(e, _Family)
+                    else (channel_measures(rho, phi), channel_measures(rho, psi)))
     report = BoundReport(
         lhs_product_v=m_phi.v_sym * m_psi.v_sym,
         lhs_product_u=m_phi.u_abs * m_psi.u_abs,
-        lhs_sum_u2=m_phi.u_abs ** 2 + m_psi.u_abs ** 2,
+        lhs_sum_u2=_abs_sq(m_phi.u_abs) + _abs_sq(m_psi.u_abs),  # u_abs ** 2, per value
         thm1=thm1_bound(rho, phi, psi),
         thm2=thm2_bound(rho, phi, psi),
         thm3=thm3_bound(rho, phi, psi, basis_index),
         lb_eq13=lb_eq13(rho, phi, psi),
         thm4=thm4_bound(rho, phi, psi),
         lb1_eq14=lb1_eq14(rho, phi, psi),
-        n_common=max(len(phi), len(psi)),
+        n_common=max(e.x.shape[-3], f.x.shape[-3]),
     )
-    if check:
-        for name, (lhs, bound) in report.relations().items():
-            if lhs - bound < -SLACK_TOL:
-                raise BoundViolationError(name, lhs, bound)
+    if check:  # cell by cell, row-major: the first violation is the pair call's
+        for cell in report.cells() if isinstance(e, _Family) else [report]:
+            for name, (lhs, bound) in cell.relations().items():
+                if lhs - bound < -SLACK_TOL:
+                    raise BoundViolationError(name, lhs, bound)
     return report

@@ -143,18 +143,20 @@ def _grid_points(example_id: str, theta: float, ps, qs, basis_index: int):
 
     Yields ``(p, q, m_phi, m_psi, report, closed)``, where ``closed`` holds the
     closed-form values, or None unless theta is the family's canonical value.
-    The state and each channel are built once; each channel keeps its terms.
+    The state and each channel are built once, and one ``bound_report`` call on
+    the families E(p) and F(q) evaluates (and checks) every cell.
     """
     rho = example_state(example_id, theta)
     with_closed = theta == CLOSED_FORM_THETA[example_id]
-    channels_f = [channel_F(float(q)) for q in qs]
-    for p in ps:
-        phi = channel_E(float(p))
+    phis = [channel_E(float(p)) for p in ps]
+    psis = [channel_F(float(q)) for q in qs]
+    cells = bound_report(rho, phis, psis, basis_index=basis_index).cells()
+    m_psis = [channel_measures(rho, psi) for psi in psis]
+    for p, phi in zip(ps, phis):
         m_phi = channel_measures(rho, phi)
-        for q, psi in zip(qs, channels_f):
-            report = bound_report(rho, phi, psi, basis_index=basis_index)
+        for q, m_psi, report in zip(qs, m_psis, cells):
             closed = closed_forms(example_id, float(p), float(q)) if with_closed else None
-            yield p, q, m_phi, channel_measures(rho, psi), report, closed
+            yield p, q, m_phi, m_psi, report, closed
 
 
 @cli.command()

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import linalg
-from .errors import NumericError
+from .errors import DimensionMismatchError, NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
 from .objects import DensityMatrix, KrausChannel, _center, _eye, _frozen, _operand, _same_dim
 
@@ -41,18 +41,21 @@ class MeasureSet:
 def _nonneg(value, what: str):
     """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0, in a float or in each entry
     of an array. A value below it signals a bug, and NaN or inf an overflow; both raise
-    ``NumericError``."""
+    ``NumericError`` (in an array, for its first such entry in row-major order)."""
     if isinstance(value, np.ndarray):
-        return np.array([_nonneg(v, what) for v in value.tolist()], dtype=float)
+        return np.array([_nonneg(v, what) for v in value.ravel().tolist()]).reshape(value.shape)
     if not NEGATIVITY_FLOOR <= value < math.inf:
         raise NumericError(
             f"{what} evaluated to {value!r}: negative beyond rounding, or not finite")
     return max(float(value), 0.0)
 
 
-def _abs_sq(x) -> float:
-    """|x|^2 by Python's ``abs`` and ``**`` (libm ``pow``, whose bits the outputs keep),
-    with their ``OverflowError`` past the double range raised as ``NumericError``."""
+def _abs_sq(x):
+    """|x|^2, of a number or of each entry of an array, by Python's ``abs`` and ``**``
+    (libm ``pow``, whose bits the outputs keep; numpy's ``**`` squares), with their
+    ``OverflowError`` past the double range raised as ``NumericError``."""
+    if isinstance(x, np.ndarray):
+        return np.array([_abs_sq(v) for v in x.ravel().tolist()]).reshape(x.shape)
     try:
         return abs(x) ** 2
     except OverflowError:
@@ -140,13 +143,23 @@ def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x."""
-    return x.reshape(len(x), -1).conj() @ y.reshape(len(y), -1).T
+    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x, of two
+    stacks ``(..., N, a, b)`` of operators, over any leading grid axes."""
+    x, y = x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,))
+    return x.conj() @ y.swapaxes(-1, -2)
 
 
 def _sq_norm(x: np.ndarray) -> float:
     """Squared Frobenius norm of an array of any shape."""
     return float(np.vdot(x, x).real)
+
+
+def _sq_norms(x: np.ndarray):
+    """:func:`_sq_norm` of a matrix, or of each matrix over leading grid axes, each by
+    its own ``np.vdot`` on a slice laid out as the lone matrix (a copy moves bits)."""
+    if x.ndim == 2:
+        return _sq_norm(x)
+    return np.array([_sq_norm(m) for m in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape[:-2])
 
 
 class _Terms:
@@ -197,6 +210,28 @@ class _Terms:
     thm4_f = cached_property(lambda t: _sq_norm(_gram(*t.brackets)))
 
 
+class _Family:
+    """The kept records of a family of channels (a lone channel is one of one), each
+    ``_Terms`` field stacked on each read, on grid axis 0 ``(G, 1, ...)`` or 1 ``(1, G, ...)``."""
+
+    def __init__(self, rho: DensityMatrix, channels, axis: int):
+        family = [channels] if isinstance(channels, KrausChannel) else channels
+        self.records = [_terms(rho, c) for c in family]
+        self.grid = (slice(None), None) if axis == 0 else (None,)  # index adding the other axis
+        if len({t.x.shape for t in self.records}) != 1:
+            raise DimensionMismatchError("a family needs channels, all of one Kraus count")
+
+    def __getattr__(self, name: str):
+        # np.array, not np.stack, and no zip over the family: both grow CPython's tuple free lists
+        values = [getattr(t, name) for t in self.records]
+        if isinstance(values[0], MeasureSet):
+            return MeasureSet(**{f: np.array([vars(v)[f] for v in values])[self.grid]
+                                 for f in vars(values[0])})
+        if isinstance(values[0], tuple):  # field by field
+            return tuple([np.array([v[k] for v in values])[self.grid] for k in range(len(values[0]))])
+        return np.array(values)[self.grid]
+
+
 def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
     """The channel's terms under ``rho``, kept on the channel in one slot keyed by the
     identity of the state. Another state is first checked against the channel's
@@ -208,3 +243,10 @@ def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
     terms = _Terms(rho, channel.kraus_ops)
     object.__setattr__(channel, "_terms", terms)  # the channel is frozen
     return terms
+
+
+def _grid_terms(rho: DensityMatrix, phi, psi):
+    """A bound's terms: two channels' kept records, or a :class:`_Family` of each side."""
+    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
+        return _terms(rho, phi), _terms(rho, psi)
+    return _Family(rho, phi, 0), _Family(rho, psi, 1)

@@ -146,9 +146,10 @@ def center_operator(k, rho: DensityMatrix) -> np.ndarray:
     return _center(_operand(rho, k), rho)
 
 
-def _expect(rho: DensityMatrix, k: np.ndarray) -> complex:
-    """Tr(rho K) of a checked operator."""
-    return complex(np.trace(rho.matrix @ k))
+def _expect(rho: DensityMatrix, k: np.ndarray):
+    """Tr(rho K) of a checked operator, or an array of it over leading grid axes."""
+    value = (rho.matrix @ k).trace(0, -2, -1)
+    return value if value.ndim else complex(value)
 
 
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:

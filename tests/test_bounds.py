@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from chanuq.bounds import (bound_report, dou_bounds, fine_grained_terms,
 import chanuq.bounds
 from chanuq.errors import (BoundViolationError, DimensionMismatchError,
                            NotHermitianError, NumericError)
+from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.measures import abs_variance, channel_measures, operator_u, sym_abs_variance
-from chanuq.objects import make_channel, make_density
+from chanuq.objects import KrausChannel, make_channel, make_density
 
 import oracles
 from oracles import I2, SX, SY, ketbra, random_triples
@@ -660,3 +662,94 @@ def test_kept_terms_are_not_pickled_or_copied():
         assert bound_report(rho, twin, psi) == report
         assert twin._terms is not None
         assert twin._terms is not phi._terms
+
+
+# -- channel families ----------------------------------------------------------
+#
+# Each channel bound and bound_report take a family (a sequence of channels
+# with one dimension and one Kraus count) on either side and evaluate the
+# whole (phi[i], psi[j]) grid at once. Every cell must be bit for bit the pair
+# call: the family path takes |z|^2 by Python's ** per value and each squared
+# norm by its own np.vdot on a slice laid out as in the pair call, because
+# numpy's vectorized square and a vdot on a contiguous copy move last bits.
+
+def test_channel_families_equal_pair_calls_in_every_cell():
+    rng = np.random.default_rng(1515)
+    for draw in range(100):
+        dim = int(rng.integers(2, 9))
+        gen = SplitMix64(int(rng.integers(2 ** 62)))
+        rho = random_density(dim, int(rng.integers(1, dim + 1)), gen)
+        n_phi, n_psi = (int(n) for n in rng.integers(1, 5, size=2))
+        phis = [random_channel(dim, n_phi, gen) for _ in range(int(rng.integers(1, 5)))]
+        psis = [random_channel(dim, n_psi, gen) for _ in range(int(rng.integers(1, 5)))]
+        t = int(rng.integers(dim))
+        for name, bound in CHANNEL_BOUNDS.items():
+            args = (t,) if name == "thm3" else ()
+            pairs = [[bound(rho, phi, psi, *args) for psi in psis] for phi in phis]
+            grid = bound(rho, phis, psis, *args)
+            assert grid.shape == (len(phis), len(psis)), (draw, name)
+            assert grid.tolist() == pairs, (draw, name)
+            assert bound(rho, phis[:1], psis[:1], *args).tolist() == [pairs[0][:1]], (draw, name)
+            assert bound(rho, phis[0], psis, *args).tolist() == pairs[:1], (draw, name)
+        grid_terms = fine_grained_terms(rho, phis, psis, t)
+        for i, phi in enumerate(phis):
+            for j, psi in enumerate(psis):
+                pair = fine_grained_terms(rho, phi, psi, t)
+                for field in ("i1", "i1_tilde", "i0", "i0_tilde"):
+                    assert getattr(grid_terms, field)[i, j] == getattr(pair, field), (draw, field)
+        cells = list(bound_report(rho, phis, psis, t, check=False).cells())
+        assert cells == [bound_report(rho, phi, psi, t, check=False)
+                         for phi in phis for psi in psis], draw
+
+
+def test_family_needs_one_kraus_count(werner1):
+    with pytest.raises(DimensionMismatchError):
+        thm1_bound(werner1, [ch_e(0.5), identity_channel()], [ch_f(0.5)])
+    with pytest.raises(DimensionMismatchError):
+        bound_report(werner1, [], [ch_f(0.5)])
+
+
+def test_bound_report_on_families_raises_at_first_violating_cell(werner1, monkeypatch):
+    # thm4 is inflated past its left-hand side in two cells, on the family call
+    # and on the pair calls alike; the family report must raise what the pair
+    # call of the first violating cell in row-major order raises
+    phis = [ch_e(p) for p in (0.2, 0.5, 0.9)]
+    psis = [ch_f(q) for q in (0.1, 0.6, 0.8)]
+    violated = {(1, 2), (2, 0)}
+    original = chanuq.bounds.thm4_bound
+
+    def inflated(rho, phi, psi):
+        if isinstance(phi, KrausChannel):
+            cell = phis.index(phi), psis.index(psi)
+            return 10.0 if cell in violated else original(rho, phi, psi)
+        value = original(rho, phi, psi).copy()
+        for cell in violated:
+            value[cell] = 10.0
+        return value
+
+    monkeypatch.setattr(chanuq.bounds, "thm4_bound", inflated)
+    with pytest.raises(BoundViolationError) as pair:
+        bound_report(werner1, phis[1], psis[2])
+    with pytest.raises(BoundViolationError) as family:
+        bound_report(werner1, phis, psis)
+    assert family.value.bound_name == pair.value.bound_name == "thm4_bound"
+    assert family.value.lhs == pair.value.lhs
+    assert family.value.bound == pair.value.bound == 10.0
+    assert str(family.value) == str(pair.value)
+    slacks = bound_report(werner1, phis, psis, check=False).slacks["thm4_bound"]
+    assert {tuple(cell) for cell in np.argwhere(slacks < 0.0)} == violated
+
+
+def test_family_reports_hold_no_memory_across_calls(werner1):
+    # a family report keeps nothing once it returns: the Python blocks in use stay
+    # flat over repeated calls. np.stack over 20 records, or a zip over them, leaves
+    # 20-item tuples in CPython 3.11's tuple free list on every report (no
+    # gc.collect() here: a full collection empties the free lists)
+    grid = np.linspace(0.0, 1.0, 20)
+    phis, psis = [ch_e(p) for p in grid], [ch_f(q) for q in grid]
+    for _ in range(3):
+        bound_report(werner1, phis, psis)
+    before = sys.getallocatedblocks()
+    for _ in range(40):
+        bound_report(werner1, phis, psis)
+    assert sys.getallocatedblocks() - before < 200

@@ -601,19 +601,52 @@ def test_example_bad_basis_index_exits_2(runner):
     assert result.stderr == "parameter error: basis index 9 out of range for dimension 4\n"
 
 
-@pytest.mark.parametrize("example_id, theta", [("werner", 1.0), ("rho_theta", 0.0)])
-@pytest.mark.parametrize("basis_index", [0, 2])
+@pytest.mark.parametrize("example_id, theta",
+                         [("werner", 1.0), ("rho_theta", 0.0), ("werner", 0.3)])
+@pytest.mark.parametrize("basis_index", [0, 2, 3])
 def test_grid_points_equal_fresh_reports_in_every_cell(example_id, theta, basis_index):
-    # the grid reuses each channel across a row or a column; every cell must
-    # read exactly as a report on freshly built objects
-    grid = np.linspace(0.0, 1.0, 21)
+    # one bound_report call evaluates the grid on two channel families; every cell
+    # must read, field for field and bit for bit, as the report on that pair alone
+    # of objects built apart from the grid's
+    steps = 41
+    grid = np.linspace(0.0, 1.0, steps)
     rho = example_state(example_id, theta)
+    phis = [channel_E(float(p)) for p in grid]
+    psis = [channel_F(float(q)) for q in grid]
     cells = 0
     for p, q, m_phi, m_psi, report, _ in _grid_points(example_id, theta, grid, grid,
                                                       basis_index):
-        phi, psi = channel_E(float(p)), channel_F(float(q))
+        phi, psi = phis[cells // steps], psis[cells % steps]
+        assert (p, q) == (grid[cells // steps], grid[cells % steps])
         assert m_phi == channel_measures(rho, phi)
         assert m_psi == channel_measures(rho, psi)
-        assert report == bound_report(rho, phi, psi, basis_index=basis_index), (p, q)
+        assert vars(report) == vars(bound_report(rho, phi, psi, basis_index=basis_index)), (p, q)
         cells += 1
-    assert cells == 21 * 21
+    assert cells == steps * steps
+
+
+def test_sweep_violated_bound_in_two_cells_exits_5_without_csv(runner, tmp_path, monkeypatch):
+    # thm4 exceeds its left-hand side in two cells of the sweep's one family call;
+    # the sweep reports the first of them in row-major order, as the library does
+    original = chanuq.bounds.thm4_bound
+
+    def inflated(rho, phi, psi):
+        value = original(rho, phi, psi).copy()
+        value[1, 3] = value[3, 0] = 10.0
+        return value
+
+    monkeypatch.setattr(chanuq.bounds, "thm4_bound", inflated)
+    grid = np.linspace(0.0, 1.0, 5)
+    families = (example_state("werner", 1.0), [channel_E(float(p)) for p in grid],
+                [channel_F(float(q)) for q in grid])
+    with pytest.raises(chanuq.errors.BoundViolationError) as info:
+        bound_report(*families)
+    assert info.value.lhs == bound_report(*families, check=False).lhs_sum_u2[1, 3]
+    assert info.value.bound == 10.0
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(cli, ["sweep", "--example", "werner", "--theta", "1",
+                                 "--grid-steps", "5", "--out", str(out)])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == f"verification failure: {info.value}\n"
+    assert not out.exists()
