@@ -138,27 +138,6 @@ CLOSED_FORM_OF = {"thm3": "thm3_closed", "lb_eq13": "lb_closed",
                   "lb1_eq14": "lb1_closed", "thm4": "lb2_closed"}
 
 
-def _grid_points(example_id: str, theta: float, ps, qs, basis_index: int):
-    """Evaluate the example family at every (p, q) of ``ps`` x ``qs``, p-major.
-
-    Yields ``(p, q, m_phi, m_psi, report, closed)``, where ``closed`` holds the
-    closed-form values, or None unless theta is the family's canonical value.
-    The state and each channel are built once, and one ``bound_report`` call on
-    the families E(p) and F(q) evaluates (and checks) every cell.
-    """
-    rho = example_state(example_id, theta)
-    with_closed = theta == CLOSED_FORM_THETA[example_id]
-    phis = [channel_E(float(p)) for p in ps]
-    psis = [channel_F(float(q)) for q in qs]
-    cells = bound_report(rho, phis, psis, basis_index=basis_index).cells()
-    m_psis = [channel_measures(rho, psi) for psi in psis]
-    for p, phi in zip(ps, phis):
-        m_phi = channel_measures(rho, phi)
-        for q, m_psi, report in zip(qs, m_psis, cells):
-            closed = closed_forms(example_id, float(p), float(q)) if with_closed else None
-            yield p, q, m_phi, m_psi, report, closed
-
-
 @cli.command()
 @click.option("--example", "example_id", required=True,
               type=click.Choice(EXAMPLE_IDS), help="Built-in example family.")
@@ -178,15 +157,24 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     rho_theta); otherwise they are left empty.
     """
     grid = np.linspace(0.0, 1.0, grid_steps)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for p, q, m_phi, m_psi, report, closed in _grid_points(example_id, theta, grid, grid,
-                                                           basis_index):
-        row = [_fmt(x) for x in (p, q, m_phi.u_abs, m_psi.u_abs, report.lhs_product_u,
-                                 report.lhs_sum_u2, report.thm1, report.thm2, report.thm3,
-                                 report.lb_eq13, report.lb1_eq14, report.thm4)]
-        row += ["" if closed is None else _fmt(getattr(closed, name))
-                for name in CLOSED_FORM_OF.values()]
-        lines.append(",".join(row))
+    rho = example_state(example_id, theta)
+    phis = [channel_E(float(p)) for p in grid]
+    psis = [channel_F(float(q)) for q in grid]
+    report = bound_report(rho, phis, psis, basis_index=basis_index)
+    u_phi = np.array([channel_measures(rho, phi).u_abs for phi in phis])
+    u_psi = np.array([channel_measures(rho, psi).u_abs for psi in psis])
+    columns = [grid[:, None], grid[None, :], u_phi[:, None], u_psi[None, :],
+               report.lhs_product_u, report.lhs_sum_u2, report.thm1, report.thm2,
+               report.thm3, report.lb_eq13, report.lb1_eq14, report.thm4]
+    if theta == CLOSED_FORM_THETA[example_id]:
+        closed = [closed_forms(example_id, float(p), float(q)) for p in grid for q in grid]
+        columns += [np.reshape([getattr(c, name) for c in closed], (grid_steps, grid_steps))
+                    for name in CLOSED_FORM_OF.values()]
+    # one row per (p, q), p-major, with an empty field per closed-form column left out;
+    # adding 0.0 folds IEEE negative zero into plain zero
+    row_format = ",".join(["%.17g"] * len(columns) + [""] * (len(SWEEP_COLUMNS) - len(columns)))
+    rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns)) + 0.0
+    lines = [",".join(SWEEP_COLUMNS), *(row_format % tuple(row) for row in rows.tolist())]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     click.echo(f"wrote {len(lines) - 1} rows to {out}")
@@ -228,8 +216,11 @@ def example(example_id, theta, p, q, basis_index):
     The closed-form block (and the difference block) is null unless theta
     equals the canonical value of the example's closed-form surfaces.
     """
-    _, _, m_phi, m_psi, report, closed = next(
-        _grid_points(example_id, theta, [p], [q], basis_index))
+    rho = example_state(example_id, theta)
+    phi, psi = channel_E(p), channel_F(q)
+    report = bound_report(rho, phi, psi, basis_index=basis_index)
+    m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
+    closed = closed_forms(example_id, p, q) if theta == CLOSED_FORM_THETA[example_id] else None
     doc = {
         "example": example_id,
         "theta": theta,

@@ -697,9 +697,12 @@ def test_channel_families_equal_pair_calls_in_every_cell():
                 pair = fine_grained_terms(rho, phi, psi, t)
                 for field in ("i1", "i1_tilde", "i0", "i0_tilde"):
                     assert getattr(grid_terms, field)[i, j] == getattr(pair, field), (draw, field)
-        cells = list(bound_report(rho, phis, psis, t, check=False).cells())
-        assert cells == [bound_report(rho, phi, psi, t, check=False)
-                         for phi in phis for psi in psis], draw
+        family = vars(bound_report(rho, phis, psis, t, check=False))
+        for i, phi in enumerate(phis):
+            for j, psi in enumerate(psis):
+                for name, value in vars(bound_report(rho, phi, psi, t, check=False)).items():
+                    cell = family[name] if name == "n_common" else family[name][i, j]
+                    assert cell == value, (draw, name)
 
 
 def test_family_needs_one_kraus_count(werner1):
@@ -710,34 +713,46 @@ def test_family_needs_one_kraus_count(werner1):
 
 
 def test_bound_report_on_families_raises_at_first_violating_cell(werner1, monkeypatch):
-    # thm4 is inflated past its left-hand side in two cells, on the family call
-    # and on the pair calls alike; the family report must raise what the pair
-    # call of the first violating cell in row-major order raises
+    # thm4 is inflated past its left-hand side in two cells, thm2 in the first of them
+    # and thm1 in the second, on family and pair calls alike; a family report must
+    # raise what the pair call of its first violating cell in row-major order raises,
+    # the first violated relation in relations() order within that cell (so not thm1,
+    # the first relation violated anywhere)
     phis = [ch_e(p) for p in (0.2, 0.5, 0.9)]
     psis = [ch_f(q) for q in (0.1, 0.6, 0.8)]
-    violated = {(1, 2), (2, 0)}
-    original = chanuq.bounds.thm4_bound
 
-    def inflated(rho, phi, psi):
-        if isinstance(phi, KrausChannel):
-            cell = phis.index(phi), psis.index(psi)
-            return 10.0 if cell in violated else original(rho, phi, psi)
-        value = original(rho, phi, psi).copy()
-        for cell in violated:
-            value[cell] = 10.0
-        return value
+    def inflated(original, violated):
+        def bound(rho, phi, psi):
+            rows = [phi] if isinstance(phi, KrausChannel) else phi
+            cols = [psi] if isinstance(psi, KrausChannel) else psi
+            value = np.array(original(rho, phi, psi), ndmin=2)  # a copy; a pair is 1 x 1
+            for a, b in np.ndindex(value.shape):
+                if (phis.index(rows[a]), psis.index(cols[b])) in violated:
+                    value[a, b] = 10.0
+            return float(value[0, 0]) if rows is not phi and cols is not psi else value
+        return bound
 
-    monkeypatch.setattr(chanuq.bounds, "thm4_bound", inflated)
-    with pytest.raises(BoundViolationError) as pair:
-        bound_report(werner1, phis[1], psis[2])
-    with pytest.raises(BoundViolationError) as family:
-        bound_report(werner1, phis, psis)
-    assert family.value.bound_name == pair.value.bound_name == "thm4_bound"
-    assert family.value.lhs == pair.value.lhs
-    assert family.value.bound == pair.value.bound == 10.0
-    assert str(family.value) == str(pair.value)
-    slacks = bound_report(werner1, phis, psis, check=False).slacks["thm4_bound"]
-    assert {tuple(cell) for cell in np.argwhere(slacks < 0.0)} == violated
+    monkeypatch.setattr(chanuq.bounds, "thm4_bound",
+                        inflated(chanuq.bounds.thm4_bound, {(1, 2), (2, 0)}))
+    monkeypatch.setattr(chanuq.bounds, "thm2_bound", inflated(chanuq.bounds.thm2_bound, {(1, 2)}))
+    monkeypatch.setattr(chanuq.bounds, "thm1_bound", inflated(chanuq.bounds.thm1_bound, {(2, 0)}))
+    cases = [((phis, psis), (1, 2), "thm2_bound"),
+             ((phis[1], psis), (1, 2), "thm2_bound"),  # a lone channel against a family
+             ((phis, psis[0]), (2, 0), "thm1_bound"),
+             ((phis[2:], psis[:1]), (2, 0), "thm1_bound")]
+    for families, (i, j), name in cases:
+        with pytest.raises(BoundViolationError) as pair:
+            bound_report(werner1, phis[i], psis[j])
+        with pytest.raises(BoundViolationError) as family:
+            bound_report(werner1, *families)
+        assert family.value.bound_name == pair.value.bound_name == name
+        assert family.value.lhs == pair.value.lhs
+        assert family.value.bound == pair.value.bound == 10.0
+        assert str(family.value) == str(pair.value)
+    slacks = bound_report(werner1, phis, psis, check=False).slacks
+    assert {tuple(cell) for cell in np.argwhere(slacks["thm4_bound"] < 0.0)} == {(1, 2), (2, 0)}
+    assert {tuple(cell) for cell in np.argwhere(slacks["thm2_bound"] < 0.0)} == {(1, 2)}
+    assert {tuple(cell) for cell in np.argwhere(slacks["thm1_bound"] < 0.0)} == {(2, 0)}
 
 
 def test_family_reports_hold_no_memory_across_calls(werner1):

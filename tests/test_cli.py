@@ -14,9 +14,10 @@ import chanuq.cli
 import chanuq.ensembles
 import chanuq.errors
 from chanuq.bounds import bound_report
-from chanuq.cli import _grid_points, cli
+from chanuq.cli import SWEEP_COLUMNS, cli
 from chanuq.ensembles import SplitMix64, random_channel, random_density
-from chanuq.examples import channel_E, channel_F, example_state, werner_state
+from chanuq.examples import (CLOSED_FORM_THETA, channel_E, channel_F, closed_forms,
+                             example_state, werner_state)
 from chanuq.measures import channel_measures
 from chanuq.objects import channel_to_json, make_channel, make_density, state_to_json
 
@@ -604,25 +605,43 @@ def test_example_bad_basis_index_exits_2(runner):
 @pytest.mark.parametrize("example_id, theta",
                          [("werner", 1.0), ("rho_theta", 0.0), ("werner", 0.3)])
 @pytest.mark.parametrize("basis_index", [0, 2, 3])
-def test_grid_points_equal_fresh_reports_in_every_cell(example_id, theta, basis_index):
-    # one bound_report call evaluates the grid on two channel families; every cell
-    # must read, field for field and bit for bit, as the report on that pair alone
-    # of objects built apart from the grid's
+def test_grid_points_equal_fresh_reports_in_every_cell(runner, tmp_path, example_id, theta,
+                                                       basis_index):
+    # the sweep writes its rows from one bound_report call on two channel families;
+    # every field must be the 17-digit text of the report on that cell's pair alone,
+    # of objects built apart from the sweep's, and every cell of a family report
+    # must be that pair's field bit for bit
     steps = 41
+    out = tmp_path / "sweep.csv"
+    assert runner.invoke(cli, ["sweep", "--example", example_id, "--theta", str(theta),
+                               "--grid-steps", str(steps), "--basis-index", str(basis_index),
+                               "--out", str(out)]).exit_code == 0
+    header, *rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert header == list(SWEEP_COLUMNS)
+    assert len(rows) == steps * steps
     grid = np.linspace(0.0, 1.0, steps)
     rho = example_state(example_id, theta)
     phis = [channel_E(float(p)) for p in grid]
     psis = [channel_F(float(q)) for q in grid]
-    cells = 0
-    for p, q, m_phi, m_psi, report, _ in _grid_points(example_id, theta, grid, grid,
-                                                      basis_index):
-        phi, psi = phis[cells // steps], psis[cells % steps]
-        assert (p, q) == (grid[cells // steps], grid[cells % steps])
-        assert m_phi == channel_measures(rho, phi)
-        assert m_psi == channel_measures(rho, psi)
-        assert vars(report) == vars(bound_report(rho, phi, psi, basis_index=basis_index)), (p, q)
-        cells += 1
-    assert cells == steps * steps
+    family = vars(bound_report(rho, [channel_E(float(p)) for p in grid],
+                               [channel_F(float(q)) for q in grid], basis_index=basis_index))
+    with_closed = theta == CLOSED_FORM_THETA[example_id]
+    for cell, row in enumerate(rows):
+        i, j = divmod(cell, steps)
+        pair = bound_report(rho, phis[i], psis[j], basis_index=basis_index)
+        closed = closed_forms(example_id, float(grid[i]), float(grid[j])) if with_closed else None
+        values = {"p": grid[i], "q": grid[j],
+                  "u_phi": channel_measures(rho, phis[i]).u_abs,
+                  "u_psi": channel_measures(rho, psis[j]).u_abs,
+                  "product_u": pair.lhs_product_u, "sum_u2": pair.lhs_sum_u2,
+                  **{b: getattr(pair, b) for b in
+                     ("thm1", "thm2", "thm3", "lb_eq13", "lb1_eq14", "thm4")},
+                  **{column: None if closed is None else getattr(closed, path[1])
+                     for column, path in SWEEP_CELLS.items() if path[0] == "closed"}}
+        assert row == ["" if values[column] is None else format(float(values[column]) + 0.0, ".17g")
+                       for column in SWEEP_COLUMNS], (example_id, theta, grid[i], grid[j])
+        for name, value in vars(pair).items():
+            assert (family[name] if name == "n_common" else family[name][i, j]) == value, (cell, name)
 
 
 def test_sweep_violated_bound_in_two_cells_exits_5_without_csv(runner, tmp_path, monkeypatch):
