@@ -16,10 +16,11 @@ Conventions shared by all bound evaluators:
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
-* the bounds read a channel's traces, brackets with sqrt(rho), sums and
-  norms from the record ``measures._terms`` keeps on it with its measures,
-  keyed by the state object and shared by every bound and sweep cell; the
-  arrays of validated objects are read-only, so it cannot go stale;
+* the bounds read a channel's traces, brackets with sqrt(rho) and sums
+  from the per-channel record ``measures._terms`` keeps on it, keyed by
+  the state object and shared by every bound and sweep cell (its arrays
+  are read-only, so it cannot go stale); each bound forms its own products
+  and norms on every call, so a repeated call on the same objects forms them again;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -35,11 +36,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BoundViolationError
+from .errors import BoundViolationError, DimensionMismatchError
 from .linalg import SLACK_TOL
-from .measures import (_abs_sq, _Family, _gram, _grid_terms, _nonneg, _sq_norms,
-                       channel_measures, operator_u)
-from .objects import DensityMatrix, _center, _expect, _operand
+from .measures import MeasureSet, _abs_sq, _nonneg, _terms, channel_measures, operator_u
+from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -113,8 +113,55 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# channel bounds
+# channel grid and channel bounds
 # ---------------------------------------------------------------------------
+
+class _Family:
+    """The kept records of a family of channels (a lone channel is one of one), each
+    ``_Terms`` field stacked on each read, on grid axis 0 ``(G, 1, ...)`` or 1 ``(1, G, ...)``."""
+
+    def __init__(self, rho: DensityMatrix, channels, axis: int):
+        family = [channels] if isinstance(channels, KrausChannel) else channels
+        self.records = [_terms(rho, c) for c in family]
+        self.grid = (slice(None), None) if axis == 0 else (None,)  # index adding the other axis
+        if len({t.x.shape for t in self.records}) != 1:
+            raise DimensionMismatchError("a family needs channels, all of one Kraus count")
+
+    def __getattr__(self, name: str):
+        # np.array, not np.stack, and no zip over the family: both grow CPython's tuple free lists
+        values = [getattr(t, name) for t in self.records]
+        if isinstance(values[0], MeasureSet):
+            return MeasureSet(**{f: np.array([vars(v)[f] for v in values])[self.grid]
+                                 for f in vars(values[0])})
+        if isinstance(values[0], tuple):  # field by field
+            return tuple([np.array([v[k] for v in values])[self.grid] for k in range(len(values[0]))])
+        return np.array(values)[self.grid]
+
+
+def _grid_terms(rho: DensityMatrix, phi, psi):
+    """A bound's terms: two channels' kept records, or a :class:`_Family` of each side."""
+    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
+        return _terms(rho, phi), _terms(rho, psi)
+    return _Family(rho, phi, 0), _Family(rho, psi, 1)
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x, of two
+    stacks ``(..., N, a, b)`` of operators, over any leading grid axes."""
+    x, y = x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,))
+    return x.conj() @ y.swapaxes(-1, -2)
+
+
+def _sq_norms(x: np.ndarray, axes: int = 2):
+    """Squared Frobenius norm of the trailing ``axes``-dimensional block of ``x``: a float
+    when ``x`` is one block, else one per block over the leading grid axes, each by its
+    own ``np.vdot`` on a slice laid out as the lone block (a copy moves bits). The bounds
+    form these on every call; the kept record holds no norms."""
+    if x.ndim == axes:
+        return float(np.vdot(x, x).real)
+    blocks = x.reshape(-1, *x.shape[x.ndim - axes:])
+    return np.array([_sq_norms(b, axes) for b in blocks]).reshape(x.shape[:x.ndim - axes])
+
 
 def _value(x):
     """A bound over a grid as an array; a single pair's as a float."""
@@ -166,7 +213,7 @@ def lb_eq13(rho: DensityMatrix, phi, psi):
     matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
     e, f = _grid_terms(rho, phi, psi)
-    return 0.25 * _sq_norms(_gram(e.x, f.rho_comm))
+    return 0.25 * _sq_norms(_gram(e.x, rho.matrix @ f.x - f.x @ rho.matrix))
 
 
 def lb1_eq14(rho: DensityMatrix, phi, psi):
@@ -231,10 +278,11 @@ def fine_grained_terms(rho: DensityMatrix, phi, psi, basis_index: int = 0) -> Fi
         u, w = x[..., basis_index], y[..., basis_index]  # rows: the columns u_i, w_j
         return 0.25 * (_sq_norms(u) * _sq_norms(w) - _sq_norms(u.conj() @ w.swapaxes(-1, -2)))
 
-    i0 = 0.5 * e.comm0_sq * 0.5 * f.anti0_sq
-    i0_tilde = 0.5 * f.comm0_sq * 0.5 * e.anti0_sq
-    i1 = i0 - gap_sum(e.brackets0[0], f.brackets0[1])
-    i1_tilde = i0_tilde - gap_sum(f.brackets0[0], e.brackets0[1])
+    (comm_e, anti_e), (comm_f, anti_f) = e.brackets0, f.brackets0
+    i0 = 0.5 * _sq_norms(comm_e, 3) * 0.5 * _sq_norms(anti_f, 3)
+    i0_tilde = 0.5 * _sq_norms(comm_f, 3) * 0.5 * _sq_norms(anti_e, 3)
+    i1 = i0 - gap_sum(comm_e, anti_f)
+    i1_tilde = i0_tilde - gap_sum(comm_f, anti_e)
     return FineGrainedTerms(i1=_nonneg(i1, "fine-grained term"),
                             i1_tilde=_nonneg(i1_tilde, "fine-grained tilde term"),
                             i0=i0, i0_tilde=i0_tilde,
@@ -262,7 +310,9 @@ def thm4_bound(rho: DensityMatrix, phi, psi):
     norms of whole stacks.
     """
     e, f = _grid_terms(rho, phi, psi)
-    return _nonneg(0.25 * (f.thm4_f + e.thm4_e), "thm4 bound")
+    comm_e, anti_e = e.brackets
+    e_term = _sq_norms(comm_e, 3) * (_sq_norms(anti_e, 3) - 4.0 * _sq_norms(e.traces, 1))
+    return _nonneg(0.25 * (_sq_norms(_gram(*f.brackets)) + e_term), "thm4 bound")
 
 
 # ---------------------------------------------------------------------------

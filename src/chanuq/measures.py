@@ -8,8 +8,8 @@ an ``(N, d, d)`` stack. A channel's measures are those of its Kraus
 stack, summed in Kraus order; the derived quantity ``u_abs`` interpolates
 between total and quantum uncertainty and obeys
 ``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each
-channel by ``_terms``, holds everything derived from a (state, channel)
-pair: the channel's measures and the terms :mod:`chanuq.bounds` reads.
+channel by ``_terms``, holds only per-channel terms of a (state, channel)
+pair: its measures and the traces, brackets and sums the bounds read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NumericError
+from .errors import NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
 from .objects import DensityMatrix, KrausChannel, _center, _eye, _frozen, _operand, _same_dim
 
@@ -142,33 +142,13 @@ def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, n
     return _frozen(left - right), _frozen(left + right)
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix of Frobenius inner products <x_i, y_j>, conjugate-linear in x, of two
-    stacks ``(..., N, a, b)`` of operators, over any leading grid axes."""
-    x, y = x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,))
-    return x.conj() @ y.swapaxes(-1, -2)
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    """Squared Frobenius norm of an array of any shape."""
-    return float(np.vdot(x, x).real)
-
-
-def _sq_norms(x: np.ndarray):
-    """:func:`_sq_norm` of a matrix, or of each matrix over leading grid axes, each by
-    its own ``np.vdot`` on a slice laid out as the lone matrix (a copy moves bits)."""
-    if x.ndim == 2:
-        return _sq_norm(x)
-    return np.array([_sq_norm(m) for m in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape[:-2])
-
-
 class _Terms:
-    """Everything derived from one Kraus stack ``x`` under the state ``rho``,
-    each field built on first use: the channel's :class:`MeasureSet`, and what
-    the bounds read: Tr(rho K_i) and Tr(rho K_i^dag), the brackets
-    [sqrt(rho), K_i], {sqrt(rho), K_i} of the raw and of the centered K_i and
-    their squared norms, sum_i K_i and its centered form, rho K_i - K_i rho,
-    and the two terms of ``thm4``."""
+    """The per-channel terms of one Kraus stack ``x`` under the state ``rho``,
+    each built on first use: the channel's :class:`MeasureSet`, and what the
+    bounds read: Tr(rho K_i) and Tr(rho K_i^dag), the brackets [sqrt(rho), K_i],
+    {sqrt(rho), K_i} of the raw and of the centered K_i, sum_i K_i and its
+    centered form. Each bound forms its own products and norms of these on
+    every call, so a repeated call on the same (state, channel) forms them again."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
         self.rho = rho  # held, so the state's identity cannot be reused while cached
@@ -202,34 +182,6 @@ class _Terms:
         t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
     total = cached_property(lambda t: _frozen(t.x.sum(axis=0)))
     total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
-    rho_comm = cached_property(lambda t: _frozen(t.rho.matrix @ t.x - t.x @ t.rho.matrix))
-    comm0_sq = cached_property(lambda t: _sq_norm(t.brackets0[0]))
-    anti0_sq = cached_property(lambda t: _sq_norm(t.brackets0[1]))
-    thm4_e = cached_property(lambda t: _sq_norm(t.brackets[0])
-                             * (_sq_norm(t.brackets[1]) - 4.0 * _sq_norm(t.traces)))
-    thm4_f = cached_property(lambda t: _sq_norm(_gram(*t.brackets)))
-
-
-class _Family:
-    """The kept records of a family of channels (a lone channel is one of one), each
-    ``_Terms`` field stacked on each read, on grid axis 0 ``(G, 1, ...)`` or 1 ``(1, G, ...)``."""
-
-    def __init__(self, rho: DensityMatrix, channels, axis: int):
-        family = [channels] if isinstance(channels, KrausChannel) else channels
-        self.records = [_terms(rho, c) for c in family]
-        self.grid = (slice(None), None) if axis == 0 else (None,)  # index adding the other axis
-        if len({t.x.shape for t in self.records}) != 1:
-            raise DimensionMismatchError("a family needs channels, all of one Kraus count")
-
-    def __getattr__(self, name: str):
-        # np.array, not np.stack, and no zip over the family: both grow CPython's tuple free lists
-        values = [getattr(t, name) for t in self.records]
-        if isinstance(values[0], MeasureSet):
-            return MeasureSet(**{f: np.array([vars(v)[f] for v in values])[self.grid]
-                                 for f in vars(values[0])})
-        if isinstance(values[0], tuple):  # field by field
-            return tuple([np.array([v[k] for v in values])[self.grid] for k in range(len(values[0]))])
-        return np.array(values)[self.grid]
 
 
 def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
@@ -243,10 +195,3 @@ def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
     terms = _Terms(rho, channel.kraus_ops)
     object.__setattr__(channel, "_terms", terms)  # the channel is frozen
     return terms
-
-
-def _grid_terms(rho: DensityMatrix, phi, psi):
-    """A bound's terms: two channels' kept records, or a :class:`_Family` of each side."""
-    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
-        return _terms(rho, phi), _terms(rho, psi)
-    return _Family(rho, phi, 0), _Family(rho, psi, 1)

@@ -639,7 +639,11 @@ def test_warm_channel_still_checks_the_state_dimension(werner1):
 def test_kept_terms_are_read_only(werner1):
     phi, psi = ch_e(0.5), ch_f(0.5)
     bound_report(werner1, phi, psi)
+    # per-channel terms only: each bound forms its own products and norms
+    kept = {"rho", "x", "measures", "traces", "traces_dag", "brackets", "brackets0",
+            "total", "total0"}
     for channel in (phi, psi):
+        assert set(vars(channel._terms)) <= kept
         fields = vars(channel._terms).values()
         arrays = [a for v in fields for a in (v if isinstance(v, tuple) else (v,))
                   if isinstance(a, np.ndarray)]
@@ -673,16 +677,26 @@ def test_kept_terms_are_not_pickled_or_copied():
 # norm by its own np.vdot on a slice laid out as in the pair call, because
 # numpy's vectorized square and a vdot on a contiguous copy move last bits.
 
-def test_channel_families_equal_pair_calls_in_every_cell():
+def _family_draws():
+    """(rho, phis, psis, basis index): 100 random draws at d 2-8 and N 1-4, then one
+    at d = N = 16, the shape of the compute-large benchmark, with two channels a side."""
     rng = np.random.default_rng(1515)
-    for draw in range(100):
+    for _ in range(100):
         dim = int(rng.integers(2, 9))
         gen = SplitMix64(int(rng.integers(2 ** 62)))
         rho = random_density(dim, int(rng.integers(1, dim + 1)), gen)
         n_phi, n_psi = (int(n) for n in rng.integers(1, 5, size=2))
         phis = [random_channel(dim, n_phi, gen) for _ in range(int(rng.integers(1, 5)))]
         psis = [random_channel(dim, n_psi, gen) for _ in range(int(rng.integers(1, 5)))]
-        t = int(rng.integers(dim))
+        yield rho, phis, psis, int(rng.integers(dim))
+    gen = SplitMix64(1616)
+    rho = random_density(16, 16, gen)
+    phis, psis = ([random_channel(16, 16, gen) for _ in range(2)] for _ in range(2))
+    yield rho, phis, psis, 5
+
+
+def test_channel_families_equal_pair_calls_in_every_cell():
+    for draw, (rho, phis, psis, t) in enumerate(_family_draws()):
         for name, bound in CHANNEL_BOUNDS.items():
             args = (t,) if name == "thm3" else ()
             pairs = [[bound(rho, phi, psi, *args) for psi in psis] for phi in phis]
