@@ -16,10 +16,10 @@ Conventions shared by all bound evaluators:
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
-* the bounds read a channel's traces, brackets with sqrt(rho) and sums
-  from the per-channel record ``measures._terms`` keeps on it, keyed by
-  the state object and shared by every bound and sweep cell (its arrays
-  are read-only, so it cannot go stale); each bound forms its own products
+* the bounds read a channel's traces, brackets with sqrt(rho) and sums from the
+  record ``measures._terms`` keeps on it, keyed by the state object (its arrays
+  are read-only, so it cannot go stale), and a family's from one ``_Terms`` record
+  over its stacked Kraus arrays, built per call; each bound forms its own products
   and norms on every call, so a repeated call on the same objects forms them again;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import BoundViolationError, DimensionMismatchError
 from .linalg import SLACK_TOL
-from .measures import MeasureSet, _abs_sq, _nonneg, _terms, channel_measures, operator_u
+from .measures import _abs_sq, _nonneg, _Terms, _terms, channel_measures, operator_u
 from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
 
 
@@ -116,33 +116,23 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel grid and channel bounds
 # ---------------------------------------------------------------------------
 
-class _Family:
-    """The kept records of a family of channels (a lone channel is one of one), each
-    ``_Terms`` field stacked on each read, on grid axis 0 ``(G, 1, ...)`` or 1 ``(1, G, ...)``."""
-
-    def __init__(self, rho: DensityMatrix, channels, axis: int):
-        family = [channels] if isinstance(channels, KrausChannel) else channels
-        self.records = [_terms(rho, c) for c in family]
-        self.grid = (slice(None), None) if axis == 0 else (None,)  # index adding the other axis
-        if len({t.x.shape for t in self.records}) != 1:
-            raise DimensionMismatchError("a family needs channels, all of one Kraus count")
-
-    def __getattr__(self, name: str):
-        # np.array, not np.stack, and no zip over the family: both grow CPython's tuple free lists
-        values = [getattr(t, name) for t in self.records]
-        if isinstance(values[0], MeasureSet):
-            return MeasureSet(**{f: np.array([vars(v)[f] for v in values])[self.grid]
-                                 for f in vars(values[0])})
-        if isinstance(values[0], tuple):  # field by field
-            return tuple([np.array([v[k] for v in values])[self.grid] for k in range(len(values[0]))])
-        return np.array(values)[self.grid]
+def _kept(rho: DensityMatrix, channels) -> list:
+    """A family's kept records (a lone channel is one of one), checked for one Kraus count."""
+    family = [channels] if isinstance(channels, KrausChannel) else channels
+    records = [_terms(rho, c) for c in family]
+    if len({t.x.shape for t in records}) != 1:
+        raise DimensionMismatchError("a family needs channels, all of one Kraus count")
+    return records
 
 
 def _grid_terms(rho: DensityMatrix, phi, psi):
-    """A bound's terms: two channels' kept records, or a :class:`_Family` of each side."""
+    """A bound's terms: two channels' kept records or, for families, one record per side
+    over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept."""
     if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
         return _terms(rho, phi), _terms(rho, psi)
-    return _Family(rho, phi, 0), _Family(rho, psi, 1)
+    # np.array, not np.stack: np.stack grows CPython's tuple free lists
+    e, f = (np.array([t.x for t in _kept(rho, c)]) for c in (phi, psi))
+    return _Terms(rho, e[:, None]), _Terms(rho, f[None])
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -364,20 +354,25 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     first violated relation in ``relations()`` order; the randomized
     verification harness passes ``check=False`` and inspects the slacks itself.
     """
-    e, f = _grid_terms(rho, phi, psi)
-    m_phi, m_psi = ((e.measures, f.measures) if isinstance(e, _Family)
-                    else (channel_measures(rho, phi), channel_measures(rho, psi)))
+    records = _kept(rho, phi), _kept(rho, psi)  # both sides are checked before any measure
+    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
+        m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
+        v_phi, u_phi, v_psi, u_psi = m_phi.v_sym, m_phi.u_abs, m_psi.v_sym, m_psi.u_abs
+    else:  # each channel's kept v_sym and u_abs, stacked on its side's grid axis
+        (v_phi, u_phi), (v_psi, u_psi) = (
+            np.array([(t.measures.v_sym, t.measures.u_abs) for t in r]).T for r in records)
+        v_phi, u_phi = v_phi[:, None], u_phi[:, None]
     report = BoundReport(
-        lhs_product_v=m_phi.v_sym * m_psi.v_sym,
-        lhs_product_u=m_phi.u_abs * m_psi.u_abs,
-        lhs_sum_u2=_abs_sq(m_phi.u_abs) + _abs_sq(m_psi.u_abs),  # u_abs ** 2, per value
+        lhs_product_v=v_phi * v_psi,
+        lhs_product_u=u_phi * u_psi,
+        lhs_sum_u2=_abs_sq(u_phi) + _abs_sq(u_psi),  # u_abs ** 2, per value
         thm1=thm1_bound(rho, phi, psi),
         thm2=thm2_bound(rho, phi, psi),
         thm3=thm3_bound(rho, phi, psi, basis_index),
         lb_eq13=lb_eq13(rho, phi, psi),
         thm4=thm4_bound(rho, phi, psi),
         lb1_eq14=lb1_eq14(rho, phi, psi),
-        n_common=max(e.x.shape[-3], f.x.shape[-3]),
+        n_common=max(r[0].x.shape[-3] for r in records),
     )
     if check:  # the first violation in row-major cell order, then in relations() order
         relations = list(report.relations().items())

@@ -9,7 +9,8 @@ stack, summed in Kraus order; the derived quantity ``u_abs`` interpolates
 between total and quantum uncertainty and obeys
 ``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each
 channel by ``_terms``, holds only per-channel terms of a (state, channel)
-pair: its measures and the traces, brackets and sums the bounds read.
+pair: its measures and the traces, brackets and sums the bounds read, the
+last three also over the leading grid axes of a family's stacked Kraus arrays.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def abs_variance(rho: DensityMatrix, k):
 
 
 def _abs_variance(rho: DensityMatrix, k: np.ndarray):
-    k0 = _center(k, rho)
-    value = np.trace(rho.matrix @ linalg.dagger(k0) @ k0, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
+        k0 = _center(k, rho)
+        value = np.trace(rho.matrix @ linalg.dagger(k0) @ k0, axis1=-2, axis2=-1).real
     return _nonneg(value, "absolute variance")
 
 
@@ -85,7 +87,8 @@ def sym_abs_variance(rho: DensityMatrix, k):
 
 def _half_sq_norm(x: np.ndarray, what: str):
     """0.5 ||x||_F^2 of a matrix, or of each matrix of a stack."""
-    values = np.array([0.5 * linalg.frob_norm(m) ** 2 for m in x.reshape(-1, *x.shape[-2:])])
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
+        values = np.array([0.5 * linalg.frob_norm(m) ** 2 for m in x.reshape(-1, *x.shape[-2:])])
     return _nonneg(values if x.ndim == 3 else values[0], what)
 
 
@@ -143,12 +146,13 @@ def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, n
 
 
 class _Terms:
-    """The per-channel terms of one Kraus stack ``x`` under the state ``rho``,
-    each built on first use: the channel's :class:`MeasureSet`, and what the
-    bounds read: Tr(rho K_i) and Tr(rho K_i^dag), the brackets [sqrt(rho), K_i],
-    {sqrt(rho), K_i} of the raw and of the centered K_i, sum_i K_i and its
-    centered form. Each bound forms its own products and norms of these on
-    every call, so a repeated call on the same (state, channel) forms them again."""
+    """The per-channel terms of a Kraus stack ``x``, a channel's ``(N, d, d)`` or a
+    family's ``(..., N, d, d)``, under the state ``rho``, each built on first use: a
+    channel's :class:`MeasureSet`, and what the bounds read, over the leading axes with
+    each channel's bits: Tr(rho K_i) and Tr(rho K_i^dag), the brackets [sqrt(rho), K_i],
+    {sqrt(rho), K_i} of the raw and of the centered K_i, sum_i K_i and its centered
+    form. Each bound forms its own products and norms of these on every call, so a
+    repeated call on the same (state, channel) forms them again."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
         self.rho = rho  # held, so the state's identity cannot be reused while cached
@@ -174,13 +178,13 @@ class _Terms:
         return MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
                           j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs)
 
-    traces = cached_property(lambda t: _frozen(np.einsum("ab,iba->i", t.rho.matrix, t.x)))
+    traces = cached_property(lambda t: _frozen(np.einsum("ab,...iba->...i", t.rho.matrix, t.x)))
     traces_dag = cached_property(lambda t: _frozen(
-        np.einsum("ab,iba->i", t.rho.matrix, linalg.dagger(t.x))))
+        np.einsum("ab,...iba->...i", t.rho.matrix, linalg.dagger(t.x))))
     brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
     brackets0 = cached_property(lambda t: _sqrt_brackets(
-        t.rho, t.x - t.traces[:, None, None] * _eye(t.rho.dim)))
-    total = cached_property(lambda t: _frozen(t.x.sum(axis=0)))
+        t.rho, t.x - t.traces[..., None, None] * _eye(t.rho.dim)))
+    total = cached_property(lambda t: _frozen(t.x.sum(axis=-3)))
     total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chanuq.bounds import (bound_report, dou_bounds, fine_grained_terms,
+from chanuq.bounds import (_grid_terms, bound_report, dou_bounds, fine_grained_terms,
                            heisenberg_bound, lb1_eq14, lb_eq13, luo_bound,
                            schrodinger_bound, thm1_bound, thm2_bound,
                            thm3_bound, thm4_bound)
@@ -16,7 +16,8 @@ import chanuq.bounds
 from chanuq.errors import (BoundViolationError, DimensionMismatchError,
                            NotHermitianError, NumericError)
 from chanuq.ensembles import SplitMix64, random_channel, random_density
-from chanuq.measures import abs_variance, channel_measures, operator_u, sym_abs_variance
+from chanuq.measures import (_Terms, _terms, abs_variance, channel_measures, operator_u,
+                             sym_abs_variance)
 from chanuq.objects import KrausChannel, make_channel, make_density
 
 import oracles
@@ -719,9 +720,32 @@ def test_channel_families_equal_pair_calls_in_every_cell():
                     assert cell == value, (draw, name)
 
 
+def test_family_records_equal_kept_records_slice_by_slice():
+    # a family's record runs the kept record's code on the stacked Kraus arrays, phi's
+    # on grid axis 0 (G, 1, N, d, d) and psi's on axis 1 (1, G, N, d, d); each slice of
+    # each field must be that channel's kept field, bit for bit
+    fields = ("traces", "traces_dag", "brackets", "brackets0", "total", "total0")
+    for draw, (rho, phis, psis, _) in enumerate(_family_draws()):
+        e, f = _grid_terms(rho, phis, psis)
+        assert type(e) is type(f) is _Terms, draw
+        for record, channels, grid in ((e, phis, (len(phis), 1)), (f, psis, (1, len(psis)))):
+            for g, channel in enumerate(channels):
+                kept, cell = _terms(rho, channel), np.unravel_index(g, grid)
+                for name in fields:
+                    stacked, own = getattr(record, name), getattr(kept, name)
+                    if not isinstance(own, tuple):
+                        stacked, own = (stacked,), (own,)
+                    for a, b in zip(stacked, own, strict=True):
+                        assert a.shape == grid + b.shape, (draw, name)
+                        assert a[cell].tobytes() == b.tobytes(), (draw, name, g)
+
+
 def test_family_needs_one_kraus_count(werner1):
     with pytest.raises(DimensionMismatchError):
         thm1_bound(werner1, [ch_e(0.5), identity_channel()], [ch_f(0.5)])
+    # each channel is checked against the state before the family's Kraus count
+    with pytest.raises(DimensionMismatchError, match="channel dimension 2 does not match"):
+        bound_report(werner1, [ch_e(0.5)], [ch_f(0.5), identity_channel(2)])
     with pytest.raises(DimensionMismatchError):
         bound_report(werner1, [], [ch_f(0.5)])
 

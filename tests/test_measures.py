@@ -224,7 +224,7 @@ def test_overflowing_operator_measures_raise(measure, state, k):
     # the operands are finite, but the measure overflows: no NaN or inf may come back
     rho = make_density(np.array(state))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on such operands
+        warnings.simplefilter("error")  # and no numpy warning comes before the error
         with pytest.raises(NumericError):
             measure(rho, np.array(k))
 
