@@ -5,8 +5,8 @@ generalizations to arbitrary operators (Dou-style symmetrized-bracket
 bounds), two prior channel bounds on the u-measures (``lb_eq13``,
 ``lb1_eq14``), and the four channel relations ``thm1`` .. ``thm4``,
 including the fine-grained single-basis-vector machinery behind
-``thm3``. :func:`bound_report` evaluates everything for one
-(state, channel, channel) triple and checks every slack.
+``thm3``. :func:`bound_report` evaluates everything for one state and
+two channels or channel families, and checks every slack.
 
 Conventions shared by all bound evaluators:
 

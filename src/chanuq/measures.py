@@ -1,16 +1,16 @@
 """Scalar uncertainty measures for operators and channels.
 
 For an operator K and state rho these are the absolute variance
-Tr(rho K0^dag K0) (K0 the centered operator), its symmetrized version,
-and the skew-information pair built from the commutator and
-anticommutator of K with sqrt(rho); each measure takes one operator or
-an ``(N, d, d)`` stack. A channel's measures are those of its Kraus
-stack, summed in Kraus order; the derived quantity ``u_abs`` interpolates
-between total and quantum uncertainty and obeys
-``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each
-channel by ``_terms``, holds only per-channel terms of a (state, channel)
-pair: its measures and the traces, brackets and sums the bounds read, the
-last three also over the leading grid axes of a family's stacked Kraus arrays.
+Tr(rho K0^dag K0) (K0 the centered operator), its symmetrized version, and
+the skew-information pair, half the squared norms of [sqrt(rho), K] and
+{sqrt(rho), K}, which ``_sqrt_brackets`` alone forms; each measure takes one
+operator or an ``(N, d, d)`` stack. A channel's measures are ``sym_abs_variance``
+of its Kraus stack and the skew pair of the centered stack, summed in Kraus
+order; ``u_abs`` interpolates between total and quantum uncertainty and obeys
+``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each channel
+by ``_terms``, holds the per-channel terms of a (state, channel) pair: its
+measures and the traces, brackets and sums the bounds read, the last three
+also over the leading grid axes of a family's stacked Kraus arrays.
 """
 
 from __future__ import annotations
@@ -92,16 +92,22 @@ def _half_sq_norm(x: np.ndarray, what: str):
     return _nonneg(values if x.ndim == 3 else values[0], what)
 
 
+def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[sqrt(rho), K] and {sqrt(rho), K} of a checked operator or of each of a stack."""
+    left, right = rho.sqrt_matrix @ k, k @ rho.sqrt_matrix
+    return _frozen(left - right), _frozen(left + right)
+
+
 def mwy_skew_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
-    c = linalg.commutator(rho.sqrt_matrix, _operand(rho, k, stack=True))
-    return _half_sq_norm(c, "skew information")
+    comm, _ = _sqrt_brackets(rho, _operand(rho, k, stack=True))
+    return _half_sq_norm(comm, "skew information")
 
 
 def mwy_anti_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of {sqrt(rho), K}."""
-    a = linalg.anticommutator(rho.sqrt_matrix, _operand(rho, k, stack=True))
-    return _half_sq_norm(a, "anticommutator information")
+    _, anti = _sqrt_brackets(rho, _operand(rho, k, stack=True))
+    return _half_sq_norm(anti, "anticommutator information")
 
 
 def operator_u(rho: DensityMatrix, k):
@@ -139,20 +145,13 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     return _terms(rho, phi).measures
 
 
-def _sqrt_brackets(rho: DensityMatrix, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks of [sqrt(rho), K_i] and {sqrt(rho), K_i}."""
-    left, right = rho.sqrt_matrix @ stack, stack @ rho.sqrt_matrix
-    return _frozen(left - right), _frozen(left + right)
-
-
 class _Terms:
     """The per-channel terms of a Kraus stack ``x``, a channel's ``(N, d, d)`` or a
     family's ``(..., N, d, d)``, under the state ``rho``, each built on first use: a
     channel's :class:`MeasureSet`, and what the bounds read, over the leading axes with
-    each channel's bits: Tr(rho K_i) and Tr(rho K_i^dag), the brackets [sqrt(rho), K_i],
-    {sqrt(rho), K_i} of the raw and of the centered K_i, sum_i K_i and its centered
-    form. Each bound forms its own products and norms of these on every call, so a
-    repeated call on the same (state, channel) forms them again."""
+    each channel's bits: Tr(rho K_i) and Tr(rho K_i^dag), ``_sqrt_brackets`` of the raw
+    and of the centered K_i, sum_i K_i and its centered form. Each bound forms its own
+    products and norms of these on every call, so a repeated call forms them again."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
         self.rho = rho  # held, so the state's identity cannot be reused while cached
@@ -160,11 +159,11 @@ class _Terms:
 
     @cached_property
     def measures(self) -> MeasureSet:
-        """:func:`channel_measures`: the stack's measures, each summed in Kraus order."""
-        rho, x0 = self.rho, _center(self.x, self.rho)
-        v_sym = _kraus_sum(sym_abs_variance(rho, self.x))
-        i_tilde = _kraus_sum(mwy_skew_info(rho, x0))
-        j_tilde = _kraus_sum(mwy_anti_info(rho, x0))
+        """:func:`channel_measures`, each summed in Kraus order, on the channel's checked stack."""
+        comm0, anti0 = _sqrt_brackets(self.rho, _center(self.x, self.rho))
+        v_sym = _kraus_sum(sym_abs_variance(self.rho, self.x))
+        i_tilde = _kraus_sum(_half_sq_norm(comm0, "skew information"))
+        j_tilde = _kraus_sum(_half_sq_norm(anti0, "anticommutator information"))
         c_abs = v_sym - i_tilde
         u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
         if not _close(u_abs * u_abs, i_tilde * j_tilde):

@@ -7,8 +7,10 @@ import pytest
 
 import chanuq.ensembles
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
-from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _trial_relations,
-                              random_channel, random_density, random_operator, verify_suite)
+from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _gram_schmidt,
+                              _trial_relations, random_channel, random_density,
+                              random_operator, verify_suite)
+from chanuq.errors import NumericError
 from chanuq.measures import abs_variance, sym_abs_variance
 
 import oracles
@@ -114,6 +116,16 @@ def test_random_density_rejects_bad_rank():
         random_density(3, 0, 1)
     with pytest.raises(ValueError):
         random_density(3, 4, 1)
+
+
+def test_random_channel_rejects_no_kraus_operators():
+    with pytest.raises(ValueError):
+        random_channel(3, 0, 1)
+
+
+def test_gram_schmidt_rejects_dependent_columns():
+    with pytest.raises(NumericError, match="dependent column"):
+        _gram_schmidt(np.array([[1.0, 2.0], [1j, 2j], [0.5, 1.0]]))
 
 
 def test_random_channel_single_kraus_is_unitary():

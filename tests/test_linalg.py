@@ -342,3 +342,28 @@ def test_scale_is_the_plain_norm_in_the_finite_range():
     for exponent in (-30, 0, 30, 150):
         h = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 10.0 ** exponent
         assert linalg._scale(h) == (max(1.0, linalg.frob_norm(h)), 1.0)
+
+
+# no valid Hermitian matrix makes numpy's solver fail or miss its residuals, so the
+# two tests below replace it
+
+def test_hermitian_eig_reports_a_solver_failure(monkeypatch):
+    def failing(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericError, match="failed to converge"):
+        linalg.hermitian_eig(SZ)
+
+
+def test_hermitian_eig_rejects_a_decomposition_off_its_residuals(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] + 1e-3, eigh(h)[1]))
+    with pytest.raises(NumericError, match="residuals out of tolerance"):
+        linalg.hermitian_eig(SZ)
+
+
+def test_sqrt_from_a_mismatched_spectrum_fails_its_residual():
+    # the root of diag(0, 1)'s spectrum squares to diag(0, 1), not to diag(1, 0)
+    spectrum = linalg.hermitian_eig(np.diag([0.0, 1.0]))
+    with pytest.raises(NumericError, match="square-root residual"):
+        linalg._sqrt_from_spectrum(np.diag([1.0, 0.0]), spectrum)

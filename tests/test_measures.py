@@ -6,10 +6,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from chanuq import linalg, measures
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
 from chanuq.examples import channel_E, channel_F, rho_theta_state, werner_state
-from chanuq.measures import (MeasureSet, _nonneg, abs_variance, channel_measures,
+from chanuq.measures import (MeasureSet, _nonneg, _Terms, abs_variance, channel_measures,
                              mwy_anti_info, mwy_skew_info, operator_u, sym_abs_variance)
 from chanuq.objects import center_operator, make_channel, make_density
 
@@ -201,6 +202,40 @@ def test_channel_measures_internal_identities():
         assert abs(m.u_abs ** 2 - m.i_tilde * m.j_tilde) <= 1e-9 * guard
         assert abs(m.i_tilde + m.j_tilde - 2 * m.v_sym) <= 1e-9 * max(1.0, 2 * m.v_sym)
         assert 0.0 <= m.i_tilde <= 2 * m.v_sym + 1e-9
+
+
+@pytest.mark.parametrize("theta, message", [
+    # i_tilde > 0: u^2 = i_tilde (2 v_sym - i_tilde) no longer equals i_tilde*j_tilde
+    (0.3, "disagrees with i_tilde\\*j_tilde"),
+    # the maximally mixed state: i_tilde = 0, so u^2 = 0 = i_tilde*j_tilde whatever
+    # j_tilde is, and only the sum identity can see the fault
+    (0.75, "disagrees with 2\\*v_sym"),
+], ids=["product", "sum"])
+def test_record_rejects_a_broken_identity(monkeypatch, theta, message):
+    # no valid input breaks the identities, which hold up to rounding, so double
+    # every anticommutator information the record sums
+    rho, phi = werner_state(theta), channel_F(0.5)
+    half_sq_norm = measures._half_sq_norm
+
+    def skewed(x, what):
+        value = half_sq_norm(x, what)
+        return 2 * value if what == "anticommutator information" else value
+    monkeypatch.setattr(measures, "_half_sq_norm", skewed)
+    with pytest.raises(NumericError, match=message):
+        _Terms(rho, phi.kraus_ops).measures
+
+
+def test_record_measures_check_the_stack_once(monkeypatch):
+    # the channel's stack passed its check when made; only sym_abs_variance checks it again
+    rho, phi = werner_state(0.3), channel_F(0.5)
+    shapes, as_square = [], linalg._as_square
+
+    def counting(m, ndims):
+        shapes.append(np.shape(m))
+        return as_square(m, ndims)
+    monkeypatch.setattr(linalg, "_as_square", counting)
+    _Terms(rho, phi.kraus_ops).measures
+    assert shapes == [phi.kraus_ops.shape]
 
 
 def test_operator_u_matches_skew_product():
