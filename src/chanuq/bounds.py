@@ -127,7 +127,11 @@ def _kept(rho: DensityMatrix, channels) -> list:
 
 def _grid_terms(rho: DensityMatrix, phi, psi):
     """A bound's terms: two channels' kept records or, for families, one record per side
-    over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept."""
+    over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept.
+
+    A lone channel facing a family is restacked as a family of one, not broadcast from
+    its kept ``(N, d, d)`` record: numpy's complex ``*`` took a loop without FMA on such
+    operands and moved a last digit of ``lb1_eq14``'s ``Tr(rho F_j^dag) Tr(rho E_j)``."""
     if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
         return _terms(rho, phi), _terms(rho, psi)
     # np.array, not np.stack: np.stack grows CPython's tuple free lists

@@ -7,9 +7,9 @@ verification), ``example`` (numeric vs closed-form values at one point).
 Exit codes: 0 ok, 1 I/O error (a file that cannot be read or written,
 such as ``sweep --out`` into a missing directory), 2 parse/usage,
 3 validation, 4 dimension mismatch, 5 verification failure; the table
-``ERROR_EXITS`` maps each error class to its code. All floats are printed
-with 17 significant digits so output is byte-deterministic and round-trips
-exactly.
+``ERROR_EXITS`` maps each error class to its code. All floats, in the JSON
+reports and the sweep's CSV rows alike, are printed by one rule, ``_FLOAT``:
+17 significant digits, so output is byte-deterministic and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .objects import channel_from_json, state_from_json
 EXIT_VERIFICATION = 5
 
 
-def _fmt(x: float) -> str:
-    # adding 0.0 folds IEEE negative zero into plain zero
-    return format(float(x) + 0.0, ".17g")
+_FLOAT = "%.17g"
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -54,12 +52,9 @@ def _dumps(obj, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{inner}{_dumps(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        # adding 0.0 folds IEEE negative zero into plain zero
+        return _FLOAT % (obj + 0.0)
     return json.dumps(obj)
 
 
@@ -172,7 +167,7 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
                     for name in CLOSED_FORM_OF.values()]
     # one row per (p, q), p-major, with an empty field per closed-form column left out;
     # adding 0.0 folds IEEE negative zero into plain zero
-    row_format = ",".join(["%.17g"] * len(columns) + [""] * (len(SWEEP_COLUMNS) - len(columns)))
+    row_format = ",".join([_FLOAT] * len(columns) + [""] * (len(SWEEP_COLUMNS) - len(columns)))
     rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns)) + 0.0
     lines = [",".join(SWEEP_COLUMNS), *(row_format % tuple(row) for row in rows.tolist())]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -669,3 +669,26 @@ def test_sweep_violated_bound_in_two_cells_exits_5_without_csv(runner, tmp_path,
     assert result.stdout == ""
     assert result.stderr == f"verification failure: {info.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1, 2, {"b": None}], "c": {"d": [True, False]}, "e": {}, "f": []},
+    {}, [], [[], {}], True, False, None, 0, -7, 2 ** 64 - 2,
+    {"naïve": "Φ ⊗ Ψ", "ρ": ["√ρ", 3]},
+], ids=["nested", "empty-dict", "empty-list", "empty-nested", "true", "false", "null",
+        "zero", "negative", "large-int", "non-ascii"])
+def test_dumps_prints_float_free_documents_as_json(doc):
+    assert chanuq.cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.1, -1.0 / 3.0, 1e300, 5e-324, 2.5e-310,
+                               np.float64(2.0 / 3.0), np.float64(-0.0)],
+                         ids=["zero", "negative-zero", "tenth", "third", "large", "min-subnormal",
+                              "subnormal", "np-float64", "np-negative-zero"])
+def test_dumps_prints_floats_with_17_significant_digits(x):
+    # adding 0.0 first prints -0.0 as 0; 17 digits round-trip every double
+    expected = "%.17g" % (x + 0.0)
+    assert chanuq.cli._dumps(x) == expected
+    assert chanuq.cli._dumps({"x": [x]}) == '{\n  "x": [\n    ' + expected + "\n  ]\n}"
+    assert float(expected) == x
+    assert expected.startswith("-") == (x < 0)
