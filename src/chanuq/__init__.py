@@ -17,7 +17,7 @@ from .linalg import (SpectralDecomposition, anticommutator, cartesian_decompose,
                      sym_anticommutator, sym_commutator)
 from .measures import (MeasureSet, abs_variance, channel_measures, mwy_anti_info,
                        mwy_skew_info, operator_u, sym_abs_variance)
-from .objects import (DensityMatrix, KrausChannel, apply_channel, center_operator,
+from .objects import (DensityMatrix, KrausChannel, center_operator,
                       channel_from_json, channel_to_json, make_channel, make_density,
                       state_from_json, state_to_json)
 
@@ -30,7 +30,7 @@ __all__ = [
     "MeasureSet", "NotHermitianError", "NotPositiveError", "NumericError",
     "SchemaError", "SpectralDecomposition", "SplitMix64", "TraceError",
     "ValidationError", "VerificationReport", "Violation",
-    "abs_variance", "anticommutator", "apply_channel", "bound_report",
+    "abs_variance", "anticommutator", "bound_report",
     "cartesian_decompose", "center_operator", "channel_E", "channel_F",
     "channel_from_json", "channel_measures", "channel_to_json", "closed_forms",
     "commutator", "dou_bounds", "example1_closed_forms", "example2_closed_forms",

@@ -38,7 +38,8 @@ import numpy as np
 from . import linalg
 from .errors import BoundViolationError, DimensionMismatchError
 from .linalg import SLACK_TOL
-from .measures import _abs_sq, _nonneg, _Terms, _terms, channel_measures, operator_u
+from .measures import (_abs_sq, _measure_all, _nonneg, _Terms, _terms, channel_measures,
+                       operator_u)
 from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
 
 
@@ -359,6 +360,8 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     verification harness passes ``check=False`` and inspects the slacks itself.
     """
     records = _kept(rho, phi), _kept(rho, psi)  # both sides are checked before any measure
+    for side in records:  # one stacked pass per side: phi's Kraus count may differ from psi's
+        _measure_all(side)
     if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
         m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
         v_phi, u_phi, v_psi, u_psi = m_phi.v_sym, m_phi.u_abs, m_psi.v_sym, m_psi.u_abs

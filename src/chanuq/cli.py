@@ -26,8 +26,8 @@ from .bounds import bound_report
 from .ensembles import EnsembleConfig, verify_suite
 from .errors import (BoundViolationError, ChanuqError, DimensionMismatchError,
                      NumericError, SchemaError, ValidationError)
-from .examples import (CLOSED_FORM_THETA, EXAMPLE_IDS, channel_E, channel_F,
-                       closed_forms, example_state)
+from .examples import (CLOSED_FORM_THETA, EXAMPLE_IDS, _channel_family, channel_E,
+                       channel_F, closed_forms, example_state)
 from .measures import channel_measures
 from .objects import channel_from_json, state_from_json
 
@@ -153,8 +153,7 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     """
     grid = np.linspace(0.0, 1.0, grid_steps)
     rho = example_state(example_id, theta)
-    phis = [channel_E(float(p)) for p in grid]
-    psis = [channel_F(float(q)) for q in grid]
+    phis, psis = _channel_family("E", grid), _channel_family("F", grid)
     report = bound_report(rho, phis, psis, basis_index=basis_index)
     u_phi = np.array([channel_measures(rho, phi).u_abs for phi in phis])
     u_psi = np.array([channel_measures(rho, psi).u_abs for psi in psis])

@@ -3,10 +3,12 @@
 Two four-dimensional state families are shipped: the Werner family
 (``werner``) and a two-block family (``rho_theta``), both parameterized
 by theta in [0, 1], together with a fixed pair of diagonal/damping-style
-channels E(p) and F(q). For the canonical parameter values
-(theta = 1 for ``werner``, theta = 0 for ``rho_theta``) closed-form
-expressions for the four channel bounds are available and serve as
-regression surfaces for the numeric evaluators.
+channels E(p) and F(q). ``_channel_family`` builds E or F on a whole grid
+of parameters as one ``(G, 2, 4, 4)`` Kraus stack, validated at once;
+``channel_E`` and ``channel_F`` are its one-point case. For the canonical
+parameter values (theta = 1 for ``werner``, theta = 0 for ``rho_theta``)
+closed-form expressions for the four channel bounds are available and
+serve as regression surfaces for the numeric evaluators.
 
 The closed forms are evaluated exactly as written, with no algebraic
 simplification, so a transcription error in one of them shows up as a
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import NumericError
 from .linalg import NEGATIVITY_FLOOR
-from .objects import DensityMatrix, KrausChannel, make_channel, make_density
+from .objects import DensityMatrix, KrausChannel, _make_channels, make_density
 
 EXAMPLE_IDS = ("werner", "rho_theta")
 
@@ -82,25 +84,30 @@ def channel_E(p: float) -> KrausChannel:
     """Damping-style channel: E1 = diag(1, r, 1, r), E2 = diag(0, sqrt(p), 0, sqrt(p))
     with r = sqrt(1 - p). The zero operator at p = 0 is kept so the list
     length stays 2 across parameter sweeps."""
-    _check_unit("p", p)
-    r = math.sqrt(1.0 - p)
-    sp = math.sqrt(p)
-    e1 = np.diag([1.0, r, 1.0, r]).astype(complex)
-    e2 = np.diag([0.0, sp, 0.0, sp]).astype(complex)
-    return make_channel([e1, e2])
+    return _channel_family("E", [p])[0]
 
 
 def channel_F(q: float) -> KrausChannel:
     """Companion channel: F1 = diag(sqrt(1-q), 1, sqrt(1-q), 1), F2 lowers
     within each two-dimensional block with amplitude sqrt(q)."""
-    _check_unit("q", q)
-    r = math.sqrt(1.0 - q)
-    sq = math.sqrt(q)
-    f1 = np.diag([r, 1.0, r, 1.0]).astype(complex)
-    f2 = np.zeros((4, 4), dtype=complex)
-    f2[1, 0] = sq
-    f2[3, 2] = sq
-    return make_channel([f1, f2])
+    return _channel_family("F", [q])[0]
+
+
+def _channel_family(name: str, grid) -> list[KrausChannel]:
+    """``channel_E`` (``name`` "E") or ``channel_F`` ("F") at each point of ``grid``,
+    written into one ``(G, 2, 4, 4)`` stack and validated by one stacked check."""
+    x = np.array([_check_unit("p" if name == "E" else "q", v) for v in grid], dtype=float)
+    r, s = np.sqrt(1.0 - x)[:, None], np.sqrt(x)[:, None]
+    ops = np.zeros((len(x), 2, 4, 4), dtype=complex)
+    if name == "E":  # E1 = diag(1, r, 1, r), E2 = diag(0, s, 0, s)
+        ops[:, 0, [0, 2], [0, 2]] = 1.0
+        ops[:, 0, [1, 3], [1, 3]] = r
+        ops[:, 1, [1, 3], [1, 3]] = s
+    else:  # F1 = diag(r, 1, r, 1), F2 = s (|1><0| + |3><2|)
+        ops[:, 0, [0, 2], [0, 2]] = r
+        ops[:, 0, [1, 3], [1, 3]] = 1.0
+        ops[:, 1, [1, 3], [0, 2]] = s
+    return _make_channels(ops)
 
 
 def example_state(example_id: str, theta: float) -> DensityMatrix:

@@ -7,10 +7,13 @@ the skew-information pair, half the squared norms of [sqrt(rho), K] and
 operator or an ``(N, d, d)`` stack. A channel's measures are ``sym_abs_variance``
 of its Kraus stack and the skew pair of the centered stack, summed in Kraus
 order; ``u_abs`` interpolates between total and quantum uncertainty and obeys
-``u_abs^2 = i_tilde * j_tilde``. One record, ``_Terms``, kept on each channel
-by ``_terms``, holds the per-channel terms of a (state, channel) pair: its
-measures and the traces, brackets and sums the bounds read, the last three
-also over the leading grid axes of a family's stacked Kraus arrays.
+``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them for a
+``(G, N, d, d)`` stack of channels at once, each with the bits of that channel
+alone; a lone channel is its ``G = 1`` case. One record, ``_Terms``, kept on
+each channel by ``_terms``, holds the per-channel terms of a (state, channel)
+pair: its measures (for a whole family side filled in one stacked pass by
+``_measure_all``) and the traces, brackets and sums the bounds read, the last
+three also over the leading grid axes of a family's stacked Kraus arrays.
 """
 
 from __future__ import annotations
@@ -123,9 +126,10 @@ def _u_from(v, i):
     return _nonneg(float(np.sqrt(max(v * v - _abs_sq(v - i), 0.0))), "|U|")
 
 
-def _kraus_sum(values: np.ndarray) -> float:
-    """Add one at a time in Kraus order (Python 3.12's sum compensates, ndarray.sum pairs)."""
-    return reduce(operator.add, values.tolist(), 0.0)
+def _kraus_sums(values: np.ndarray, shape: tuple[int, int]) -> list[float]:
+    """Per channel of a ``(G, N)`` grid of per-operator values, their sum added one at a
+    time in Kraus order (Python 3.12's sum compensates, ndarray.sum pairs)."""
+    return [reduce(operator.add, row, 0.0) for row in values.reshape(shape).tolist()]
 
 
 def _close(a: float, b: float) -> bool:
@@ -159,11 +163,32 @@ class _Terms:
 
     @cached_property
     def measures(self) -> MeasureSet:
-        """:func:`channel_measures`, each summed in Kraus order, on the channel's checked stack."""
-        comm0, anti0 = _sqrt_brackets(self.rho, _center(self.x, self.rho))
-        v_sym = _kraus_sum(sym_abs_variance(self.rho, self.x))
-        i_tilde = _kraus_sum(_half_sq_norm(comm0, "skew information"))
-        j_tilde = _kraus_sum(_half_sq_norm(anti0, "anticommutator information"))
+        """:func:`channel_measures` of the channel's checked stack: the one-channel case
+        of :func:`_measure_sets`."""
+        return _measure_sets(self.rho, self.x[None])[0]
+
+    traces = cached_property(lambda t: _frozen(np.einsum("ab,...iba->...i", t.rho.matrix, t.x)))
+    traces_dag = cached_property(lambda t: _frozen(
+        np.einsum("ab,...iba->...i", t.rho.matrix, linalg.dagger(t.x))))
+    brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
+    brackets0 = cached_property(lambda t: _sqrt_brackets(
+        t.rho, t.x - t.traces[..., None, None] * _eye(t.rho.dim)))
+    total = cached_property(lambda t: _frozen(t.x.sum(axis=-3)))
+    total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
+
+
+def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
+    """The :class:`MeasureSet` of each channel of a checked ``(G, N, d, d)`` stack, each
+    with the bits of that channel alone: one ``sym_abs_variance`` call on the flattened
+    ``(G N, d, d)`` stack, one ``_sqrt_brackets`` of its centered form and one
+    ``_half_sq_norm`` of each bracket (all per matrix), then per channel the sums in Kraus
+    order, ``u_abs`` and the two identity checks."""
+    flat = x.reshape(-1, *x.shape[-2:])
+    comm0, anti0 = _sqrt_brackets(rho, _center(flat, rho))
+    per_op = (sym_abs_variance(rho, flat), _half_sq_norm(comm0, "skew information"),
+              _half_sq_norm(anti0, "anticommutator information"))
+    sets = []
+    for v_sym, i_tilde, j_tilde in zip(*(_kraus_sums(v, x.shape[:2]) for v in per_op)):
         c_abs = v_sym - i_tilde
         u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
         if not _close(u_abs * u_abs, i_tilde * j_tilde):
@@ -174,17 +199,19 @@ class _Terms:
             raise NumericError(
                 f"i_tilde + j_tilde = {i_tilde + j_tilde!r} disagrees with "
                 f"2*v_sym = {2.0 * v_sym!r}")
-        return MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
-                          j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs)
+        sets.append(MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
+                               j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs))
+    return sets
 
-    traces = cached_property(lambda t: _frozen(np.einsum("ab,...iba->...i", t.rho.matrix, t.x)))
-    traces_dag = cached_property(lambda t: _frozen(
-        np.einsum("ab,...iba->...i", t.rho.matrix, linalg.dagger(t.x))))
-    brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
-    brackets0 = cached_property(lambda t: _sqrt_brackets(
-        t.rho, t.x - t.traces[..., None, None] * _eye(t.rho.dim)))
-    total = cached_property(lambda t: _frozen(t.x.sum(axis=-3)))
-    total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
+
+def _measure_all(records: list[_Terms]) -> None:
+    """Fill the measures of every record of one side (one state, one Kraus count) that has
+    none yet, in one stacked :func:`_measure_sets` pass."""
+    todo = [t for t in records if "measures" not in vars(t)]  # cached_property's slot
+    if todo:
+        sets = _measure_sets(todo[0].rho, np.array([t.x for t in todo]))
+        for t, m in zip(todo, sets):
+            vars(t)["measures"] = m
 
 
 def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:

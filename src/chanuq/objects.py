@@ -5,9 +5,11 @@ construction time (through :func:`make_density` / :func:`make_channel`)
 so downstream code can assume validity and does not check them again.
 ``make_density`` coerces with :func:`chanuq.linalg.as_matrix`, and
 ``make_channel`` runs the same check once on the ``(N, d, d)`` stack it
-stores. The tolerances are those of the table in :mod:`chanuq.linalg`,
-chosen for double precision, so file-loaded inputs work without exact
-arithmetic.
+stores, then checks completeness as the one-channel case of
+``_make_channels``, which validates a ``(G, N, d, d)`` stack of channels
+in one product and sum. The tolerances are those of the table in
+:mod:`chanuq.linalg`, chosen for double precision, so file-loaded inputs
+work without exact arithmetic.
 
 The JSON layout (consumed by the CLI) encodes a complex number as a
 two-element array ``[re, im]`` of finite JSON numbers (not booleans):
@@ -99,31 +101,32 @@ def make_density(m) -> DensityMatrix:
 def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
     """Validate a list of Kraus operators as a CPTP channel, stored as one read-only stack.
 
-    Completeness is checked as ``||sum E_i^dag E_i - I||_F <= tol``.
+    Completeness is checked as ``||sum E_i^dag E_i - I||_F <= tol``, by the one-channel
+    case of :func:`_make_channels`.
     """
     if len(ops) == 0:
         raise ValidationError("nonempty Kraus list", 0.0,
                               "a channel needs at least one Kraus operator")
-    stack = linalg._as_square(ops, (3,))
+    return _make_channels(linalg._as_square(ops, (3,))[None], tol)[0]
+
+
+def _make_channels(stack: np.ndarray, tol: float = CPTP_TOL) -> list[KrausChannel]:
+    """:func:`make_channel` of each ``(N, d, d)`` block of a complex ``(G, N, d, d)`` stack,
+    one product and sum for all: the first incomplete block raises its ``CompletenessError``.
+    The channels keep read-only views of the stack, which is frozen."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in make_density
-        total = (linalg.dagger(stack) @ stack).sum(axis=0)
-        residual = linalg.frob_norm(total - np.eye(stack.shape[1]))
-    if not residual <= tol:  # NaN-safe: an overflowing sum must fail too
-        raise CompletenessError(residual)
-    return KrausChannel(kraus_ops=_frozen(stack))
+        totals = (linalg.dagger(stack) @ stack).sum(axis=1) - np.eye(stack.shape[-1])
+        for total in totals:
+            residual = linalg.frob_norm(total)
+            if not residual <= tol:  # NaN-safe: an overflowing sum must fail too
+                raise CompletenessError(residual)
+    return [KrausChannel(kraus_ops=block) for block in _frozen(stack)]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only so no result cached from it can go stale."""
     a.setflags(write=False)
     return a
-
-
-def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel: sum_i E_i rho E_i^dag, revalidated as a state."""
-    _same_dim(rho, phi.dim, "channel")
-    ops = phi.kraus_ops
-    return make_density((ops @ rho.matrix @ linalg.dagger(ops)).sum(axis=0))
 
 
 def _operand(rho: DensityMatrix, k, stack: bool = False) -> np.ndarray:

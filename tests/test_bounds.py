@@ -697,10 +697,14 @@ def _family_draws():
 
 
 def test_channel_families_equal_pair_calls_in_every_cell():
+    # every pair call takes fresh copies, which keep no record (__getstate__ drops it), so
+    # a pair call forms its own terms and measures instead of reading the ones a family
+    # call kept on the same channel objects
+    fresh = copy.deepcopy
     for draw, (rho, phis, psis, t) in enumerate(_family_draws()):
         for name, bound in CHANNEL_BOUNDS.items():
             args = (t,) if name == "thm3" else ()
-            pairs = [[bound(rho, phi, psi, *args) for psi in psis] for phi in phis]
+            pairs = [[bound(rho, fresh(phi), fresh(psi), *args) for psi in psis] for phi in phis]
             grid = bound(rho, phis, psis, *args)
             assert grid.shape == (len(phis), len(psis)), (draw, name)
             assert grid.tolist() == pairs, (draw, name)
@@ -709,13 +713,14 @@ def test_channel_families_equal_pair_calls_in_every_cell():
         grid_terms = fine_grained_terms(rho, phis, psis, t)
         for i, phi in enumerate(phis):
             for j, psi in enumerate(psis):
-                pair = fine_grained_terms(rho, phi, psi, t)
+                pair = fine_grained_terms(rho, fresh(phi), fresh(psi), t)
                 for field in ("i1", "i1_tilde", "i0", "i0_tilde"):
                     assert getattr(grid_terms, field)[i, j] == getattr(pair, field), (draw, field)
         family = vars(bound_report(rho, phis, psis, t, check=False))
         for i, phi in enumerate(phis):
             for j, psi in enumerate(psis):
-                for name, value in vars(bound_report(rho, phi, psi, t, check=False)).items():
+                pair = bound_report(rho, fresh(phi), fresh(psi), t, check=False)
+                for name, value in vars(pair).items():
                     cell = family[name] if name == "n_common" else family[name][i, j]
                     assert cell == value, (draw, name)
 

@@ -1,5 +1,6 @@
 """Unit tests for the uncertainty measures."""
 
+import copy
 import warnings
 from dataclasses import astuple
 
@@ -9,7 +10,8 @@ import pytest
 from chanuq import linalg, measures
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
-from chanuq.examples import channel_E, channel_F, rho_theta_state, werner_state
+from chanuq.ensembles import SplitMix64, random_channel, random_density
+from chanuq.examples import _channel_family, channel_E, channel_F, rho_theta_state, werner_state
 from chanuq.measures import (MeasureSet, _nonneg, _Terms, abs_variance, channel_measures,
                              mwy_anti_info, mwy_skew_info, operator_u, sym_abs_variance)
 from chanuq.objects import center_operator, make_channel, make_density
@@ -353,6 +355,42 @@ def test_channel_measures_equal_the_per_operator_loop():
     for rho, phi in _channel_draws():
         expected = _per_operator_loop(rho, phi)
         assert _bits(astuple(channel_measures(rho, phi))) == _bits(astuple(expected))
+
+
+# A family's measures come from one stacked pass over its (G, N, d, d) Kraus array; each
+# channel's MeasureSet must be that of the channel alone, to the bit. numpy's SIMD
+# dispatch decides this as it decides the goldens, so CI reruns it with numpy capped at AVX2.
+
+def _measure_families():
+    """(state, family, lone channels) draws: the example families E and F at 2-101 steps under
+    werner and rho_theta at theta 0, 0.3, 0.7 and 1, with each point's lone channel, then
+    families of eight random channels at d 2-8 and N 1-5 (no lone channels)."""
+    for example_state in (werner_state, rho_theta_state):
+        for theta in (0.0, 0.3, 0.7, 1.0):
+            rho = example_state(theta)
+            for steps in (2, 3, 5, 11, 21, 41, 101):
+                grid = np.linspace(0.0, 1.0, steps)
+                for name, lone in (("E", channel_E), ("F", channel_F)):
+                    yield rho, _channel_family(name, grid), [lone(float(x)) for x in grid]
+    gen = SplitMix64(2121)
+    for dim in range(2, 9):
+        for n in range(1, 6):
+            rho = random_density(dim, 1 + (dim + n) % dim, gen)  # ranks 1 to dim
+            yield rho, [random_channel(dim, n, gen) for _ in range(8)], None
+
+
+def test_stacked_measure_sets_equal_lone_ones():
+    for draw, (rho, family, lone_built) in enumerate(_measure_families()):
+        if lone_built is not None:  # _channel_family stacks channel_E / channel_F
+            assert ([c.kraus_ops.tobytes() for c in family]
+                    == [c.kraus_ops.tobytes() for c in lone_built]), draw
+        records = [measures._terms(rho, c) for c in family]
+        assert not any("measures" in vars(t) for t in records), draw
+        measures._measure_all(records)
+        # copies keep no record, so each lone MeasureSet is formed afresh
+        lone = [channel_measures(rho, copy.deepcopy(c)) for c in family]
+        assert ([_bits(astuple(t.measures)) for t in records]
+                == [_bits(astuple(m)) for m in lone]), draw
 
 
 @pytest.mark.parametrize("bad, error", [

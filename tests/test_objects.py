@@ -13,7 +13,7 @@ from chanuq.errors import (CompletenessError, DimensionMismatchError,
                            NotHermitianError, NotPositiveError, NumericError,
                            SchemaError, TraceError, ValidationError)
 from chanuq.measures import channel_measures
-from chanuq.objects import (apply_channel, center_operator, channel_from_json,
+from chanuq.objects import (_make_channels, center_operator, channel_from_json,
                             channel_to_json, make_channel, make_density,
                             state_from_json, state_to_json)
 
@@ -125,34 +125,31 @@ def test_make_channel_list_and_stack_agree():
     assert np.array_equal(from_list.kraus_ops, from_stack.kraus_ops)
 
 
-def test_apply_channel_identity_is_noop():
-    rho = make_density(oracles.werner_matrix(0.4))
-    out = apply_channel(make_channel([np.eye(4)]), rho)
-    np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+@pytest.mark.parametrize("bad", [
+    [2 * I2, I2 - I2],              # overcomplete
+    [I2 / 2, I2 / 2],               # undercomplete
+    [np.diag([1e200, 1.0]), 0 * I2],  # the sum overflows to a NaN residual
+], ids=["over", "under", "overflow"])
+def test_stacked_completeness_check_rejects_a_bad_block_as_make_channel_does(bad):
+    good = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SX]
+    with pytest.raises(CompletenessError) as lone:
+        make_channel(bad)
+    worse = [3 * I2, I2]  # a later bad block, with another residual
+    for blocks in ([bad], [good, bad, good], [good, good, bad, worse]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CompletenessError) as stacked:
+                _make_channels(np.array(blocks, dtype=complex))
+        assert str(stacked.value) == str(lone.value)
+        assert repr(stacked.value.residual) == repr(lone.value.residual)
 
 
-def test_apply_channel_frozen_output():
-    # independent evaluation of E1 rho E1^dag + E2 rho E2^dag at p = 1
-    rho = make_density(oracles.werner_matrix(1.0))
-    out = apply_channel(make_channel(oracles.e_kraus(1.0)), rho)
-    expected = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
-    np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
-
-
-def test_apply_channel_preserves_trace_and_psd():
-    for t in range(1000):
-        rng = ensembles.SplitMix64(5000 + t)
-        dim = 2 + t % 3
-        rho = ensembles.random_density(dim, dim, rng)
-        phi = ensembles.random_channel(dim, 1 + t % 3, rng)
-        out = apply_channel(phi, rho)  # revalidates internally
-        assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
-
-
-def test_apply_channel_dim_mismatch():
-    rho = make_density(I2 / 2)
-    with pytest.raises(DimensionMismatchError):
-        apply_channel(make_channel([np.eye(4)]), rho)
+def test_stacked_completeness_check_keeps_each_block():
+    blocks = np.array([oracles.e_kraus(p) for p in (0.0, 0.3, 1.0)])
+    channels = _make_channels(blocks.copy())
+    for ops, channel in zip(blocks, channels, strict=True):
+        assert channel.kraus_ops.tobytes() == make_channel(ops).kraus_ops.tobytes()
+        assert not channel.kraus_ops.flags.writeable
 
 
 def test_center_operator_identity():
