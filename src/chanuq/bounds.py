@@ -18,9 +18,9 @@ Conventions shared by all bound evaluators:
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
 * the bounds read a channel's traces, brackets with sqrt(rho) and sums from the
   record ``measures._terms`` keeps on it, keyed by the state object (its arrays
-  are read-only, so it cannot go stale), and a family's from one ``_Terms`` record
-  over its stacked Kraus arrays, built per call; each bound forms its own products
-  and norms on every call, so a repeated call on the same objects forms them again;
+  are read-only, so it cannot go stale), a family's from one ``_Terms`` record over
+  its stacked Kraus arrays, and a record pair as it is (``bound_report`` builds one
+  pair per report); each bound forms its own products and norms on every call;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -126,17 +126,21 @@ def _kept(rho: DensityMatrix, channels) -> list:
     return records
 
 
-def _grid_terms(rho: DensityMatrix, phi, psi):
-    """A bound's terms: two channels' kept records or, for families, one record per side
-    over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept.
+def _grid_terms(rho: DensityMatrix, phi, psi, kept=None):
+    """A bound's terms: a record pair passes through; else, from both sides' kept records
+    (``kept`` or :func:`_kept`'s), a lone pair's own or, for families, one record per
+    side over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept.
 
     A lone channel facing a family is restacked as a family of one, not broadcast from
     its kept ``(N, d, d)`` record: numpy's complex ``*`` took a loop without FMA on such
     operands and moved a last digit of ``lb1_eq14``'s ``Tr(rho F_j^dag) Tr(rho E_j)``."""
+    if isinstance(phi, _Terms) and isinstance(psi, _Terms):
+        return phi, psi
+    e, f = kept or (_kept(rho, phi), _kept(rho, psi))
     if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
-        return _terms(rho, phi), _terms(rho, psi)
+        return e[0], f[0]
     # np.array, not np.stack: np.stack grows CPython's tuple free lists
-    e, f = (np.array([t.x for t in _kept(rho, c)]) for c in (phi, psi))
+    e, f = (np.array([t.x for t in side]) for side in (e, f))
     return _Terms(rho, e[:, None]), _Terms(rho, f[None])
 
 
@@ -178,7 +182,7 @@ def thm1_bound(rho: DensityMatrix, phi, psi):
     anti_sum = _expect(rho, linalg.anticommutator(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
     comm, anti = pref * _abs_sq(comm_sum), pref * _abs_sq(anti_sum)
-    return np.maximum(comm, anti) if isinstance(comm, np.ndarray) else max(comm, anti)
+    return _value(np.maximum(comm, anti))
 
 
 def thm2_bound(rho: DensityMatrix, phi, psi):
@@ -265,9 +269,9 @@ def fine_grained_terms(rho: DensityMatrix, phi, psi, basis_index: int = 0) -> Fi
     i1_tilde.
     """
     e, f = _grid_terms(rho, phi, psi)
-    if not 0 <= basis_index < rho.dim:
-        raise IndexError(
-            f"basis index {basis_index} out of range for dimension {rho.dim}")
+    if (isinstance(basis_index, bool) or not isinstance(basis_index, (int, np.integer))
+            or not 0 <= basis_index < rho.dim):  # a bool would index as a mask
+        raise IndexError(f"basis index {basis_index} out of range for dimension {rho.dim}")
 
     def gap_sum(x: np.ndarray, y: np.ndarray):
         u, w = x[..., basis_index], y[..., basis_index]  # rows: the columns u_i, w_j
@@ -369,17 +373,18 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
         (v_phi, u_phi), (v_psi, u_psi) = (
             np.array([(t.measures.v_sym, t.measures.u_abs) for t in r]).T for r in records)
         v_phi, u_phi = v_phi[:, None], u_phi[:, None]
+    e, f = _grid_terms(rho, phi, psi, records)  # the one record pair the six bounds read
     report = BoundReport(
         lhs_product_v=v_phi * v_psi,
         lhs_product_u=u_phi * u_psi,
         lhs_sum_u2=_abs_sq(u_phi) + _abs_sq(u_psi),  # u_abs ** 2, per value
-        thm1=thm1_bound(rho, phi, psi),
-        thm2=thm2_bound(rho, phi, psi),
-        thm3=thm3_bound(rho, phi, psi, basis_index),
-        lb_eq13=lb_eq13(rho, phi, psi),
-        thm4=thm4_bound(rho, phi, psi),
-        lb1_eq14=lb1_eq14(rho, phi, psi),
-        n_common=max(r[0].x.shape[-3] for r in records),
+        thm1=thm1_bound(rho, e, f),
+        thm2=thm2_bound(rho, e, f),
+        thm3=thm3_bound(rho, e, f, basis_index),
+        lb_eq13=lb_eq13(rho, e, f),
+        thm4=thm4_bound(rho, e, f),
+        lb1_eq14=lb1_eq14(rho, e, f),
+        n_common=max(e.x.shape[-3], f.x.shape[-3]),
     )
     if check:  # the first violation in row-major cell order, then in relations() order
         relations = list(report.relations().items())

@@ -18,7 +18,7 @@ from chanuq.errors import (BoundViolationError, DimensionMismatchError,
 from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.measures import (_Terms, _terms, abs_variance, channel_measures, operator_u,
                              sym_abs_variance)
-from chanuq.objects import KrausChannel, make_channel, make_density
+from chanuq.objects import make_channel, make_density
 
 import oracles
 from oracles import I2, SX, SY, ketbra, random_triples
@@ -318,6 +318,25 @@ def test_fine_grained_monotone_under_i0():
 def test_fine_grained_basis_index_range(werner1):
     with pytest.raises(IndexError):
         fine_grained_terms(werner1, ch_e(0.5), ch_f(0.5), 4)
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, np.int64(1)],
+                         ids=["bool", "np-bool", "float", "np-int64"])
+def test_fine_grained_basis_index_must_be_an_integer(werner1, index):
+    # a bool passed the range check as 1, then indexed the brackets as a mask
+    pair = ch_e(0.5), ch_f(0.5)
+    families = [ch_e(0.2), ch_e(0.5)], [ch_f(0.3), ch_f(0.6)]
+    if not isinstance(index, np.integer):
+        for args in (pair, families):
+            with pytest.raises(IndexError, match="out of range"):
+                fine_grained_terms(werner1, *args, index)
+            with pytest.raises(IndexError, match="out of range"):
+                bound_report(werner1, *args, basis_index=index)
+        return
+    assert fine_grained_terms(werner1, *pair, index) == fine_grained_terms(werner1, *pair, 1)
+    assert bound_report(werner1, *pair, basis_index=index) == bound_report(werner1, *pair, 1)
+    got, want = (vars(bound_report(werner1, *families, t)) for t in (index, 1))
+    assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 def test_thm3_blocks_corner(blocks0):
@@ -708,6 +727,11 @@ def test_channel_families_equal_pair_calls_in_every_cell():
             grid = bound(rho, phis, psis, *args)
             assert grid.shape == (len(phis), len(psis)), (draw, name)
             assert grid.tolist() == pairs, (draw, name)
+            # a record pair, as bound_report passes it: a family's stacked records and a
+            # lone pair's kept ones
+            assert bound(rho, *_grid_terms(rho, phis, psis), *args).tolist() == pairs, (draw, name)
+            assert [[bound(rho, _terms(rho, fresh(phi)), _terms(rho, fresh(psi)), *args)
+                     for psi in psis] for phi in phis] == pairs, (draw, name)
             assert bound(rho, phis[:1], psis[:1], *args).tolist() == [pairs[0][:1]], (draw, name)
             assert bound(rho, phis[0], psis, *args).tolist() == pairs[:1], (draw, name)
         grid_terms = fine_grained_terms(rho, phis, psis, t)
@@ -764,15 +788,20 @@ def test_bound_report_on_families_raises_at_first_violating_cell(werner1, monkey
     phis = [ch_e(p) for p in (0.2, 0.5, 0.9)]
     psis = [ch_f(q) for q in (0.1, 0.6, 0.8)]
 
+    def rows(record, channels):
+        """The index in ``channels`` of each channel of a record, a pair's kept (N, d, d)
+        one or a family's stacked (G, 1, N, d, d) or (1, G, N, d, d), by its Kraus bytes."""
+        kraus = [c.kraus_ops.tobytes() for c in channels]
+        return [kraus.index(x.tobytes()) for x in record.x.reshape(-1, *record.x.shape[-3:])]
+
     def inflated(original, violated):
-        def bound(rho, phi, psi):
-            rows = [phi] if isinstance(phi, KrausChannel) else phi
-            cols = [psi] if isinstance(psi, KrausChannel) else psi
-            value = np.array(original(rho, phi, psi), ndmin=2)  # a copy; a pair is 1 x 1
-            for a, b in np.ndindex(value.shape):
-                if (phis.index(rows[a]), psis.index(cols[b])) in violated:
-                    value[a, b] = 10.0
-            return float(value[0, 0]) if rows is not phi and cols is not psi else value
+        def bound(rho, e, f):  # bound_report passes its one record pair
+            value = np.array(original(rho, e, f), ndmin=2)  # a copy; a pair is 1 x 1
+            for a, i in enumerate(rows(e, phis)):
+                for b, j in enumerate(rows(f, psis)):
+                    if (i, j) in violated:
+                        value[a, b] = 10.0
+            return float(value[0, 0]) if e.x.ndim == 3 else value
         return bound
 
     monkeypatch.setattr(chanuq.bounds, "thm4_bound",
@@ -796,6 +825,36 @@ def test_bound_report_on_families_raises_at_first_violating_cell(werner1, monkey
     assert {tuple(cell) for cell in np.argwhere(slacks["thm4_bound"] < 0.0)} == {(1, 2), (2, 0)}
     assert {tuple(cell) for cell in np.argwhere(slacks["thm2_bound"] < 0.0)} == {(1, 2)}
     assert {tuple(cell) for cell in np.argwhere(slacks["thm1_bound"] < 0.0)} == {(2, 0)}
+
+
+def test_bound_report_reads_each_family_side_once(werner1):
+    # a single-pass iterable is a family like a list: each side is read once
+    phis = [ch_e(p) for p in (0.2, 0.5, 0.9)]
+    psis = [ch_f(q) for q in (0.1, 0.6)]
+    want = vars(bound_report(werner1, phis, psis))
+    for args in ((iter(phis), iter(psis)), (iter(phis), psis), (phis, iter(psis))):
+        got = vars(bound_report(werner1, *args))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
+
+def test_warm_family_report_builds_one_record_pair(werner1, monkeypatch):
+    # the six bounds read the report's one record pair: once every channel keeps its
+    # record, a family report builds the two stacked records and no other
+    grid = np.linspace(0.0, 1.0, 21)
+    phis, psis = [ch_e(p) for p in grid], [ch_f(q) for q in grid]
+    bound_report(werner1, phis, psis)
+    built, init = [], _Terms.__init__
+
+    def counted(self, rho, x):
+        built.append(x.shape)
+        init(self, rho, x)
+
+    monkeypatch.setattr(_Terms, "__init__", counted)
+    bound_report(werner1, phis, psis)
+    n, d = phis[0].kraus_ops.shape[0], werner1.dim
+    assert built == [(21, 1, n, d, d), (1, 21, psis[0].kraus_ops.shape[0], d, d)]
 
 
 def test_family_reports_hold_no_memory_across_calls(werner1):
