@@ -20,7 +20,10 @@ Conventions shared by all bound evaluators:
   record ``measures._terms`` keeps on it, keyed by the state object (its arrays
   are read-only, so it cannot go stale), a family's from one ``_Terms`` record over
   its stacked Kraus arrays, and a record pair as it is (``bound_report`` builds one
-  pair per report); each bound forms its own products and norms on every call;
+  pair per report, after filling both sides' measures in one ``_measure_all`` call);
+  each bound forms its own products and norms on every call;
+* the symmetrized brackets of ``thm2`` and ``dou_bounds`` come from one kernel,
+  ``linalg._sym_brackets``, which forms each of its four products once;
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -57,12 +60,6 @@ def _comm_term(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> float:
     return _nonneg(0.25 * _abs_sq(_expect(rho, linalg.commutator(x, y))), "commutator term")
 
 
-def _anti_term(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
-    """(1/4) |Tr(rho {a0, b0})|^2 of checked operands, centered here."""
-    value = 0.25 * _abs_sq(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho))))
-    return _nonneg(value, "anticommutator term")
-
-
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
     """(1/4) |Tr(rho [A, B])|^2 for Hermitian observables A, B."""
     return _comm_term(rho, _observable(rho, a), _observable(rho, b))
@@ -72,7 +69,8 @@ def schrodinger_bound(rho: DensityMatrix, a, b) -> float:
     """Heisenberg term plus the centered anticommutator term."""
     a = _observable(rho, a)
     b = _observable(rho, b)
-    return _comm_term(rho, a, b) + _anti_term(rho, a, b)
+    anti = 0.25 * _abs_sq(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho))))
+    return _comm_term(rho, a, b) + _nonneg(anti, "anticommutator term")
 
 
 def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
@@ -105,12 +103,15 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     """
     k = _operand(rho, k)
     l = _operand(rho, l)
-    k0 = _center(k, rho)
-    l0 = _center(l, rho)
-    sym_comm = 0.25 * _abs_sq(_expect(rho, linalg.sym_commutator(k, l)))
-    sym_anti = 0.25 * _abs_sq(_expect(rho, linalg.sym_anticommutator(k0, l0)))
-    # both terms are >= 0, so a finite sum means two finite terms
-    return _comm_term(rho, k, l), _nonneg(sym_comm + sym_anti, "Dou bracket bound"), sym_comm
+    k0, l0 = _center(np.array([k, l]), rho)
+    # the raw pair's symmetrized commutator and the centered pair's symmetrized
+    # anticommutator from one stacked bracket pass, then the three traces in one product
+    anti, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
+    brackets = np.array([comm[0], anti[1], linalg.commutator(k, l)])
+    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _expect(rho, brackets).tolist())
+    # both bracket terms are >= 0, so a finite sum means two finite terms
+    return (_nonneg(comm, "commutator term"), _nonneg(sym_comm + sym_anti, "Dou bracket bound"),
+            sym_comm)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,7 @@ def thm2_bound(rho: DensityMatrix, phi, psi):
     """
     e, f = _grid_terms(rho, phi, psi)
     n = max(e.x.shape[-3], f.x.shape[-3])
-    anti_sum = _expect(rho, linalg.sym_anticommutator(e.total0, f.total0))
-    comm_sum = _expect(rho, linalg.sym_commutator(e.total0, f.total0))
+    anti_sum, comm_sum = (_expect(rho, x) for x in linalg._sym_brackets(e.total0, f.total0))
     pref = 1.0 / (4.0 * n * n)
     return pref * (_abs_sq(anti_sum) + _abs_sq(comm_sum))
 
@@ -364,8 +364,7 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     verification harness passes ``check=False`` and inspects the slacks itself.
     """
     records = _kept(rho, phi), _kept(rho, psi)  # both sides are checked before any measure
-    for side in records:  # one stacked pass per side: phi's Kraus count may differ from psi's
-        _measure_all(side)
+    _measure_all(records[0] + records[1])  # one stacked pass per Kraus count, phi's first
     if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
         m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
         v_phi, u_phi, v_psi, u_psi = m_phi.v_sym, m_phi.u_abs, m_psi.v_sym, m_psi.u_abs

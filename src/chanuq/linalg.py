@@ -103,17 +103,26 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
+def _sym_brackets(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sym_anticommutator(x, y), sym_commutator(x, y))`` of two matrices or of two
+    stacks, pair by pair, from the four products xy, yx, x^dag y^dag and y^dag x^dag,
+    each formed once."""
+    dx, dy = dagger(x), dagger(y)
+    xy, yx, dxy, dyx = x @ y, y @ x, dx @ dy, dy @ dx
+    return 0.5 * ((xy + yx) + (dxy + dyx)), 0.5 * ((xy - yx) + (dxy - dyx))
+
+
 def sym_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetrized commutator: average of [x, y] and [x^dag, y^dag].
 
     Coincides with the plain commutator when both operands are Hermitian.
     """
-    return 0.5 * (commutator(x, y) + commutator(dagger(x), dagger(y)))
+    return _sym_brackets(x, y)[1]
 
 
 def sym_anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetrized anticommutator: average of {x, y} and {x^dag, y^dag}."""
-    return 0.5 * (anticommutator(x, y) + anticommutator(dagger(x), dagger(y)))
+    return _sym_brackets(x, y)[0]
 
 
 class SpectralDecomposition(NamedTuple):

@@ -11,9 +11,9 @@ order; ``u_abs`` interpolates between total and quantum uncertainty and obeys
 ``(G, N, d, d)`` stack of channels at once, each with the bits of that channel
 alone; a lone channel is its ``G = 1`` case. One record, ``_Terms``, kept on
 each channel by ``_terms``, holds the per-channel terms of a (state, channel)
-pair: its measures (for a whole family side filled in one stacked pass by
-``_measure_all``) and the traces, brackets and sums the bounds read, the last
-three also over the leading grid axes of a family's stacked Kraus arrays.
+pair: its measures (for both sides of a report filled by ``_measure_all``, in one
+stacked pass per Kraus count) and the traces, brackets and sums the bounds read,
+the last three also over the leading grid axes of a family's stacked Kraus arrays.
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
     ``_half_sq_norm`` of each bracket (all per matrix), then per channel the sums in Kraus
     order, ``u_abs`` and the two identity checks."""
     flat = x.reshape(-1, *x.shape[-2:])
+    v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
     comm0, anti0 = _sqrt_brackets(rho, _center(flat, rho))
-    per_op = (sym_abs_variance(rho, flat), _half_sq_norm(comm0, "skew information"),
+    per_op = (v_sym, _half_sq_norm(comm0, "skew information"),
               _half_sq_norm(anti0, "anticommutator information"))
     sets = []
     for v_sym, i_tilde, j_tilde in zip(*(_kraus_sums(v, x.shape[:2]) for v in per_op)):
@@ -205,12 +206,15 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
 
 
 def _measure_all(records: list[_Terms]) -> None:
-    """Fill the measures of every record of one side (one state, one Kraus count) that has
-    none yet, in one stacked :func:`_measure_sets` pass."""
-    todo = [t for t in records if "measures" not in vars(t)]  # cached_property's slot
-    if todo:
-        sets = _measure_sets(todo[0].rho, np.array([t.x for t in todo]))
-        for t, m in zip(todo, sets):
+    """Fill the measures of every record (all under one state) that has none yet, each
+    record once, in one stacked :func:`_measure_sets` pass per Kraus shape, the shapes in
+    the order they first appear."""
+    todo = {}
+    for t in dict.fromkeys(records):  # a record listed twice is measured once
+        if "measures" not in vars(t):  # cached_property's slot
+            todo.setdefault(t.x.shape, []).append(t)
+    for group in todo.values():
+        for t, m in zip(group, _measure_sets(group[0].rho, np.array([t.x for t in group]))):
             vars(t)["measures"] = m
 
 

@@ -8,17 +8,19 @@ import warnings
 import numpy as np
 import pytest
 
+from chanuq import linalg
 from chanuq.bounds import (_grid_terms, bound_report, dou_bounds, fine_grained_terms,
                            heisenberg_bound, lb1_eq14, lb_eq13, luo_bound,
                            schrodinger_bound, thm1_bound, thm2_bound,
                            thm3_bound, thm4_bound)
 import chanuq.bounds
+import chanuq.measures
 from chanuq.errors import (BoundViolationError, DimensionMismatchError,
                            NotHermitianError, NumericError)
-from chanuq.ensembles import SplitMix64, random_channel, random_density
+from chanuq.ensembles import SplitMix64, random_channel, random_density, random_operator
 from chanuq.measures import (_Terms, _terms, abs_variance, channel_measures, operator_u,
                              sym_abs_variance)
-from chanuq.objects import make_channel, make_density
+from chanuq.objects import KrausChannel, center_operator, make_channel, make_density
 
 import oracles
 from oracles import I2, SX, SY, ketbra, random_triples
@@ -145,6 +147,26 @@ def test_dou_validity_on_random_operators():
         assert lhs_v - comm >= -1e-9
         assert lhs_v - brackets >= -1e-9
         assert lhs_u - u_comm >= -1e-9
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_dou_bounds_stacked_pass_equals_lone_products_bitwise(dim):
+    # dou_bounds centers K and L in one call, forms its brackets in one stacked pass
+    # and takes their traces in one product; each value keeps the bits of the lone
+    # operators' products
+    gen = SplitMix64(4040 + dim)
+    for i in range(10):
+        rho = random_density(dim, 1 + i % dim, gen)
+        k, l = random_operator(dim, gen), random_operator(dim, gen)
+        k0, l0 = center_operator(k, rho), center_operator(l, rho)
+
+        def term(m):
+            return 0.25 * abs(complex(np.trace(rho.matrix @ m))) ** 2
+
+        sym_comm = term(linalg.sym_commutator(k, l))
+        want = (term(linalg.commutator(k, l)),
+                sym_comm + term(linalg.sym_anticommutator(k0, l0)), sym_comm)
+        assert dou_bounds(rho, k, l) == want
 
 
 def test_dou_uncentered_anticommutator_would_be_invalid():
@@ -579,6 +601,73 @@ def test_bound_report_check_raises_on_violated_bound(werner1, monkeypatch):
 def test_bound_report_dim_mismatch(werner1):
     with pytest.raises(DimensionMismatchError):
         bound_report(werner1, make_channel([I2]), ch_f(0.5))
+
+
+def _measure_passes(monkeypatch) -> list:
+    """The Kraus stack shape of every stacked measure pass from here on, in order."""
+    shapes, original = [], chanuq.measures._measure_sets
+
+    def spy(rho, x):
+        shapes.append(x.shape)
+        return original(rho, x)
+
+    monkeypatch.setattr(chanuq.measures, "_measure_sets", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("family", [False, True], ids=["pair", "families"])
+def test_bound_report_measures_unequal_kraus_counts_in_two_passes(monkeypatch, family):
+    # both sides reach one _measure_all call, which runs one stacked pass per Kraus
+    # count, phi's first; each channel keeps the measures of that channel alone
+    gen = SplitMix64(2323)
+    rho = random_density(3, 3, gen)
+    phis = [random_channel(3, 2, gen) for _ in range(2 if family else 1)]
+    psis = [random_channel(3, 5, gen) for _ in range(3 if family else 1)]
+    want = [channel_measures(rho, copy.deepcopy(c)) for c in phis + psis]
+    passes = _measure_passes(monkeypatch)
+    report = bound_report(rho, *((phis, psis) if family else (phis[0], psis[0])))
+    assert passes == [(len(phis), 2, 3, 3), (len(psis), 5, 3, 3)]
+    assert [channel_measures(rho, c) for c in phis + psis] == want
+    assert len(passes) == 2  # the kept measures were read, not formed again
+    v = [m.v_sym for m in want]
+    assert np.array_equal(report.lhs_product_v,
+                          np.outer(v[:len(phis)], v[len(phis):]) if family else v[0] * v[1])
+
+
+@pytest.mark.parametrize("family", [False, True], ids=["pair", "families"])
+def test_bound_report_same_channel_on_both_sides_is_measured_once(monkeypatch, family):
+    # a channel on both sides is one kept record, measured in one pass of one slice;
+    # the report equals that of two copies, which share a pass as two slices
+    gen = SplitMix64(2424)
+    rho = random_density(4, 2, gen)
+    side = [random_channel(4, 3, gen) for _ in range(3 if family else 1)]
+    twins = copy.deepcopy(side), copy.deepcopy(side)
+    passes = _measure_passes(monkeypatch)
+    report = bound_report(rho, *((side, side) if family else (side[0], side[0])))
+    assert passes == [(len(side), 3, 4, 4)]
+    want = bound_report(rho, *(twins if family else (twins[0][0], twins[1][0])))
+    assert passes[1:] == [(2 * len(side), 3, 4, 4)]
+    for name, value in vars(want).items():
+        assert np.array_equal(vars(report)[name], value), name
+
+
+@pytest.mark.parametrize("bad_side", ["phi", "psi"])
+@pytest.mark.parametrize("kraus_count", [1, 2])
+def test_bound_report_overflowing_channel_raises_its_numeric_error(bad_side, kraus_count):
+    # Kraus entries near 1e200 (a KrausChannel built without make_channel's check)
+    # overflow the variance; a stacked pass over both sides raises the error that
+    # side raises alone, whichever side it is and whatever the other side's count
+    rho = make_density([[0.75, 0.25], [0.25, 0.25]])
+    bad = KrausChannel(kraus_ops=np.array([np.diag([1e200, 0.0]), np.diag([0.0, 1.0])],
+                                          dtype=complex))
+    good = make_channel([I2 / np.sqrt(kraus_count)] * kraus_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on such operands
+        with pytest.raises(NumericError) as info:
+            bound_report(rho, *((bad, good) if bad_side == "phi" else (good, bad)))
+    assert type(info.value) is NumericError
+    assert str(info.value) == (
+        "absolute variance evaluated to inf: negative beyond rounding, or not finite")
 
 
 # -- terms shared between bounds and calls ---------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for the seeded generators and the verification harness."""
 
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _gram_sch
                               _trial_relations, random_channel, random_density,
                               random_operator, verify_suite)
 from chanuq.errors import NumericError
-from chanuq.measures import abs_variance, sym_abs_variance
+from chanuq.measures import _measure_sets, _terms, abs_variance, sym_abs_variance
 
 import oracles
 
@@ -211,6 +213,11 @@ def test_verify_suite_rejects_unknown_broken_bound(monkeypatch):
         verify_suite(config, broken_bound="nope")
 
 
+def _bits(values) -> list:
+    """The bit patterns of floats, the sign of a zero included."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 def _harness_trial(dim, kraus_count, trial_seed, rank=None):
     """One verify trial's draws, one object after another from the trial's stream,
     in the harness's order (rank = dim unless given, as the CLI runs it)."""
@@ -224,13 +231,18 @@ def _harness_trial(dim, kraus_count, trial_seed, rank=None):
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_harness_relations_match_public_functions_bitwise(dim):
-    # the harness shares terms between relations; on its exactly Hermitian a, b
-    # that must give the public functions' bits, not merely close values
-    for trial_seed in range(31, 36):
-        rho, phi, psi, k, l, a, b = _harness_trial(dim, 2, trial_seed)
+    # the harness shares terms between relations and forms them in stacked products;
+    # on its exactly Hermitian a, b that must give the public functions' bits, not
+    # merely close values. Both channels are measured in one stacked pass, and each
+    # must keep the measures of a pass over that channel alone
+    for kraus_count, trial_seed in itertools.product((1, 2, 3, 5), range(31, 36)):
+        rho, phi, psi, k, l, a, b = _harness_trial(dim, kraus_count, trial_seed)
         for x in (a, b):
             assert abs_variance(rho, x) == sym_abs_variance(rho, x)
         relations = _trial_relations(rho, phi, psi, k, l, a, b)
+        for channel in (phi, psi):
+            lone = _measure_sets(rho, channel.kraus_ops[None])[0]
+            assert _bits(astuple(_terms(rho, channel).measures)) == _bits(astuple(lone))
         assert relations["luo_bound"] == luo_bound(rho, a, b)
         assert relations["heisenberg_bound"][1] == heisenberg_bound(rho, a, b)
         assert relations["schrodinger_bound"][1] == schrodinger_bound(rho, a, b)
