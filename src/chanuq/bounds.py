@@ -22,8 +22,8 @@ Conventions shared by all bound evaluators:
   its stacked Kraus arrays, and a record pair as it is (``bound_report`` builds one
   pair per report, after filling both sides' measures in one ``_measure_all`` call);
   each bound forms its own products and norms on every call;
-* the symmetrized brackets of ``thm2`` and ``dou_bounds`` come from one kernel,
-  ``linalg._sym_brackets``, which forms each of its four products once;
+* both brackets of an operand pair come from ``linalg._brackets``, which forms the two
+  products once (``thm2`` and ``dou_bounds`` read it through ``linalg._sym_brackets``);
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
   clamp to 0, anything more negative raises ``NumericError``;
 * the anticommutator terms act on centered operators wherever a mixed
@@ -65,12 +65,19 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
     return _comm_term(rho, _observable(rho, a), _observable(rho, b))
 
 
+def _schrodinger_terms(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(1/4) |Tr(rho [a, b])|^2 and (1/4) |Tr(rho {a0, b0})|^2 of checked operands."""
+    a0, b0 = _center(np.array([a, b]), rho)
+    comm, anti = linalg._brackets(np.array([a, a0]), np.array([b, b0]))
+    comm, anti = _expect(rho, np.array([comm[0], anti[1]])).tolist()
+    return (_nonneg(0.25 * _abs_sq(comm), "commutator term"),
+            _nonneg(0.25 * _abs_sq(anti), "anticommutator term"))
+
+
 def schrodinger_bound(rho: DensityMatrix, a, b) -> float:
     """Heisenberg term plus the centered anticommutator term."""
-    a = _observable(rho, a)
-    b = _observable(rho, b)
-    anti = 0.25 * _abs_sq(_expect(rho, linalg.anticommutator(_center(a, rho), _center(b, rho))))
-    return _comm_term(rho, a, b) + _nonneg(anti, "anticommutator term")
+    comm, anti = _schrodinger_terms(rho, _observable(rho, a), _observable(rho, b))
+    return comm + anti
 
 
 def luo_bound(rho: DensityMatrix, a, b) -> tuple[float, float]:
@@ -104,10 +111,10 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     k = _operand(rho, k)
     l = _operand(rho, l)
     k0, l0 = _center(np.array([k, l]), rho)
-    # the raw pair's symmetrized commutator and the centered pair's symmetrized
+    # the raw pair's symmetrized and plain commutator and the centered pair's symmetrized
     # anticommutator from one stacked bracket pass, then the three traces in one product
-    anti, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
-    brackets = np.array([comm[0], anti[1], linalg.commutator(k, l)])
+    anti, sym_comm, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
+    brackets = np.array([sym_comm[0], anti[1], comm[0]])
     sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _expect(rho, brackets).tolist())
     # both bracket terms are >= 0, so a finite sum means two finite terms
     return (_nonneg(comm, "commutator term"), _nonneg(sym_comm + sym_anti, "Dou bracket bound"),
@@ -199,7 +206,8 @@ def thm2_bound(rho: DensityMatrix, phi, psi):
     """
     e, f = _grid_terms(rho, phi, psi)
     n = max(e.x.shape[-3], f.x.shape[-3])
-    anti_sum, comm_sum = (_expect(rho, x) for x in linalg._sym_brackets(e.total0, f.total0))
+    anti, comm = linalg._sym_brackets(e.total0, f.total0)[:2]
+    anti_sum, comm_sum = _expect(rho, anti), _expect(rho, comm)
     pref = 1.0 / (4.0 * n * n)
     return pref * (_abs_sq(anti_sum) + _abs_sq(comm_sum))
 
@@ -212,7 +220,7 @@ def lb_eq13(rho: DensityMatrix, phi, psi):
     matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
     e, f = _grid_terms(rho, phi, psi)
-    return 0.25 * _sq_norms(_gram(e.x, rho.matrix @ f.x - f.x @ rho.matrix))
+    return 0.25 * _sq_norms(_gram(e.x, linalg.commutator(rho.matrix, f.x)))
 
 
 def lb1_eq14(rho: DensityMatrix, phi, psi):

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_report, dou_bounds
+from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import _abs_sq, _nonneg, _u_from, mwy_skew_info, sym_abs_variance
-from .objects import DensityMatrix, KrausChannel, _center, _expect, make_channel, make_density
+from .measures import _u_from, mwy_skew_info, sym_abs_variance
+from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -208,22 +208,16 @@ def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
     relations = bound_report(rho, phi, psi, check=False).relations()
 
     # the four operators as one stack; a and b are exactly Hermitian
-    # (random_operator), so sym_abs_variance equals abs_variance to the bit, and
-    # [a, b] and {a0, b0}, from one stacked product of the raw and the centered pair
-    # and traced in one, give the bits of heisenberg_bound, schrodinger_bound and
+    # (random_operator), so sym_abs_variance equals abs_variance to the bit, and the
+    # Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
     # luo_bound; dou_bounds forms the Dou terms of k and l in one stacked pass itself
     ops = np.stack([k, l, a, b])
     v = sym_abs_variance(rho, ops)
     uk, ul, ua, ub = _u_from(v, mwy_skew_info(rho, ops)).tolist()
     vk, vl, va, vb = v.tolist()
-    a0, b0 = _center(ops[2:], rho)
-    x, y = np.array([a, a0]), np.array([b, b0])
-    xy, yx = x @ y, y @ x
-    comm, anti = _expect(rho, np.array([xy[0] - yx[0], xy[1] + yx[1]])).tolist()
-    comm = _nonneg(0.25 * _abs_sq(comm), "commutator term")
+    comm, anti = _schrodinger_terms(rho, a, b)
     relations["heisenberg_bound"] = (va * vb, comm)
-    relations["schrodinger_bound"] = (
-        va * vb, comm + _nonneg(0.25 * _abs_sq(anti), "anticommutator term"))
+    relations["schrodinger_bound"] = (va * vb, comm + anti)
     relations["luo_bound"] = (ua * ub, comm)
 
     comm, brackets, u_comm = dou_bounds(rho, k, l)

@@ -103,13 +103,20 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _sym_brackets(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sym_anticommutator(x, y), sym_commutator(x, y))`` of two matrices or of two
-    stacks, pair by pair, from the four products xy, yx, x^dag y^dag and y^dag x^dag,
-    each formed once."""
-    dx, dy = dagger(x), dagger(y)
-    xy, yx, dxy, dyx = x @ y, y @ x, dx @ dy, dy @ dx
-    return 0.5 * ((xy + yx) + (dxy + dyx)), 0.5 * ((xy - yx) + (dxy - dyx))
+def _brackets(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(xy - yx, xy + yx)`` of two matrices or two stacks, pair by pair (a matrix facing
+    a stack broadcasts), each product formed once: the package's one bracket-pair kernel."""
+    xy, yx = x @ y, y @ x
+    return xy - yx, xy + yx
+
+
+def _sym_brackets(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sym_anticommutator(x, y), sym_commutator(x, y), commutator(x, y))`` of two
+    matrices or two stacks, pair by pair: the raw and the adjoint pair's :func:`_brackets`,
+    averaged, the raw pair's products freed before the adjoint pair's are formed."""
+    comm, anti = _brackets(x, y)
+    dcomm, danti = _brackets(dagger(x), dagger(y))
+    return 0.5 * (anti + danti), 0.5 * (comm + dcomm), comm
 
 
 def sym_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,17 +3,16 @@
 For an operator K and state rho these are the absolute variance
 Tr(rho K0^dag K0) (K0 the centered operator), its symmetrized version, and
 the skew-information pair, half the squared norms of [sqrt(rho), K] and
-{sqrt(rho), K}, which ``_sqrt_brackets`` alone forms; each measure takes one
-operator or an ``(N, d, d)`` stack. A channel's measures are ``sym_abs_variance``
-of its Kraus stack and the skew pair of the centered stack, summed in Kraus
-order; ``u_abs`` interpolates between total and quantum uncertainty and obeys
-``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them for a
-``(G, N, d, d)`` stack of channels at once, each with the bits of that channel
-alone; a lone channel is its ``G = 1`` case. One record, ``_Terms``, kept on
-each channel by ``_terms``, holds the per-channel terms of a (state, channel)
-pair: its measures (for both sides of a report filled by ``_measure_all``, in one
-stacked pass per Kraus count) and the traces, brackets and sums the bounds read,
-the last three also over the leading grid axes of a family's stacked Kraus arrays.
+{sqrt(rho), K}, which ``_sqrt_brackets`` takes from ``linalg._brackets``; each
+measure takes one operator or an ``(N, d, d)`` stack. A channel's measures are
+``sym_abs_variance`` of its Kraus stack and the skew pair of the centered stack,
+summed in Kraus order; ``u_abs`` interpolates between total and quantum uncertainty
+and obeys ``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them
+for a ``(G, N, d, d)`` stack of channels at once, each with the bits of that channel
+alone. One record, ``_Terms``, kept on each channel by ``_terms``, holds the
+per-channel terms of a (state, channel) pair: its measures, which ``_measure_all``
+alone fills, and the traces, brackets and sums the bounds read, the last three also
+over the leading grid axes of a family's stacked Kraus arrays.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ def _half_sq_norm(x: np.ndarray, what: str):
 
 def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[sqrt(rho), K] and {sqrt(rho), K} of a checked operator or of each of a stack."""
-    left, right = rho.sqrt_matrix @ k, k @ rho.sqrt_matrix
-    return _frozen(left - right), _frozen(left + right)
+    comm, anti = linalg._brackets(rho.sqrt_matrix, k)
+    return _frozen(comm), _frozen(anti)
 
 
 def mwy_skew_info(rho: DensityMatrix, k):
@@ -146,26 +145,23 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
     asserted. The result is a field of the channel's kept ``_terms(rho, phi)``.
     """
-    return _terms(rho, phi).measures
+    terms = _terms(rho, phi)
+    _measure_all([terms])
+    return terms.measures
 
 
 class _Terms:
     """The per-channel terms of a Kraus stack ``x``, a channel's ``(N, d, d)`` or a
-    family's ``(..., N, d, d)``, under the state ``rho``, each built on first use: a
-    channel's :class:`MeasureSet`, and what the bounds read, over the leading axes with
-    each channel's bits: Tr(rho K_i) and Tr(rho K_i^dag), ``_sqrt_brackets`` of the raw
-    and of the centered K_i, sum_i K_i and its centered form. Each bound forms its own
-    products and norms of these on every call, so a repeated call forms them again."""
+    family's ``(..., N, d, d)``, under the state ``rho``: a channel's :class:`MeasureSet`
+    (``None`` until :func:`_measure_all`), and, each built on first use, what the bounds
+    read, over the leading axes with each channel's bits: Tr(rho K_i), Tr(rho K_i^dag),
+    ``_sqrt_brackets`` of the raw and of the centered K_i, sum_i K_i and its centered
+    form. Each bound forms its own products and norms of these on every call."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
         self.rho = rho  # held, so the state's identity cannot be reused while cached
         self.x = x
-
-    @cached_property
-    def measures(self) -> MeasureSet:
-        """:func:`channel_measures` of the channel's checked stack: the one-channel case
-        of :func:`_measure_sets`."""
-        return _measure_sets(self.rho, self.x[None])[0]
+        self.measures: MeasureSet | None = None
 
     traces = cached_property(lambda t: _frozen(np.einsum("ab,...iba->...i", t.rho.matrix, t.x)))
     traces_dag = cached_property(lambda t: _frozen(
@@ -208,14 +204,14 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
 def _measure_all(records: list[_Terms]) -> None:
     """Fill the measures of every record (all under one state) that has none yet, each
     record once, in one stacked :func:`_measure_sets` pass per Kraus shape, the shapes in
-    the order they first appear."""
+    the order they first appear: the one way a record gets its measures."""
     todo = {}
     for t in dict.fromkeys(records):  # a record listed twice is measured once
-        if "measures" not in vars(t):  # cached_property's slot
+        if t.measures is None:
             todo.setdefault(t.x.shape, []).append(t)
     for group in todo.values():
         for t, m in zip(group, _measure_sets(group[0].rho, np.array([t.x for t in group]))):
-            vars(t)["measures"] = m
+            t.measures = m
 
 
 def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:

@@ -56,6 +56,27 @@ def test_anticommutator_pauli():
     np.testing.assert_allclose(linalg.anticommutator(SX, SX), 2 * I2, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+def test_bracket_kernel_equals_lone_brackets_bitwise(dim):
+    # the kernel gives the bits of the lone public brackets on a matrix pair, on each
+    # pair of two (N, d, d) stacks and on a matrix facing each matrix of a stack (the
+    # case of [sqrt(rho), K_i]); the raw commutator _sym_brackets returns is the same
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 3, 5):
+        s = oracles.rand_op(rng, dim)
+        x, y = (np.array([oracles.rand_op(rng, dim) for _ in range(n)]) for _ in range(2))
+        for left, right, pairs in ((x[0], y[0], [(x[0], y[0])]), (x, y, list(zip(x, y))),
+                                   (s, y, [(s, m) for m in y])):
+            comm, anti = linalg._brackets(left, right)
+            assert comm.shape == anti.shape == np.broadcast(left, right).shape
+            want = [(linalg.commutator(a, b).tobytes(), linalg.anticommutator(a, b).tobytes())
+                    for a, b in pairs]
+            got = [(c.tobytes(), a.tobytes()) for c, a in
+                   zip(comm.reshape(-1, dim, dim), anti.reshape(-1, dim, dim))]
+            assert got == want, (n, left.shape, right.shape)
+            assert linalg._sym_brackets(left, right)[2].tobytes() == comm.tobytes()
+
+
 def test_sym_brackets_reduce_to_plain_for_hermitian():
     rng = np.random.default_rng(5)
     for _ in range(20):

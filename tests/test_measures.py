@@ -223,8 +223,10 @@ def test_record_rejects_a_broken_identity(monkeypatch, theta, message):
         value = half_sq_norm(x, what)
         return 2 * value if what == "anticommutator information" else value
     monkeypatch.setattr(measures, "_half_sq_norm", skewed)
+    record = _Terms(rho, phi.kraus_ops)
     with pytest.raises(NumericError, match=message):
-        _Terms(rho, phi.kraus_ops).measures
+        measures._measure_all([record])
+    assert record.measures is None  # a failed pass fills nothing
 
 
 def test_record_measures_check_the_stack_once(monkeypatch):
@@ -236,7 +238,7 @@ def test_record_measures_check_the_stack_once(monkeypatch):
         shapes.append(np.shape(m))
         return as_square(m, ndims)
     monkeypatch.setattr(linalg, "_as_square", counting)
-    _Terms(rho, phi.kraus_ops).measures
+    measures._measure_all([_Terms(rho, phi.kraus_ops)])
     assert shapes == [phi.kraus_ops.shape]
 
 
@@ -385,7 +387,7 @@ def test_stacked_measure_sets_equal_lone_ones():
             assert ([c.kraus_ops.tobytes() for c in family]
                     == [c.kraus_ops.tobytes() for c in lone_built]), draw
         records = [measures._terms(rho, c) for c in family]
-        assert not any("measures" in vars(t) for t in records), draw
+        assert all(t.measures is None for t in records), draw
         measures._measure_all(records)
         # copies keep no record, so each lone MeasureSet is formed afresh
         lone = [channel_measures(rho, copy.deepcopy(c)) for c in family]
