@@ -68,7 +68,8 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
 def _schrodinger_terms(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(1/4) |Tr(rho [a, b])|^2 and (1/4) |Tr(rho {a0, b0})|^2 of checked operands."""
     a0, b0 = _center(np.array([a, b]), rho)
-    comm, anti = linalg._brackets(np.array([a, a0]), np.array([b, b0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
+        comm, anti = linalg._brackets(np.array([a, a0]), np.array([b, b0]))
     comm, anti = _expect(rho, np.array([comm[0], anti[1]])).tolist()
     return (_nonneg(0.25 * _abs_sq(comm), "commutator term"),
             _nonneg(0.25 * _abs_sq(anti), "anticommutator term"))
@@ -113,7 +114,8 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     k0, l0 = _center(np.array([k, l]), rho)
     # the raw pair's symmetrized and plain commutator and the centered pair's symmetrized
     # anticommutator from one stacked bracket pass, then the three traces in one product
-    anti, sym_comm, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
+        anti, sym_comm, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
     brackets = np.array([sym_comm[0], anti[1], comm[0]])
     sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _expect(rho, brackets).tolist())
     # both bracket terms are >= 0, so a finite sum means two finite terms
@@ -161,13 +163,14 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _sq_norms(x: np.ndarray, axes: int = 2):
     """Squared Frobenius norm of the trailing ``axes``-dimensional block of ``x``: a float
-    when ``x`` is one block, else one per block over the leading grid axes, each by its
-    own ``np.vdot`` on a slice laid out as the lone block (a copy moves bits). The bounds
-    form these on every call; the kept record holds no norms."""
+    by ``np.vdot`` when ``x`` is one block, else one per block over the leading grid axes,
+    from one batched product ``(B, 1, n) @ (B, n, 1)`` of the conjugated blocks with the
+    blocks, which gives each block the bits of its own ``np.vdot``. The bounds form these
+    on every call; the kept record holds no norms."""
     if x.ndim == axes:
         return float(np.vdot(x, x).real)
-    blocks = x.reshape(-1, *x.shape[x.ndim - axes:])
-    return np.array([_sq_norms(b, axes) for b in blocks]).reshape(x.shape[:x.ndim - axes])
+    rows = x.reshape(*x.shape[:x.ndim - axes], 1, -1)
+    return (rows.conj() @ rows.swapaxes(-1, -2))[..., 0, 0].real
 
 
 def _value(x):

@@ -157,18 +157,22 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     report = bound_report(rho, phis, psis, basis_index=basis_index)
     u_phi = np.array([channel_measures(rho, phi).u_abs for phi in phis])
     u_psi = np.array([channel_measures(rho, psi).u_abs for psi in psis])
-    columns = [grid[:, None], grid[None, :], u_phi[:, None], u_psi[None, :],
-               report.lhs_product_u, report.lhs_sum_u2, report.thm1, report.thm2,
-               report.thm3, report.lb_eq13, report.lb1_eq14, report.thm4]
+    cells = [report.lhs_product_u, report.lhs_sum_u2, report.thm1, report.thm2,
+             report.thm3, report.lb_eq13, report.lb1_eq14, report.thm4]
     if theta == CLOSED_FORM_THETA[example_id]:
-        closed = [closed_forms(example_id, float(p), float(q)) for p in grid for q in grid]
-        columns += [np.reshape([getattr(c, name) for c in closed], (grid_steps, grid_steps))
-                    for name in CLOSED_FORM_OF.values()]
-    # one row per (p, q), p-major, with an empty field per closed-form column left out;
-    # adding 0.0 folds IEEE negative zero into plain zero
-    row_format = ",".join([_FLOAT] * len(columns) + [""] * (len(SWEEP_COLUMNS) - len(columns)))
-    rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns)) + 0.0
-    lines = [",".join(SWEEP_COLUMNS), *(row_format % tuple(row) for row in rows.tolist())]
+        closed = closed_forms(example_id, grid[:, None], grid[None, :])
+        cells += [getattr(closed, name) for name in CLOSED_FORM_OF.values()]
+    # adding 0.0 folds IEEE negative zero into plain zero; p and u_phi take one value per
+    # row of the grid and q and u_psi one per column, so each is printed once
+    grid_text, u_phi_text, u_psi_text = (
+        [_FLOAT % v for v in (axis + 0.0).tolist()] for axis in (grid, u_phi, u_psi))
+    heads = [f"{p},{q},{u},{w}," for p, u in zip(grid_text, u_phi_text)
+             for q, w in zip(grid_text, u_psi_text)]
+    # one row per (p, q), p-major, with an empty field per closed-form column left out
+    cell_format = ",".join([_FLOAT] * len(cells) + [""] * (len(SWEEP_COLUMNS) - 4 - len(cells)))
+    rows = np.stack(cells, axis=-1).reshape(-1, len(cells)) + 0.0
+    lines = [",".join(SWEEP_COLUMNS),
+             *(head + cell_format % tuple(row) for head, row in zip(heads, rows.tolist()))]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     click.echo(f"wrote {len(lines) - 1} rows to {out}")

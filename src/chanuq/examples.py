@@ -12,12 +12,13 @@ serve as regression surfaces for the numeric evaluators.
 
 The closed forms are evaluated exactly as written, with no algebraic
 simplification, so a transcription error in one of them shows up as a
-systematic numeric-vs-closed difference instead of being masked.
+systematic numeric-vs-closed difference instead of being masked. That holds
+at one point and over a whole grid alike (``p`` a ``(G, 1)`` column, ``q`` a
+``(1, G)`` row): each cell of a grid call holds the bits of the one-point call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,20 @@ CLOSED_FORM_THETA = {"werner": 1.0, "rho_theta": 0.0}
 
 @dataclass(frozen=True)
 class ClosedFormValues:
+    """The four surfaces at one point (floats) or over a grid (arrays of one shape)."""
+
     thm3_closed: float
     lb_closed: float
     lb1_closed: float
     lb2_closed: float
 
 
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def _check_unit(name: str, value):
+    """``value``, a number or an array, checked to lie in [0, 1]; an array raises at
+    its first entry outside, in row-major order."""
+    for v in np.ravel(value).tolist():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return value
 
 
@@ -118,14 +124,31 @@ def example_state(example_id: str, theta: float) -> DensityMatrix:
     raise ValueError(f"unknown example {example_id!r}; choose one of {EXAMPLE_IDS}")
 
 
-def _checked_root(arg: float) -> float:
-    """sqrt with a guard: arguments below NEGATIVITY_FLOOR indicate a transcription error."""
-    if arg < NEGATIVITY_FLOOR:
-        raise NumericError(f"closed-form root argument is negative: {arg!r}")
-    return math.sqrt(max(0.0, arg))
+def _checked_root(arg):
+    """sqrt with a guard: arguments below NEGATIVITY_FLOOR indicate a transcription error
+    (an array raises at its first such entry, in row-major order). Entries not above 0,
+    -0.0 among them, give +0.0, as ``math.sqrt(max(0.0, arg))`` does."""
+    below = np.ravel(arg < NEGATIVITY_FLOOR)
+    if below.any():
+        bad = np.ravel(arg)[below.argmax()].item()
+        raise NumericError(f"closed-form root argument is negative: {bad!r}")
+    return np.sqrt(np.where(arg > 0.0, arg, 0.0))
 
 
-def example1_closed_forms(p: float, q: float) -> ClosedFormValues:
+def _pow(x, n: int):
+    """``x ** n`` by Python's float power (libm ``pow``), one value at a time: numpy's
+    own power, its plain square included, moves last bits."""
+    return np.reshape([v ** n for v in np.ravel(x).tolist()], np.shape(x))
+
+
+def _values(p, q, *surfaces) -> ClosedFormValues:
+    """The surfaces as floats at one point, else as arrays over the grid of ``p`` and ``q``."""
+    shape = np.broadcast_shapes(np.shape(p), np.shape(q))
+    return ClosedFormValues(*(np.broadcast_to(s, shape) if shape else float(s)
+                              for s in surfaces))
+
+
+def example1_closed_forms(p, q) -> ClosedFormValues:
     """Closed-form surfaces of the werner family at theta = 1.
 
     The root argument of the thm3 surface is a product of two nonpositive
@@ -133,19 +156,18 @@ def example1_closed_forms(p: float, q: float) -> ClosedFormValues:
     """
     _check_unit("p", p)
     _check_unit("q", q)
-    rp = math.sqrt(1.0 - p)
-    rq = math.sqrt(1.0 - q)
+    rp = np.sqrt(1.0 - p)
+    rq = np.sqrt(1.0 - q)
     root_arg = ((10.0 * rp + 5.0 * p - 10.0)
-                * (40.0 * (rq - 1.0) + 4.0 * q * (1.0 + 4.0 * rq) - 3.0 * q ** 2))
+                * (40.0 * (rq - 1.0) + 4.0 * q * (1.0 + 4.0 * rq) - 3.0 * _pow(q, 2)))
     thm3 = _checked_root(root_arg) / 72.0
     lb = 0.0
-    lb1 = 5.0 / 72.0 * (rp - 1.0) ** 2 * (rq - 1.0) ** 2
-    lb2 = 5.0 / 144.0 * ((rp - 1.0) ** 2 + p) ** 2
-    return ClosedFormValues(thm3_closed=thm3, lb_closed=lb, lb1_closed=lb1,
-                            lb2_closed=lb2)
+    lb1 = 5.0 / 72.0 * _pow(rp - 1.0, 2) * _pow(rq - 1.0, 2)
+    lb2 = 5.0 / 144.0 * _pow(_pow(rp - 1.0, 2) + p, 2)
+    return _values(p, q, thm3, lb, lb1, lb2)
 
 
-def example2_closed_forms(p: float, q: float) -> ClosedFormValues:
+def example2_closed_forms(p, q) -> ClosedFormValues:
     """Closed-form surfaces of the rho_theta family at theta = 0.
 
     Note: the lb1 surface here is a valid but tighter expression than the
@@ -155,22 +177,22 @@ def example2_closed_forms(p: float, q: float) -> ClosedFormValues:
     """
     _check_unit("p", p)
     _check_unit("q", q)
-    rp = math.sqrt(1.0 - p)
-    rq = math.sqrt(1.0 - q)
+    rp = np.sqrt(1.0 - p)
+    rq = np.sqrt(1.0 - q)
     root_arg = ((2.0 * rp + p - 2.0)
-                * (1800.0 * (rq - 1.0) + 60.0 * q * (14.0 + rq) - q ** 2))
+                * (1800.0 * (rq - 1.0) + 60.0 * q * (14.0 + rq) - _pow(q, 2)))
     thm3 = _checked_root(root_arg) / 128.0
     lb = q / 8.0 * (1.0 - rp)
-    lb1 = 1.0 / 8.0 * (1.0 - rp) * (1.0 - rq + math.sqrt(p * q)) ** 2
-    lb2 = 1.0 / 16.0 * ((1.0 - rp) ** 4 + p ** 2
+    lb1 = 1.0 / 8.0 * (1.0 - rp) * _pow(1.0 - rq + np.sqrt(p * q), 2)
+    lb2 = 1.0 / 16.0 * (_pow(1.0 - rp, 4) + _pow(p, 2)
                         + 2.0 * abs(p * (p - 2.0 + 2.0 * rp)
                                     + q * (q - 2.0 + 2.0 * rq)))
-    return ClosedFormValues(thm3_closed=thm3, lb_closed=lb, lb1_closed=lb1,
-                            lb2_closed=lb2)
+    return _values(p, q, thm3, lb, lb1, lb2)
 
 
-def closed_forms(example_id: str, p: float, q: float) -> ClosedFormValues:
-    """Closed-form surfaces of the named example (valid at its canonical theta)."""
+def closed_forms(example_id: str, p, q) -> ClosedFormValues:
+    """Closed-form surfaces of the named example (valid at its canonical theta), at one
+    point or over the grid of a ``(G, 1)`` column ``p`` and a ``(1, G)`` row ``q``."""
     if example_id == "werner":
         return example1_closed_forms(p, q)
     if example_id == "rho_theta":

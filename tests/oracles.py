@@ -193,6 +193,24 @@ def f_kraus(q):
     return [np.diag([r, 1.0, r, 1.0]).astype(complex), f2]
 
 
+def closed_forms(example_id, p, q):
+    """(thm3, lb, lb1, lb2) closed forms at one point, as printed, in Python floats:
+    math.sqrt and ** (libm pow) on each value, no guard on the root argument."""
+    rp, rq = math.sqrt(1.0 - p), math.sqrt(1.0 - q)
+    if example_id == "werner":
+        root_arg = ((10.0 * rp + 5.0 * p - 10.0)
+                    * (40.0 * (rq - 1.0) + 4.0 * q * (1.0 + 4.0 * rq) - 3.0 * q ** 2))
+        return (math.sqrt(max(0.0, root_arg)) / 72.0, 0.0,
+                5.0 / 72.0 * (rp - 1.0) ** 2 * (rq - 1.0) ** 2,
+                5.0 / 144.0 * ((rp - 1.0) ** 2 + p) ** 2)
+    root_arg = ((2.0 * rp + p - 2.0)
+                * (1800.0 * (rq - 1.0) + 60.0 * q * (14.0 + rq) - q ** 2))
+    return (math.sqrt(max(0.0, root_arg)) / 128.0, q / 8.0 * (1.0 - rp),
+            1.0 / 8.0 * (1.0 - rp) * (1.0 - rq + math.sqrt(p * q)) ** 2,
+            1.0 / 16.0 * ((1.0 - rp) ** 4 + p ** 2
+                          + 2.0 * abs(p * (p - 2.0 + 2.0 * rp) + q * (q - 2.0 + 2.0 * rq))))
+
+
 # -- random draws for oracle-side property sweeps ----------------------------
 
 def rand_rho(rng, dim, rank=None):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chanuq import linalg
-from chanuq.bounds import (_grid_terms, bound_report, dou_bounds, fine_grained_terms,
+from chanuq.bounds import (_grid_terms, _sq_norms, bound_report, dou_bounds, fine_grained_terms,
                            heisenberg_bound, lb1_eq14, lb_eq13, luo_bound,
                            schrodinger_bound, thm1_bound, thm2_bound,
                            thm3_bound, thm4_bound)
@@ -178,6 +178,16 @@ def test_dou_uncentered_anticommutator_would_be_invalid():
     assert brackets == pytest.approx(0.0, abs=1e-15)
     raw_term = 0.25 * abs(np.trace(rho.matrix @ (2 * I2))) ** 2
     assert raw_term > 0.9
+
+
+def test_overflow_in_unread_brackets_gives_no_warning():
+    # a = b = 1.2e154 I: {a, b} overflows, but neither relation reads it; the commutator
+    # and the centered anticommutator they do read are zero
+    rho, a = make_density(I2 / 2), 1.2e154 * I2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert schrodinger_bound(rho, a, a) == 0.0
+        assert dou_bounds(rho, a, a) == (0.0, 0.0, 0.0)
 
 
 HUGE_DIAGONAL = np.diag([1e308, -1e308])
@@ -857,6 +867,27 @@ def test_family_records_equal_kept_records_slice_by_slice():
                     for a, b in zip(stacked, own, strict=True):
                         assert a.shape == grid + b.shape, (draw, name)
                         assert a[cell].tobytes() == b.tobytes(), (draw, name, g)
+
+
+@pytest.mark.parametrize("axes, blocks", [
+    (1, [(2,), (3,), (16,), (33,), (256,), (1024,)]),
+    (2, [(1, 2), (2, 4), (3, 16), (16, 16), (4, 37)]),
+    (3, [(1, 2, 2), (2, 4, 4), (3, 5, 5), (16, 4, 4), (2, 16, 16)]),
+])
+@pytest.mark.parametrize("grid", [(7, 1), (1, 7), (7, 7)])
+def test_family_sq_norms_equal_lone_vdots_bitwise(axes, blocks, grid):
+    # one batched product per grid gives each block the bits of its own np.vdot, on
+    # contiguous stacks and on the column views fine_grained_terms takes of them
+    rng = np.random.default_rng(sum(grid) + 10 * axes)
+    for block in blocks:
+        shape = grid + block
+        x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-4, 4)
+        views = [(x, axes)] + ([(x[..., 1], axes - 1)] if axes > 1 else [])
+        for view, n in views:
+            lone = [np.vdot(b, b).real for b in view.reshape(-1, *view.shape[view.ndim - n:])]
+            got = _sq_norms(view, n)
+            assert got.shape == grid, (block, n)
+            assert got.tobytes() == np.reshape(lone, grid).tobytes(), (block, n)
 
 
 def test_family_needs_one_kraus_count(werner1):

@@ -5,7 +5,7 @@ import pytest
 
 from chanuq.bounds import lb1_eq14, lb_eq13, thm3_bound, thm4_bound
 from chanuq.errors import NumericError
-from chanuq.examples import (ClosedFormValues, channel_E, channel_F,
+from chanuq.examples import (EXAMPLE_IDS, ClosedFormValues, channel_E, channel_F,
                              closed_forms, example1_closed_forms,
                              example2_closed_forms, example_state,
                              rho_theta_state, werner_state)
@@ -143,6 +143,72 @@ def test_checked_root_guard():
     assert _checked_root(-1e-13) == 0.0
     with pytest.raises(NumericError):
         _checked_root(-1e-6)
+
+
+CLOSED_FIELDS = ("thm3_closed", "lb_closed", "lb1_closed", "lb2_closed")
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+@pytest.mark.parametrize("steps", [2, 5, 19, 20, 21, 41, 101])
+def test_closed_forms_on_a_grid_equal_scalar_calls_bitwise(example_id, steps):
+    # a (G, 1) column p and a (1, G) row q give each cell the bits of the one-point call,
+    # and both the bits of the printed formula in Python floats (the oracle), the p = q = 1
+    # corner, the sign of zero and rho_theta's sqrt(p q) cross term included; random axes
+    # add cells where numpy's own square and libm pow differ (about 1 in 1200)
+    grid = np.linspace(0.0, 1.0, steps)
+    rng = np.random.default_rng(steps)
+    for p_axis, q_axis in ((grid, grid), (rng.random(steps), rng.random(steps))):
+        closed = closed_forms(example_id, p_axis[:, None], q_axis[None, :])
+        cells = [(p, q) for p in p_axis.tolist() for q in q_axis.tolist()]
+        points = [closed_forms(example_id, p, q) for p, q in cells]
+        printed = [oracles.closed_forms(example_id, p, q) for p, q in cells]
+        for k, name in enumerate(CLOSED_FIELDS):
+            scalar = [getattr(c, name) for c in points]
+            assert all(type(v) is float for v in scalar), name
+            surface = getattr(closed, name)
+            assert surface.shape == (steps, steps), name
+            assert surface.tobytes() == np.array(scalar).tobytes(), (name, steps)
+            assert surface.tobytes() == np.array([v[k] for v in printed]).tobytes(), (name, steps)
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_closed_forms_on_a_grid_raise_the_scalar_errors(example_id, monkeypatch):
+    # an out-of-range p or q raises at its first entry in row-major order
+    inside = np.linspace(0.0, 1.0, 4)
+    for p, q, message in ((np.array([[0.5], [1.5], [-0.25]]), inside[None, :], "p .* got 1.5"),
+                          (inside[:, None], np.array([[0.5, -0.25, 2.0]]), "q .* got -0.25")):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            closed_forms(example_id, p, q)
+    # with the floor raised above 0, some root arguments fall below it: the grid call
+    # raises the error of the first such one-point call in row-major order
+    monkeypatch.setattr("chanuq.examples.NEGATIVITY_FLOOR", 0.05)
+    grid = np.linspace(0.0, 1.0, 9)
+
+    def first_error():
+        for p in grid.tolist():
+            for q in grid.tolist():
+                try:
+                    closed_forms(example_id, p, q)
+                except NumericError as exc:
+                    return str(exc)
+        return None
+
+    want = first_error()
+    assert want is not None
+    with pytest.raises(NumericError) as grid_error:
+        closed_forms(example_id, grid[:, None], grid[None, :])
+    assert str(grid_error.value) == want
+
+
+def test_checked_root_on_an_array_raises_at_the_first_negative_entry():
+    with pytest.raises(NumericError) as scalar:
+        _checked_root(-1e-6)
+    with pytest.raises(NumericError) as array:
+        _checked_root(np.array([[4.0, -1e-13], [-1e-6, -2.0]]))
+    assert str(array.value) == str(scalar.value)
+    root = _checked_root(np.array([4.0, -1e-13, -0.0, 0.0]))
+    assert root.tolist() == [2.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(root).any()  # as math.sqrt(max(0.0, -0.0)) gives +0.0
 
 
 # -- dual evaluation: numeric vs closed forms ----------------------------------
