@@ -387,7 +387,7 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     report = BoundReport(
         lhs_product_v=v_phi * v_psi,
         lhs_product_u=u_phi * u_psi,
-        lhs_sum_u2=_abs_sq(u_phi) + _abs_sq(u_psi),  # u_abs ** 2, per value
+        lhs_sum_u2=_abs_sq(u_phi) + _abs_sq(u_psi),  # u_abs ** 2, with its bits
         thm1=thm1_bound(rho, e, f),
         thm2=thm2_bound(rho, e, f),
         thm3=thm3_bound(rho, e, f, basis_index),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .linalg import NEGATIVITY_FLOOR
+from .linalg import NEGATIVITY_FLOOR, _pow
 from .objects import DensityMatrix, KrausChannel, _make_channels, make_density
 
 EXAMPLE_IDS = ("werner", "rho_theta")
@@ -133,12 +133,6 @@ def _checked_root(arg):
         bad = np.ravel(arg)[below.argmax()].item()
         raise NumericError(f"closed-form root argument is negative: {bad!r}")
     return np.sqrt(np.where(arg > 0.0, arg, 0.0))
-
-
-def _pow(x, n: int):
-    """``x ** n`` by Python's float power (libm ``pow``), one value at a time: numpy's
-    own power, its plain square included, moves last bits."""
-    return np.reshape([v ** n for v in np.ravel(x).tolist()], np.shape(x))
 
 
 def _values(p, q, *surfaces) -> ClosedFormValues:

@@ -16,6 +16,7 @@ functions take arrays that passed it and do not check them again.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +82,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def frob_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def _pow(x, n: int) -> np.ndarray:
+    """``v ** n`` of each value of ``x`` as an array of its shape, by one ``math.pow`` pass:
+    libm ``pow``, as float ``**`` (numpy's power, its square too, moves last bits)."""
+    return np.reshape(list(map(math.pow, np.ravel(x).tolist(), repeat(n))), np.shape(x))
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:

@@ -42,11 +42,15 @@ class MeasureSet:
 
 
 def _nonneg(value, what: str):
-    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0, in a float or in each entry
-    of an array. A value below it signals a bug, and NaN or inf an overflow; both raise
-    ``NumericError`` (in an array, for its first such entry in row-major order)."""
+    """Clamp rounding noise in ``[NEGATIVITY_FLOOR, 0)`` to 0 with ``max(float(v), 0.0)``'s
+    bits, -0.0 kept (an array's min and max check it, ``np.where`` clamps). A value below it
+    signals a bug, and NaN or inf an overflow: ``NumericError``, an array's at its first."""
     if isinstance(value, np.ndarray):
-        return np.array([_nonneg(v, what) for v in value.ravel().tolist()]).reshape(value.shape)
+        low = value.min(initial=0.0)  # an empty array passes
+        if not NEGATIVITY_FLOOR <= low <= value.max(initial=0.0) < math.inf:
+            for v in value.ravel().tolist():
+                _nonneg(v, what)  # raises at the first entry out of range
+        return np.where(value < 0.0, 0.0, value) if low < 0.0 else value
     if not NEGATIVITY_FLOOR <= value < math.inf:
         raise NumericError(
             f"{what} evaluated to {value!r}: negative beyond rounding, or not finite")
@@ -54,11 +58,16 @@ def _nonneg(value, what: str):
 
 
 def _abs_sq(x):
-    """|x|^2, of a number or of each entry of an array, by Python's ``abs`` and ``**``
-    (libm ``pow``, whose bits the outputs keep; numpy's ``**`` squares), with their
-    ``OverflowError`` past the double range raised as ``NumericError``."""
+    """|x|^2 of a number, or of each entry of an array by ``np.hypot`` of its parts (not
+    ``np.abs``, which follows numpy's SIMD dispatch) and ``linalg._pow``: ``abs(x) ** 2``'s
+    bits. Past the double range it raises ``NumericError``, an array's at its first entry."""
     if isinstance(x, np.ndarray):
-        return np.array([_abs_sq(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        try:
+            with np.errstate(over="raise"):
+                return linalg._pow(np.hypot(x.real, x.imag), 2)
+        except (FloatingPointError, OverflowError):
+            for v in x.ravel().tolist():
+                _abs_sq(v)  # raises at the first entry out of range
     try:
         return abs(x) ** 2
     except OverflowError:
@@ -66,8 +75,8 @@ def _abs_sq(x):
 
 
 # Each public measure takes one operator K, giving a float, or an (N, d, d) stack,
-# giving per operator the bits of that operator alone: one operand check, products
-# and traces on the whole stack, and one Frobenius norm and ``**`` per matrix.
+# giving per operator the bits of that operator alone: one operand check, then
+# products, traces, norms and powers on the whole stack.
 
 def abs_variance(rho: DensityMatrix, k):
     """Tr(rho K^dag K) - |Tr(rho K)|^2, via the centered operator."""
@@ -84,14 +93,18 @@ def _abs_variance(rho: DensityMatrix, k: np.ndarray):
 def sym_abs_variance(rho: DensityMatrix, k):
     """Average of the absolute variances of K and K^dag."""
     k = _operand(rho, k, stack=True)
-    return 0.5 * (_abs_variance(rho, k) + _abs_variance(rho, linalg.dagger(k)))
+    v = _abs_variance(rho, np.array([k, linalg.dagger(k)]))  # one pass over both
+    return 0.5 * (v[0] + v[1]) if k.ndim == 3 else 0.5 * (float(v[0]) + float(v[1]))
 
 
-def _half_sq_norm(x: np.ndarray, what: str):
-    """0.5 ||x||_F^2 of a matrix, or of each matrix of a stack."""
+def _half_sq_norm(x: np.ndarray):
+    """0.5 ||x||_F^2, unclamped, of a matrix (a scalar) or of each matrix of a stack, with
+    ``0.5 * frob_norm(m) ** 2``'s bits: the ``ddot`` pair of ``np.linalg.norm`` as batched
+    ``(1, n) @ (n, 1)`` products of the real and imaginary rows, its root squared by ``_pow``."""
+    re, im = (p.reshape(-1, 1, x.shape[-2] * x.shape[-1]) for p in (x.real, x.imag))
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
-        values = np.array([0.5 * linalg.frob_norm(m) ** 2 for m in x.reshape(-1, *x.shape[-2:])])
-    return _nonneg(values if x.ndim == 3 else values[0], what)
+        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        return 0.5 * linalg._pow(np.sqrt(sq), 2).reshape(x.shape[:-2])[()]
 
 
 def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,13 +116,13 @@ def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.nd
 def mwy_skew_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
     comm, _ = _sqrt_brackets(rho, _operand(rho, k, stack=True))
-    return _half_sq_norm(comm, "skew information")
+    return _nonneg(_half_sq_norm(comm), "skew information")
 
 
 def mwy_anti_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of {sqrt(rho), K}."""
     _, anti = _sqrt_brackets(rho, _operand(rho, k, stack=True))
-    return _half_sq_norm(anti, "anticommutator information")
+    return _nonneg(_half_sq_norm(anti), "anticommutator information")
 
 
 def operator_u(rho: DensityMatrix, k):
@@ -119,10 +132,12 @@ def operator_u(rho: DensityMatrix, k):
 
 
 def _u_from(v, i):
-    """|U_rho|(K) from V_sym(K) and the skew information I(K), floats or arrays."""
+    """|U_rho|(K) from V_sym(K) and the skew information I(K), floats or arrays (an array
+    checks every square, ``_abs_sq``, before the first ``|U|``)."""
     if isinstance(v, np.ndarray):
-        return np.array([_u_from(*vi) for vi in zip(v.tolist(), i.tolist())], dtype=float)
-    return _nonneg(float(np.sqrt(max(v * v - _abs_sq(v - i), 0.0))), "|U|")
+        with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
+            return _nonneg(np.sqrt(np.maximum(v * v - _abs_sq(v - i), 0.0)), "|U|")
+    return _nonneg(math.sqrt(max(v * v - _abs_sq(v - i), 0.0)), "|U|")
 
 
 def _kraus_sums(values: np.ndarray, shape: tuple[int, int]) -> list[float]:
@@ -177,17 +192,16 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
     """The :class:`MeasureSet` of each channel of a checked ``(G, N, d, d)`` stack, each
     with the bits of that channel alone: one ``sym_abs_variance`` call on the flattened
     ``(G N, d, d)`` stack, one ``_sqrt_brackets`` of its centered form and one
-    ``_half_sq_norm`` of each bracket (all per matrix), then per channel the sums in Kraus
-    order, ``u_abs`` and the two identity checks."""
+    ``_half_sq_norm`` of both brackets (all per matrix, each clamped under its own name),
+    then per channel the sums in Kraus order, ``u_abs`` and the two identity checks."""
     flat = x.reshape(-1, *x.shape[-2:])
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
-    comm0, anti0 = _sqrt_brackets(rho, _center(flat, rho))
-    per_op = (v_sym, _half_sq_norm(comm0, "skew information"),
-              _half_sq_norm(anti0, "anticommutator information"))
+    i_op, j_op = _half_sq_norm(np.array(_sqrt_brackets(rho, _center(flat, rho))))
+    per_op = v_sym, _nonneg(i_op, "skew information"), _nonneg(j_op, "anticommutator information")
     sets = []
     for v_sym, i_tilde, j_tilde in zip(*(_kraus_sums(v, x.shape[:2]) for v in per_op)):
         c_abs = v_sym - i_tilde
-        u_abs = float(np.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0)))
+        u_abs = math.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0))
         if not _close(u_abs * u_abs, i_tilde * j_tilde):
             raise NumericError(
                 f"u^2 = {u_abs * u_abs!r} disagrees with i_tilde*j_tilde = "

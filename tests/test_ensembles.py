@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chanuq.ensembles
+from chanuq import linalg
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _gram_schmidt,
                               _trial_relations, random_channel, random_density,
@@ -169,6 +170,29 @@ def test_verify_suite_small_run_clean():
     assert report.trials_run == 25
     assert report.violations == []
     assert all(v >= -1e-9 for v in report.min_slack_per_bound.values())
+
+
+def test_verify_suite_over_rank_deficient_states(monkeypatch):
+    # ranks 1 and 2 with every relation: no violation and no NumericError, while the
+    # psd_sqrt clamp zeroes exactly the d - r kernel eigenvalues of each state
+    kernel, changed = [], []
+    sqrt_from_spectrum = linalg._sqrt_from_spectrum
+
+    def recording(h, spectrum):
+        scale, unit = linalg._scale(h)
+        clamped = spectrum.eigenvalues <= linalg.PSD_CLAMP_TOL * scale * unit
+        kernel.append(int(clamped.sum()))
+        changed.append(bool((spectrum.eigenvalues[clamped] != 0.0).any()))
+        return sqrt_from_spectrum(h, spectrum)
+    monkeypatch.setattr(linalg, "_sqrt_from_spectrum", recording)
+    configs = [EnsembleConfig(dim=dim, kraus_count=k, rank=rank, seed=7000 + 10 * dim + k,
+                              trials=10)
+               for rank in (1, 2) for dim in (2, 3, 4) for k in (1, 2, 3)]
+    report = verify_suite(*configs)
+    assert report.trials_run == 180
+    assert report.violations == []
+    assert kernel == [c.dim - c.rank for c in configs for _ in range(c.trials)]
+    assert sum(changed) >= 100  # the clamp moved eigenvalues, not only kept zeros
 
 
 def test_verify_suite_deterministic_modulo_elapsed():

@@ -77,6 +77,22 @@ def test_bracket_kernel_equals_lone_brackets_bitwise(dim):
             assert linalg._sym_brackets(left, right)[2].tobytes() == comm.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_pow_equals_scalar_form_bitwise(n):
+    # each entry has the bits of Python's v ** n, over the range where it is finite, with
+    # either sign, subnormals, zeros, -0.0, inf and NaN; an overflow raises as ** does
+    rng = np.random.default_rng(n)
+    values = rng.choice([-1.0, 1.0], 20_000) * np.exp(rng.uniform(-700 / n, 700 / n, 20_000))
+    values = np.concatenate([values, [0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan]])
+    for x in (values, values[:-7].reshape(-1, 4), 0.3, -0.0):
+        got = linalg._pow(x, n)
+        assert got.shape == np.shape(x)
+        want = np.array([v ** n for v in np.ravel(x).tolist()])
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(OverflowError):
+        linalg._pow(np.array([1.0, 1e200]), n)
+
+
 def test_sym_brackets_reduce_to_plain_for_hermitian():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -1,6 +1,7 @@
 """Unit tests for the uncertainty measures."""
 
 import copy
+import math
 import warnings
 from dataclasses import astuple
 
@@ -10,6 +11,7 @@ import pytest
 from chanuq import linalg, measures
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
+from chanuq.linalg import NEGATIVITY_FLOOR
 from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.examples import _channel_family, channel_E, channel_F, rho_theta_state, werner_state
 from chanuq.measures import (MeasureSet, _nonneg, _Terms, abs_variance, channel_measures,
@@ -215,17 +217,21 @@ def test_channel_measures_internal_identities():
 ], ids=["product", "sum"])
 def test_record_rejects_a_broken_identity(monkeypatch, theta, message):
     # no valid input breaks the identities, which hold up to rounding, so double
-    # every anticommutator information the record sums
+    # every anticommutator information the record sums, where the record clamps it
     rho, phi = werner_state(theta), channel_F(0.5)
-    half_sq_norm = measures._half_sq_norm
+    nonneg, doubled = measures._nonneg, []
 
-    def skewed(x, what):
-        value = half_sq_norm(x, what)
-        return 2 * value if what == "anticommutator information" else value
-    monkeypatch.setattr(measures, "_half_sq_norm", skewed)
+    def skewed(value, what):
+        value = nonneg(value, what)
+        if what == "anticommutator information":
+            doubled.append(value)
+            return 2 * value
+        return value
+    monkeypatch.setattr(measures, "_nonneg", skewed)
     record = _Terms(rho, phi.kraus_ops)
     with pytest.raises(NumericError, match=message):
         measures._measure_all([record])
+    assert [np.shape(v) for v in doubled] == [phi.kraus_ops.shape[:1]]  # every operator's
     assert record.measures is None  # a failed pass fills nothing
 
 
@@ -279,6 +285,124 @@ def test_nonneg_clamps_rounding_and_rejects_the_rest(value, expected):
             _nonneg(value, "test value")
     else:
         assert _nonneg(value, "test value") == expected
+
+
+# -- array kernels against their scalar forms, entry by entry ------------------
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+
+
+def _spread(rng, n: int) -> np.ndarray:
+    """n reals of either sign spread over e^+-300, shuffled in with subnormals, exact
+    zeros and -0.0."""
+    values = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-300.0, 300.0, n))
+    return rng.permutation(np.concatenate([values, SPECIAL]))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, complex)  # re + 1j * im would turn some -0.0 parts into +0.0
+    z.real, z.imag = re, im
+    return z
+
+
+def test_abs_sq_equals_scalar_form_bitwise():
+    rng = np.random.default_rng(71)
+    re, im = _spread(rng, 20_000), _spread(rng, 20_000)
+    z = _complex(re, im)
+    z[:4] = [complex(math.inf, math.nan), complex(math.nan, -1.0), complex(-math.inf, 0.0),
+             complex(1e-200, 1e-200)]
+    for x in (z, z[2:].reshape(2, -1, 2), re, np.abs(re), np.array(complex(3.0, -4.0))):
+        got = measures._abs_sq(x)
+        assert got.shape == x.shape
+        assert _bits(got.ravel()) == _bits([abs(v) ** 2 for v in x.ravel().tolist()])
+
+
+def test_nonneg_equals_scalar_form_bitwise():
+    rng = np.random.default_rng(72)
+    values = np.abs(_spread(rng, 20_000))
+    noise = -np.exp(rng.uniform(-800.0, np.log(-NEGATIVITY_FLOOR) - 0.01, 200))  # in [floor, 0)
+    with_noise = rng.permutation(np.concatenate([values, noise, [-0.0, NEGATIVITY_FLOOR]]))
+    for x in (with_noise, with_noise.reshape(-1, 3), values, np.array([-0.0, 0.0]),
+              np.array(-1e-13), np.empty((0, 3))):
+        got = _nonneg(x, "test value")
+        assert got.shape == x.shape
+        assert _bits(got.ravel()) == _bits([max(float(v), 0.0) for v in x.ravel().tolist()])
+
+
+def test_u_from_equals_scalar_form_bitwise():
+    rng = np.random.default_rng(73)
+    v = np.abs(_spread(rng, 20_000))
+    for i in (np.abs(_spread(rng, 20_000)), v * rng.uniform(0.0, 2.0, v.shape), v, 0.0 * v):
+        got = measures._u_from(v, i)
+        assert _bits(got) == _bits([measures._u_from(*vi) for vi in zip(v.tolist(), i.tolist())])
+
+
+def test_half_sq_norm_equals_scalar_form_bitwise():
+    rng = np.random.default_rng(74)
+    for dim in range(2, 17):
+        for count in (1, 2, 7, 12, 63):
+            scale = np.exp(rng.uniform(-150.0, 150.0, (count, 1, 1)))
+            stack = scale * _complex(rng.standard_normal((count, dim, dim)),
+                                     rng.standard_normal((count, dim, dim)))
+            stack[0] = stack[0].real if count > 2 else stack[0]
+            stack[-1] = 5e-324 * np.sign(stack[-1].real) if count > 1 else stack[-1]
+            if count > 2:
+                stack[1] = 0.0
+            expected = _bits([0.5 * linalg.frob_norm(m) ** 2 for m in stack])
+            assert _bits(measures._half_sq_norm(stack)) == expected
+            pair = measures._half_sq_norm(np.array([stack, stack[::-1]]))
+            assert _bits(pair.ravel()) == expected + expected[::-1]
+            assert _bits([measures._half_sq_norm(stack[0])]) == expected[:1]
+
+
+def _first_scalar_error(scalar, entries) -> str:
+    """The message of the first entry, in order, whose scalar form raises."""
+    for args in entries:
+        try:
+            scalar(*args)
+        except NumericError as exc:
+            return str(exc)
+    raise AssertionError("no entry raises")
+
+
+@pytest.mark.parametrize("kernel", ["nonneg", "abs_sq", "u_from_square", "u_from"])
+def test_array_kernels_raise_the_scalar_error(kernel):
+    # NaN, +-inf, values below the floor and squares past the double range, two to
+    # four of them in one array: the array form names the first, in row-major order
+    rng = np.random.default_rng(75)
+    harmless, bad = {
+        "nonneg": ([], [math.nan, math.inf, -math.inf, 2.0 * NEGATIVITY_FLOOR, -1.0]),
+        # inf and NaN square without an error; an overflowing |z| or |z|^2 raises
+        "abs_sq": ([math.inf, math.nan],
+                   [1e200, -3e160, complex(1.5e308, 1.5e308), complex(1e200, 1.0)]),
+        # (v, i): (v - i)^2 overflows; an array checks every square before any |U|
+        "u_from_square": ([], [(1e200, 0.0), (0.0, 3e180), (1e300, 1e160)]),
+        # (v, i): |U| is inf or NaN, its square finite or inf
+        "u_from": ([], [(2e160, 2e160), (math.inf, 0.0), (math.nan, 1.0), (1.0, math.nan)]),
+    }[kernel]
+    width = 2 if kernel.startswith("u_from") else 1
+    for _ in range(40):
+        size = int(rng.integers(4, 40))
+        entries = [tuple(rng.uniform(0.0, 3.0, width).tolist()) for _ in range(size)]
+        positions = rng.choice(size, int(rng.integers(2, 5)), replace=False)
+        for k, pos in enumerate(positions):  # the last is one that raises
+            picks = bad if k == len(positions) - 1 else harmless + bad
+            pick = picks[int(rng.integers(len(picks)))]
+            # scaled apart, so that the message names the entry
+            entries[pos] = tuple((np.atleast_1d(pick) * (1 + k / 16)).tolist())
+        if kernel == "nonneg":
+            array = np.array(entries)[:, 0]
+            scalar = lambda v: _nonneg(v, "test value")
+            call = lambda: _nonneg(array.reshape(2, -1) if size % 2 == 0 else array, "test value")
+        elif kernel == "abs_sq":
+            array = np.array(entries, dtype=complex)[:, 0]
+            scalar, call = lambda v: measures._abs_sq(complex(v)), lambda: measures._abs_sq(array)
+        else:
+            v, i = np.array(entries).T
+            scalar, call = measures._u_from, lambda: measures._u_from(v, i)
+        with pytest.raises(NumericError) as raised:
+            call()
+        assert str(raised.value) == _first_scalar_error(scalar, entries)
 
 
 # -- Kraus stacks --------------------------------------------------------------
