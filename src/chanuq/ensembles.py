@@ -19,8 +19,9 @@ with a second re-orthogonalization pass in fixed column order.
 Every draw goes through one block kernel, ``_normals``: output k of a
 stream (counted from 1) is the mix of ``seed + k * gamma``, so a block of
 outputs is one ``uint64`` array expression, ``SplitMix64.complex_matrix``
-draws one matrix as a block, and ``verify`` draws all of a trial's
-matrices as one. A block gives the bits of the equations above taken one
+draws one matrix as a block, and ``verify`` draws one block and one state per
+trial seed for all configs sharing that stream, each config's block being a
+prefix of it. A block gives the bits of the equations above taken one
 draw at a time, as ``tests/oracles.py`` states them: the uniforms are
 exact, numpy computes only the IEEE-rounded ``*``, ``sqrt`` and
 ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar ``math`` calls,
@@ -30,6 +31,7 @@ their SIMD kernels per CPU.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ import numpy as np
 from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import _u_from, mwy_skew_info, sym_abs_variance
+from .measures import _mwy_skew_info, _sym_abs_variance, _u_from
 from .objects import DensityMatrix, KrausChannel, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
@@ -207,13 +209,13 @@ def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
     """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES`` on one trial."""
     relations = bound_report(rho, phi, psi, check=False).relations()
 
-    # the four operators as one stack; a and b are exactly Hermitian
-    # (random_operator), so sym_abs_variance equals abs_variance to the bit, and the
-    # Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
+    # the four operators as one fresh stack, which the measures' bodies take unchecked; a, b
+    # are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to the bit
+    # and the Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
     # luo_bound; dou_bounds forms the Dou terms of k and l in one stacked pass itself
     ops = np.stack([k, l, a, b])
-    v = sym_abs_variance(rho, ops)
-    uk, ul, ua, ub = _u_from(v, mwy_skew_info(rho, ops)).tolist()
+    v = _sym_abs_variance(rho, ops)
+    uk, ul, ua, ub = _u_from(v, _mwy_skew_info(rho, ops)).tolist()
     vk, vl, va, vb = v.tolist()
     comm, anti = _schrodinger_terms(rho, a, b)
     relations["heisenberg_bound"] = (va * vb, comm)
@@ -231,13 +233,16 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
                  ) -> VerificationReport:
     """Sweep random (state, channel, channel) triples through every bound.
 
-    The configs run in the order given and share one report: trials add
-    up, violations are listed in the order found, and each bound's
-    minimum slack is taken over every trial. Trial t of a config draws
-    everything from one SplitMix64 stream seeded with ``config.seed + t``,
-    as one block of normals, so trials are independently reproducible.
-    Each trial also draws a general operator pair and a Hermitian
-    observable pair for the operator-level relations. Any slack below
+    The configs share one report, as if they had run one after another in
+    the order given: trials add up, violations are listed config by config,
+    each in the order found, and each bound's minimum slack is taken over
+    every trial. Trial t of a config draws everything from one SplitMix64
+    stream seeded with ``config.seed + t``, so trials are independently
+    reproducible. Configs of equal dim, rank, seed and trials share that
+    stream's state, so they run seed-major: per trial seed, one block of
+    normals (each config's own block is a prefix of it) and one state, then
+    each config draws its two channels, a general operator pair and a
+    Hermitian observable pair from the block after the state. Any slack below
     -SLACK_TOL is recorded as a violation together with the trial seed.
     """
     if not configs:
@@ -245,38 +250,45 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     if broken_bound is not None and broken_bound not in BOUND_NAMES:
         raise ValueError(f"unknown bound name {broken_bound!r}")
     start = time.perf_counter()
-    violations: list[Violation] = []
-    min_slack = {name: math.inf for name in BOUND_NAMES}
-    for config in configs:
-        dim = config.dim
-        # a state, two channels and four operators
-        draws = dim * config.rank + 2 * dim * dim * config.kraus_count + 4 * dim * dim
-        for trial_seed in range(config.seed, config.seed + config.trials):
-            rng = _Block(trial_seed, draws)
-            rho = random_density(dim, config.rank, rng)
-            phi = random_channel(dim, config.kraus_count, rng)
-            psi = random_channel(dim, config.kraus_count, rng)
-            k = random_operator(dim, rng)
-            l = random_operator(dim, rng)
-            a = random_operator(dim, rng, hermitian=True)
-            b = random_operator(dim, rng, hermitian=True)
-            try:
-                relations = _trial_relations(rho, phi, psi, k, l, a, b)
-            except NumericError as exc:
-                raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
-            for name in BOUND_NAMES:
-                lhs, bound = relations[name]
-                if name == broken_bound:
-                    # self-test hook: inflate one bound tenfold to prove the detector fires
-                    bound = 10.0 * bound
-                slack = lhs - bound
-                if slack < min_slack[name]:
-                    min_slack[name] = slack
-                if slack < -SLACK_TOL:
-                    violations.append(Violation(name, trial_seed, float(slack)))
+    groups: dict[tuple, list[int]] = {}  # positions sharing a stream; a repeat is in twice
+    for i, c in enumerate(configs):
+        groups.setdefault((c.dim, c.rank, c.seed, c.trials), []).append(i)
+    violations: list[list[Violation]] = [[] for _ in configs]
+    min_slack = [dict.fromkeys(BOUND_NAMES, math.inf) for _ in configs]
+    for (dim, rank, seed, trials), members in groups.items():
+        # a state, then per config two channels and four operators
+        kraus = max(configs[i].kraus_count for i in members)
+        draws = dim * rank + 2 * dim * dim * kraus + 4 * dim * dim
+        for trial_seed in range(seed, seed + trials):
+            block = _Block(trial_seed, draws)
+            rho = random_density(dim, rank, block)
+            for i in members:
+                rng = copy.copy(block)  # a cursor right after the state's draws
+                phi = random_channel(dim, configs[i].kraus_count, rng)
+                psi = random_channel(dim, configs[i].kraus_count, rng)
+                k = random_operator(dim, rng)
+                l = random_operator(dim, rng)
+                a = random_operator(dim, rng, hermitian=True)
+                b = random_operator(dim, rng, hermitian=True)
+                try:
+                    relations = _trial_relations(rho, phi, psi, k, l, a, b)
+                except NumericError as exc:
+                    raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
+                for name in BOUND_NAMES:
+                    lhs, bound = relations[name]
+                    if name == broken_bound:
+                        # self-test hook: inflate one bound tenfold to prove the detector fires
+                        bound = 10.0 * bound
+                    slack = lhs - bound
+                    if slack < min_slack[i][name]:
+                        min_slack[i][name] = slack
+                    if slack < -SLACK_TOL:
+                        violations[i].append(Violation(name, trial_seed, float(slack)))
     return VerificationReport(
         trials_run=sum(config.trials for config in configs),
-        violations=violations,
-        min_slack_per_bound={name: float(min_slack[name]) for name in BOUND_NAMES},
+        violations=[v for found in violations for v in found],
+        # min keeps the first of equal values (strict <), so a zero keeps its sign
+        min_slack_per_bound={name: float(min(m[name] for m in min_slack))
+                             for name in BOUND_NAMES},
         elapsed=time.perf_counter() - start,
     )

@@ -53,7 +53,7 @@ def _nonneg(value, what: str):
         return np.where(value < 0.0, 0.0, value) if low < 0.0 else value
     if not NEGATIVITY_FLOOR <= value < math.inf:
         raise NumericError(
-            f"{what} evaluated to {value!r}: negative beyond rounding, or not finite")
+            f"{what} evaluated to {float(value)!r}: negative beyond rounding, or not finite")
     return max(float(value), 0.0)
 
 
@@ -92,7 +92,10 @@ def _abs_variance(rho: DensityMatrix, k: np.ndarray):
 
 def sym_abs_variance(rho: DensityMatrix, k):
     """Average of the absolute variances of K and K^dag."""
-    k = _operand(rho, k, stack=True)
+    return _sym_abs_variance(rho, _operand(rho, k, stack=True))
+
+
+def _sym_abs_variance(rho: DensityMatrix, k: np.ndarray):
     v = _abs_variance(rho, np.array([k, linalg.dagger(k)]))  # one pass over both
     return 0.5 * (v[0] + v[1]) if k.ndim == 3 else 0.5 * (float(v[0]) + float(v[1]))
 
@@ -115,7 +118,11 @@ def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def mwy_skew_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
-    comm, _ = _sqrt_brackets(rho, _operand(rho, k, stack=True))
+    return _mwy_skew_info(rho, _operand(rho, k, stack=True))
+
+
+def _mwy_skew_info(rho: DensityMatrix, k: np.ndarray):
+    comm, _ = _sqrt_brackets(rho, k)
     return _nonneg(_half_sq_norm(comm), "skew information")
 
 

@@ -366,6 +366,26 @@ def test_verify_numeric_error_names_the_trial_seed_and_exits_5(runner, monkeypat
     assert result.stdout == ""
 
 
+def test_verify_numeric_error_names_the_earliest_trial_seed_of_its_group(runner, monkeypatch):
+    # the Kraus counts of a dim run seed-major: the second config fails at the first
+    # trial seed, and the run stops there, before the first config's later seeds
+    seen = []
+
+    def fail_second(rho, phi, *args):
+        seen.append(len(phi))
+        if len(phi) == 2:
+            raise chanuq.errors.NumericError("injected")
+        return {name: (0.0, 0.0) for name in chanuq.ensembles.BOUND_NAMES}
+
+    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", fail_second)
+    result = runner.invoke(cli, ["verify", "--dim", "2", "--kraus", "1", "--kraus", "2",
+                                 "--trials", "3", "--seed", "7"])
+    assert result.exit_code == 5
+    assert result.stderr == "verification failure: trial seed 7: injected\n"
+    assert result.stdout == ""
+    assert seen == [1, 2]
+
+
 def test_sweep_noncanonical_theta_leaves_closed_columns_empty(runner, tmp_path):
     out = tmp_path / "nc.csv"
     result = runner.invoke(cli, ["sweep", "--example", "werner", "--theta", "0.5",

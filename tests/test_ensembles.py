@@ -11,7 +11,7 @@ import chanuq.ensembles
 from chanuq import linalg
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _gram_schmidt,
-                              _trial_relations, random_channel, random_density,
+                              _normals, _trial_relations, random_channel, random_density,
                               random_operator, verify_suite)
 from chanuq.errors import NumericError
 from chanuq.measures import _measure_sets, _terms, abs_variance, sym_abs_variance
@@ -74,6 +74,22 @@ def test_complex_matrix_leaves_the_stream_after_its_outputs(seed, rows, cols):
     g = SplitMix64(seed)
     both = np.vstack([g.complex_matrix(rows, cols), g.complex_matrix(rows, cols)])
     assert np.array_equal(both, oracles.splitmix_complex_matrix(seed, 2 * rows, cols))
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 64 - 2])
+def test_normals_prefix_of_a_longer_block_bitwise(seed):
+    # verify draws one block per trial seed for all the Kraus counts of a dim; each
+    # config's block must be a prefix of it, bit for bit, whatever lengths numpy's
+    # elementwise loops split into SIMD bodies and tails
+    longest = _normals(seed, 960)  # d = 8, rank 8, 5 Kraus operators
+    for n in range(1, 961):
+        assert _bits(longest[:n].view(float)) == _bits(_normals(seed, n).view(float)), n
+    for dim in range(2, 9):
+        counts = [dim * rank + 2 * dim * dim * k + 4 * dim * dim
+                  for rank in range(1, dim + 1) for k in range(1, 6)]
+        block = _normals(seed, max(counts))
+        for n in counts:
+            assert _bits(block[:n].view(float)) == _bits(_normals(seed, n).view(float)), n
 
 
 def test_gauss_pair_moments():
@@ -292,9 +308,17 @@ def test_verify_trial_draws_equal_the_stream_draws(monkeypatch, dim, seed):
     configs = [EnsembleConfig(dim=dim, kraus_count=k, rank=rank, seed=seed, trials=3)
                for k in range(1, 6) for rank in (dim - 1, dim)]
     verify_suite(*configs)
-    expected = [_harness_trial(c.dim, c.kraus_count, c.seed + t, c.rank)
-                for c in configs for t in range(c.trials)]
+    # configs sharing (dim, rank, seed, trials) form a group, in first-appearance order;
+    # a group runs seed-major, its configs in the given order at each trial seed
+    groups = {}
+    for c in configs:
+        groups.setdefault((c.dim, c.rank, c.seed, c.trials), []).append(c)
+    runs = [(key, t, c) for key, group in groups.items() for t in range(key[3]) for c in group]
+    expected = [_harness_trial(c.dim, c.kraus_count, c.seed + t, c.rank) for _, t, c in runs]
     assert len(seen) == len(expected)
+    states = {}  # every config of a group gets the same state object at a trial seed
+    for (key, t, _), (rho, *_) in zip(runs, seen):
+        assert states.setdefault((key, t), rho) is rho
     for (rho, phi, psi, *ops), (rho0, phi0, psi0, *ops0) in zip(seen, expected):
         assert np.array_equal(rho.matrix, rho0.matrix)
         assert np.array_equal(rho.sqrt_matrix, rho0.sqrt_matrix)
@@ -307,17 +331,61 @@ def test_verify_trial_draws_equal_the_stream_draws(monkeypatch, dim, seed):
 def test_verify_suite_of_two_configs_is_their_separate_runs_joined(broken):
     c1 = EnsembleConfig(dim=2, kraus_count=2, rank=2, seed=5, trials=6)
     c2 = EnsembleConfig(dim=3, kraus_count=1, rank=2, seed=40, trials=5)
-    alone = {c: verify_suite(c, broken_bound=broken) for c in (c1, c2)}
-    for configs in ((c1, c2), (c2, c1)):
+    # c3 and c4 share their trial streams, so a joint run draws each seed's state once
+    # and runs them seed-major; a config listed twice runs twice
+    c3 = EnsembleConfig(dim=3, kraus_count=1, rank=3, seed=5, trials=6)
+    c4 = EnsembleConfig(dim=3, kraus_count=3, rank=3, seed=5, trials=6)
+    alone = {c: verify_suite(c, broken_bound=broken) for c in (c1, c2, c3, c4)}
+    for configs in ((c1, c2), (c2, c1), (c3, c4), (c4, c3), (c1, c1), (c4, c4)):
         first, second = (alone[c] for c in configs)
         joint = verify_suite(*configs, broken_bound=broken)
         assert joint.trials_run == first.trials_run + second.trials_run
         assert joint.violations == first.violations + second.violations
-        assert joint.min_slack_per_bound == {
-            name: min(first.min_slack_per_bound[name], second.min_slack_per_bound[name])
-            for name in BOUND_NAMES}
+        # merged in config order with min's strict <, the sign of a zero included
+        assert _bits(list(joint.min_slack_per_bound.values())) == _bits([
+            min(first.min_slack_per_bound[name], second.min_slack_per_bound[name])
+            for name in BOUND_NAMES])
+        assert list(joint.min_slack_per_bound) == list(BOUND_NAMES)
     if broken is not None:
-        assert all(report.violations for report in alone.values())
+        # an inflated thm1 never fires for c4, so (c3, c4) joins c3's violations to none;
+        # an inflated luo_bound fires for every config
+        assert all(alone[c].violations for c in (c1, c2, c3))
+        assert bool(alone[c4].violations) == (broken == "luo_bound")
+
+
+def test_verify_suite_keeps_the_first_of_equal_minimum_slacks(monkeypatch):
+    # +0.0 and -0.0 tie: the report keeps the zero that a run of one config after
+    # another meets first, within a config (trial order) and across configs (config
+    # order), though configs sharing a stream run seed-major
+    lhs = {(1, 0): 0.0, (1, 1): -0.0, (2, 0): -0.0, (2, 1): 0.0}  # (Kraus count, trial)
+    seen = []
+
+    def zero_slacks(rho, phi, *args):
+        trial = seen.count(len(phi))
+        seen.append(len(phi))
+        return {name: (lhs[len(phi), trial], 0.0) for name in BOUND_NAMES}
+
+    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", zero_slacks)
+    c1, c2 = (EnsembleConfig(dim=2, kraus_count=k, rank=2, seed=3, trials=2) for k in (1, 2))
+    for configs, zero in (((c1, c2), 0.0), ((c2, c1), -0.0)):
+        seen.clear()
+        report = verify_suite(*configs)
+        assert _bits(list(report.min_slack_per_bound.values())) == _bits([zero] * 12)
+
+
+def test_verify_suite_builds_one_state_per_group_and_trial_seed(monkeypatch):
+    # the CLI's configs: one group per dim, here with a Kraus count repeated
+    calls = []
+
+    def counting(dim, rank, seed):
+        calls.append((dim, rank))
+        return random_density(dim, rank, seed)
+    monkeypatch.setattr(chanuq.ensembles, "random_density", counting)
+    configs = [EnsembleConfig(dim=d, kraus_count=k, rank=d, seed=11, trials=4)
+               for d in (3, 2) for k in (1, 3, 3, 2)]
+    report = verify_suite(*configs)
+    assert report.trials_run == 32
+    assert calls == [(3, 3)] * 4 + [(2, 2)] * 4
 
 
 def test_verify_suite_needs_a_config():

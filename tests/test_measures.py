@@ -258,13 +258,16 @@ def test_operator_u_matches_skew_product():
             oracles.u_of_operator(rho_m, k), abs=1e-11)
 
 
-@pytest.mark.parametrize("measure, state, k", [
+OVERFLOWING = pytest.mark.parametrize("measure, state, k", [
     *((measure, [[0.75, 0.25], [0.25, 0.25]], [[1e160, 0], [0, 0]])
       for measure in (abs_variance, sym_abs_variance, mwy_skew_info, mwy_anti_info, operator_u)),
     # V_sym = I = 1e160 is finite, but V_sym^2 overflows inside |U|
     (operator_u, [[1, 0], [0, 0]], 1e80 * SX),
 ], ids=["abs_variance", "sym_abs_variance", "mwy_skew_info", "mwy_anti_info", "operator_u",
         "operator_u-pure"])
+
+
+@OVERFLOWING
 def test_overflowing_operator_measures_raise(measure, state, k):
     # the operands are finite, but the measure overflows: no NaN or inf may come back
     rho = make_density(np.array(state))
@@ -272,6 +275,21 @@ def test_overflowing_operator_measures_raise(measure, state, k):
         warnings.simplefilter("error")  # and no numpy warning comes before the error
         with pytest.raises(NumericError):
             measure(rho, np.array(k))
+
+
+@OVERFLOWING
+def test_overflow_messages_of_lone_and_stacked_operators_are_equal(measure, state, k):
+    # the value is printed as a Python float ("inf"), not as a numpy scalar's repr
+    rho = make_density(np.array(state))
+    messages = []
+    for operand in (np.array(k), np.array([k])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericError) as info:
+                measure(rho, operand)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "np." not in messages[0]
 
 
 @pytest.mark.parametrize("value, expected", [
