@@ -13,6 +13,8 @@ Conventions shared by all bound evaluators:
 * a channel argument may be a *family*, a sequence of channels of one dimension
   and Kraus count; then a bound gives a ``(len(phi), len(psi))`` array (a lone
   channel counts as a family of one), each cell bit for bit that pair's value;
+  under a state stack (``objects._States``) both are sequences zipped with its
+  states, and each value is an array over them, each entry that trial's bits;
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
@@ -43,7 +45,8 @@ from .errors import BoundViolationError, DimensionMismatchError
 from .linalg import SLACK_TOL
 from .measures import (_abs_sq, _measure_all, _nonneg, _Terms, _terms, channel_measures,
                        operator_u)
-from .objects import DensityMatrix, KrausChannel, _center, _expect, _operand
+from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _expect, _operand, _pile,
+                      _States, _unpile)
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -67,10 +70,11 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
 
 def _schrodinger_terms(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(1/4) |Tr(rho [a, b])|^2 and (1/4) |Tr(rho {a0, b0})|^2 of checked operands."""
-    a0, b0 = _center(np.array([a, b]), rho)
+    a0, b0 = _unpile(rho, _center(_pile(rho, [a, b]), rho))
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
-        comm, anti = linalg._brackets(np.array([a, a0]), np.array([b, b0]))
-    comm, anti = _expect(rho, np.array([comm[0], anti[1]])).tolist()
+        comm, anti = (_unpile(rho, x) for x in
+                      linalg._brackets(_pile(rho, [a, a0]), _pile(rho, [b, b0])))
+    comm, anti = _unpile(rho, _expect(rho, _pile(rho, [comm[0], anti[1]])))
     return (_nonneg(0.25 * _abs_sq(comm), "commutator term"),
             _nonneg(0.25 * _abs_sq(anti), "anticommutator term"))
 
@@ -111,13 +115,14 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     """
     k = _operand(rho, k)
     l = _operand(rho, l)
-    k0, l0 = _center(np.array([k, l]), rho)
+    k0, l0 = _unpile(rho, _center(_pile(rho, [k, l]), rho))
     # the raw pair's symmetrized and plain commutator and the centered pair's symmetrized
     # anticommutator from one stacked bracket pass, then the three traces in one product
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
-        anti, sym_comm, comm = linalg._sym_brackets(np.array([k, k0]), np.array([l, l0]))
-    brackets = np.array([sym_comm[0], anti[1], comm[0]])
-    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _expect(rho, brackets).tolist())
+        anti, sym_comm, comm = (_unpile(rho, x) for x in
+                                linalg._sym_brackets(_pile(rho, [k, k0]), _pile(rho, [l, l0])))
+    brackets = _pile(rho, [sym_comm[0], anti[1], comm[0]])
+    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _unpile(rho, _expect(rho, brackets)))
     # both bracket terms are >= 0, so a finite sum means two finite terms
     return (_nonneg(comm, "commutator term"), _nonneg(sym_comm + sym_anti, "Dou bracket bound"),
             sym_comm)
@@ -128,8 +133,11 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def _kept(rho: DensityMatrix, channels) -> list:
-    """A family's kept records (a lone channel is one of one), checked for one Kraus count."""
+    """A family's kept records (a lone channel is one of one), checked for one Kraus count;
+    under a state stack, one record over the stacked Kraus arrays of its zipped channels."""
     family = [channels] if isinstance(channels, KrausChannel) else channels
+    if isinstance(rho, _States):
+        return [_Terms(rho, np.array([c.kraus_ops for c in family]))]
     records = [_terms(rho, c) for c in family]
     if len({t.x.shape for t in records}) != 1:
         raise DimensionMismatchError("a family needs channels, all of one Kraus count")
@@ -147,7 +155,7 @@ def _grid_terms(rho: DensityMatrix, phi, psi, kept=None):
     if isinstance(phi, _Terms) and isinstance(psi, _Terms):
         return phi, psi
     e, f = kept or (_kept(rho, phi), _kept(rho, psi))
-    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
+    if isinstance(rho, _States) or isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
         return e[0], f[0]
     # np.array, not np.stack: np.stack grows CPython's tuple free lists
     e, f = (np.array([t.x for t in side]) for side in (e, f))
@@ -223,7 +231,7 @@ def lb_eq13(rho: DensityMatrix, phi, psi):
     matrix M of the stacks E and rho F - F rho, and the bound is (1/4)||M||_F^2.
     """
     e, f = _grid_terms(rho, phi, psi)
-    return 0.25 * _sq_norms(_gram(e.x, linalg.commutator(rho.matrix, f.x)))
+    return 0.25 * _sq_norms(_gram(e.x, linalg.commutator(_aligned(rho.matrix, f.x), f.x)))
 
 
 def lb1_eq14(rho: DensityMatrix, phi, psi):
@@ -368,7 +376,8 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
                  check: bool = True) -> BoundReport:
     """Evaluate every bound and its left-hand side.
 
-    ``phi`` and ``psi`` are channels or families. With ``check=True`` (the default)
+    ``phi`` and ``psi`` are channels or families, or a state stack's zipped channels.
+    With ``check=True`` (the default)
     a slack below ``-SLACK_TOL`` raises ``BoundViolationError`` naming the offending
     bound, at the first violating cell in row-major order and, within that cell, the
     first violated relation in ``relations()`` order; the randomized
@@ -376,14 +385,14 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     """
     records = _kept(rho, phi), _kept(rho, psi)  # both sides are checked before any measure
     _measure_all(records[0] + records[1])  # one stacked pass per Kraus count, phi's first
-    if isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
-        m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
+    e, f = _grid_terms(rho, phi, psi, records)  # the one record pair the six bounds read
+    if isinstance(rho, _States) or isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
+        m_phi, m_psi = channel_measures(rho, e), channel_measures(rho, f)
         v_phi, u_phi, v_psi, u_psi = m_phi.v_sym, m_phi.u_abs, m_psi.v_sym, m_psi.u_abs
     else:  # each channel's kept v_sym and u_abs, stacked on its side's grid axis
         (v_phi, u_phi), (v_psi, u_psi) = (
             np.array([(t.measures.v_sym, t.measures.u_abs) for t in r]).T for r in records)
         v_phi, u_phi = v_phi[:, None], u_phi[:, None]
-    e, f = _grid_terms(rho, phi, psi, records)  # the one record pair the six bounds read
     report = BoundReport(
         lhs_product_v=v_phi * v_psi,
         lhs_product_u=u_phi * u_psi,

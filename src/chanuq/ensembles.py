@@ -27,6 +27,12 @@ exact, numpy computes only the IEEE-rounded ``*``, ``sqrt`` and
 ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar ``math`` calls,
 since numpy's versions can differ from them in the last bit and pick
 their SIMD kernels per CPU.
+
+``verify`` evaluates the trial seeds of such a group in chunks: the drawn states
+stacked on a trial axis (``objects._States``), one zipped ``bound_report`` per config
+over the chunk's Kraus stacks, and one pass of the operator-level relations over all
+the chunk's operators. Each value keeps the bits of its trial evaluated alone, which
+``tests/test_ensembles.py`` checks against that evaluation, kept there as the oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +48,12 @@ from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
 from .measures import _mwy_skew_info, _sym_abs_variance, _u_from
-from .objects import DensityMatrix, KrausChannel, make_channel, make_density
+from .objects import DensityMatrix, KrausChannel, _stack_states, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+#: Kraus-operator entries of its largest config that a verify chunk's trials hold at most
+_CHUNK_ENTRIES = 4096
 
 #: every bound name tracked by the verification harness
 BOUND_NAMES = (
@@ -204,29 +212,51 @@ class VerificationReport:
         }
 
 
-def _trial_relations(rho: DensityMatrix, phi, psi, k, l, a, b
-                     ) -> dict[str, tuple[float, float]]:
-    """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES`` on one trial."""
-    relations = bound_report(rho, phi, psi, check=False).relations()
+def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]
+                     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES``, each a ``(T, C)`` array
+    over a chunk of T trials of C configs: ``rhos[t]`` is trial t's state and
+    ``trials[t][j]`` config j's ``(phi, psi, k, l, a, b)`` under it. Each entry has the
+    bits of that trial alone, from one zipped report per config over the stacked states
+    and one pass of the operator-level relations over all ``(T, 4 C, d, d)`` operators."""
+    states = _stack_states(rhos)
+    reports = [bound_report(states, *zip(*(row[j][:2] for row in trials)), check=False)
+               .relations() for j in range(len(trials[0]))]
+    relations = {name: np.stack([r[name] for r in reports], axis=-1) for name in reports[0]}
 
-    # the four operators as one fresh stack, which the measures' bodies take unchecked; a, b
-    # are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to the bit
-    # and the Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
-    # luo_bound; dou_bounds forms the Dou terms of k and l in one stacked pass itself
-    ops = np.stack([k, l, a, b])
-    v = _sym_abs_variance(rho, ops)
-    uk, ul, ua, ub = _u_from(v, _mwy_skew_info(rho, ops)).tolist()
-    vk, vl, va, vb = v.tolist()
-    comm, anti = _schrodinger_terms(rho, a, b)
+    # a, b are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to
+    # the bit and the Schrodinger terms give the bits of heisenberg_bound,
+    # schrodinger_bound and luo_bound; the measures' bodies take the stack unchecked
+    quads = np.array([[item[2:] for item in row] for row in trials])  # (T, C, 4, d, d)
+    ops = quads.reshape(len(quads), -1, *quads.shape[-2:])
+    v = _sym_abs_variance(states, ops)
+    u = _u_from(v, _mwy_skew_info(states, ops))
+    (vk, vl, va, vb), (uk, ul, ua, ub) = (np.moveaxis(x.reshape(quads.shape[:3]), -1, 0)
+                                          for x in (v, u))
+    k, l, a, b = np.moveaxis(quads, 2, 0)
+    comm, anti = _schrodinger_terms(states, a, b)
     relations["heisenberg_bound"] = (va * vb, comm)
     relations["schrodinger_bound"] = (va * vb, comm + anti)
     relations["luo_bound"] = (ua * ub, comm)
 
-    comm, brackets, u_comm = dou_bounds(rho, k, l)
+    comm, brackets, u_comm = dou_bounds(states, k, l)
     relations["dou_comm"] = (vk * vl, comm)
     relations["dou_brackets"] = (vk * vl, brackets)
     relations["dou_u"] = (uk * ul, u_comm)
     return relations
+
+
+def _relation_array(relations: dict) -> np.ndarray:
+    """A chunk's relations as one ``(len(BOUND_NAMES), 2, T, C)`` array of (lhs, bound)."""
+    return np.array([relations[name] for name in BOUND_NAMES])
+
+
+def _replayed(trial_seed: int, rho: DensityMatrix, item: tuple) -> np.ndarray:
+    """One (trial seed, config) as a chunk of one, a ``NumericError`` naming the seed."""
+    try:
+        return _relation_array(_chunk_relations([rho], [[item]]))
+    except NumericError as exc:
+        raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
 
 
 def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
@@ -242,8 +272,13 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     stream's state, so they run seed-major: per trial seed, one block of
     normals (each config's own block is a prefix of it) and one state, then
     each config draws its two channels, a general operator pair and a
-    Hermitian observable pair from the block after the state. Any slack below
-    -SLACK_TOL is recorded as a violation together with the trial seed.
+    Hermitian observable pair from the block after the state. The trial seeds
+    of such a group run in chunks of consecutive seeds, ``_CHUNK_ENTRIES``
+    Kraus-operator entries of its largest config at most (one trial at least),
+    each chunk evaluated in stacked passes by ``_chunk_relations``; a chunk that
+    raises ``NumericError`` is run again one (trial seed, config) at a time, in
+    seed-major order, and the first failure raises, naming its trial seed. Any
+    slack below -SLACK_TOL is recorded as a violation together with the trial seed.
     """
     if not configs:
         raise ValueError("verify_suite needs at least one EnsembleConfig")
@@ -259,31 +294,37 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
         # a state, then per config two channels and four operators
         kraus = max(configs[i].kraus_count for i in members)
         draws = dim * rank + 2 * dim * dim * kraus + 4 * dim * dim
-        for trial_seed in range(seed, seed + trials):
-            block = _Block(trial_seed, draws)
-            rho = random_density(dim, rank, block)
-            for i in members:
-                rng = copy.copy(block)  # a cursor right after the state's draws
-                phi = random_channel(dim, configs[i].kraus_count, rng)
-                psi = random_channel(dim, configs[i].kraus_count, rng)
-                k = random_operator(dim, rng)
-                l = random_operator(dim, rng)
-                a = random_operator(dim, rng, hermitian=True)
-                b = random_operator(dim, rng, hermitian=True)
-                try:
-                    relations = _trial_relations(rho, phi, psi, k, l, a, b)
-                except NumericError as exc:
-                    raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
-                for name in BOUND_NAMES:
-                    lhs, bound = relations[name]
-                    if name == broken_bound:
-                        # self-test hook: inflate one bound tenfold to prove the detector fires
-                        bound = 10.0 * bound
-                    slack = lhs - bound
-                    if slack < min_slack[i][name]:
-                        min_slack[i][name] = slack
-                    if slack < -SLACK_TOL:
-                        violations[i].append(Violation(name, trial_seed, float(slack)))
+        size = max(1, _CHUNK_ENTRIES // (kraus * dim * dim))
+        for first in range(seed, seed + trials, size):
+            seeds = range(first, min(first + size, seed + trials))
+            rhos, items = [], []
+            for trial_seed in seeds:
+                block = _Block(trial_seed, draws)
+                rhos.append(random_density(dim, rank, block))
+                items.append([])
+                for i in members:
+                    rng = copy.copy(block)  # a cursor right after the state's draws
+                    items[-1].append((random_channel(dim, configs[i].kraus_count, rng),
+                                      random_channel(dim, configs[i].kraus_count, rng),
+                                      *(random_operator(dim, rng, hermitian=h)
+                                        for h in (False, False, True, True))))
+            try:
+                lhs, bound = _relation_array(_chunk_relations(rhos, items)).swapaxes(0, 1)
+            except NumericError:  # a chunk of one per (trial seed, config), to name the seed
+                lhs, bound = np.block([[_replayed(*trial[:2], item) for item in trial[2]]
+                                       for trial in zip(seeds, rhos, items)]).swapaxes(0, 1)
+            if broken_bound is not None:
+                # self-test hook: inflate one bound tenfold to prove the detector fires
+                bound[BOUND_NAMES.index(broken_bound)] *= 10.0
+            # per config, per trial, per name: each config's minima and violations in
+            # trial order, with min's strict < (the first of equal slacks stays)
+            for i, rows in zip(members, (lhs - bound).T.tolist()):
+                for trial_seed, slacks in zip(seeds, rows):
+                    for name, slack in zip(BOUND_NAMES, slacks):
+                        if slack < min_slack[i][name]:
+                            min_slack[i][name] = slack
+                        if slack < -SLACK_TOL:
+                            violations[i].append(Violation(name, trial_seed, slack))
     return VerificationReport(
         trials_run=sum(config.trials for config in configs),
         violations=[v for found in violations for v in found],

@@ -87,7 +87,8 @@ def frob_norm(a: np.ndarray) -> float:
 def _pow(x, n: int) -> np.ndarray:
     """``v ** n`` of each value of ``x`` as an array of its shape, by one ``math.pow`` pass:
     libm ``pow``, as float ``**`` (numpy's power, its square too, moves last bits)."""
-    return np.reshape(list(map(math.pow, np.ravel(x).tolist(), repeat(n))), np.shape(x))
+    x = np.asarray(x)
+    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(n)), float, x.size).reshape(x.shape)
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> complex:

@@ -12,7 +12,9 @@ for a ``(G, N, d, d)`` stack of channels at once, each with the bits of that cha
 alone. One record, ``_Terms``, kept on each channel by ``_terms``, holds the
 per-channel terms of a (state, channel) pair: its measures, which ``_measure_all``
 alone fills, and the traces, brackets and sums the bounds read, the last three also
-over the leading grid axes of a family's stacked Kraus arrays.
+over the leading grid axes of a family's stacked Kraus arrays, or of a zip's under a
+stack of states (``objects._States``), which every kernel reading the state aligns
+to its operand's leading axes (``objects._aligned``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from . import linalg
 from .errors import NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
-from .objects import DensityMatrix, KrausChannel, _center, _eye, _frozen, _operand, _same_dim
+from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _eye, _frozen, _operand,
+                      _pile, _same_dim, _unpile)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ def abs_variance(rho: DensityMatrix, k):
 def _abs_variance(rho: DensityMatrix, k: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
         k0 = _center(k, rho)
-        value = np.trace(rho.matrix @ linalg.dagger(k0) @ k0, axis1=-2, axis2=-1).real
+        value = np.trace(_aligned(rho.matrix, k0) @ linalg.dagger(k0) @ k0,
+                         axis1=-2, axis2=-1).real
     return _nonneg(value, "absolute variance")
 
 
@@ -96,8 +100,8 @@ def sym_abs_variance(rho: DensityMatrix, k):
 
 
 def _sym_abs_variance(rho: DensityMatrix, k: np.ndarray):
-    v = _abs_variance(rho, np.array([k, linalg.dagger(k)]))  # one pass over both
-    return 0.5 * (v[0] + v[1]) if k.ndim == 3 else 0.5 * (float(v[0]) + float(v[1]))
+    v, v_dag = _unpile(rho, _abs_variance(rho, _pile(rho, [k, linalg.dagger(k)])))  # one pass
+    return 0.5 * (v + v_dag)
 
 
 def _half_sq_norm(x: np.ndarray):
@@ -112,7 +116,7 @@ def _half_sq_norm(x: np.ndarray):
 
 def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[sqrt(rho), K] and {sqrt(rho), K} of a checked operator or of each of a stack."""
-    comm, anti = linalg._brackets(rho.sqrt_matrix, k)
+    comm, anti = linalg._brackets(_aligned(rho.sqrt_matrix, k), k)
     return _frozen(comm), _frozen(anti)
 
 
@@ -147,14 +151,9 @@ def _u_from(v, i):
     return _nonneg(math.sqrt(max(v * v - _abs_sq(v - i), 0.0)), "|U|")
 
 
-def _kraus_sums(values: np.ndarray, shape: tuple[int, int]) -> list[float]:
-    """Per channel of a ``(G, N)`` grid of per-operator values, their sum added one at a
-    time in Kraus order (Python 3.12's sum compensates, ndarray.sum pairs)."""
-    return [reduce(operator.add, row, 0.0) for row in values.reshape(shape).tolist()]
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= IDENTITY_RTOL * max(1.0, abs(a), abs(b))
+def _close(a, b):
+    """Whether ``a`` and ``b``, floats or arrays, agree within ``IDENTITY_RTOL``."""
+    return abs(a - b) <= IDENTITY_RTOL * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
 
 
 def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
@@ -165,16 +164,29 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     for the anticommutator part); ``u_abs`` is derived from ``v_sym`` and
     ``c_abs`` with clamping, and the internal identities
     ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
-    asserted. The result is a field of the channel's kept ``_terms(rho, phi)``.
+    asserted. The result is a field of the channel's kept ``_terms(rho, phi)``, or of
+    ``phi`` itself where that is a record.
     """
-    terms = _terms(rho, phi)
+    terms = phi if isinstance(phi, _Terms) else _terms(rho, phi)
     _measure_all([terms])
     return terms.measures
 
 
+def _traces(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
+    """Tr(rho K_i) of each matrix of a stack, over its leading axes: one einsum, under a
+    state stack of the stack with the states broadcast to its shape in a contiguous copy,
+    which gives each slice the bits of the lone state's einsum; the same einsum over the
+    stack's trial axis moves last bits."""
+    if rho.matrix.ndim == 2:
+        return np.einsum("ab,...iba->...i", rho.matrix, x)
+    r = np.ascontiguousarray(np.broadcast_to(_aligned(rho.matrix, x), x.shape))
+    return np.einsum("...ab,...ba->...", r, x)
+
+
 class _Terms:
     """The per-channel terms of a Kraus stack ``x``, a channel's ``(N, d, d)`` or a
-    family's ``(..., N, d, d)``, under the state ``rho``: a channel's :class:`MeasureSet`
+    family's ``(..., N, d, d)``, under the state ``rho``, or under a state stack a zip's
+    ``(T, N, d, d)``: its :class:`MeasureSet`, of arrays over a zip
     (``None`` until :func:`_measure_all`), and, each built on first use, what the bounds
     read, over the leading axes with each channel's bits: Tr(rho K_i), Tr(rho K_i^dag),
     ``_sqrt_brackets`` of the raw and of the centered K_i, sum_i K_i and its centered
@@ -185,9 +197,8 @@ class _Terms:
         self.x = x
         self.measures: MeasureSet | None = None
 
-    traces = cached_property(lambda t: _frozen(np.einsum("ab,...iba->...i", t.rho.matrix, t.x)))
-    traces_dag = cached_property(lambda t: _frozen(
-        np.einsum("ab,...iba->...i", t.rho.matrix, linalg.dagger(t.x))))
+    traces = cached_property(lambda t: _frozen(_traces(t.rho, t.x)))
+    traces_dag = cached_property(lambda t: _frozen(_traces(t.rho, linalg.dagger(t.x))))
     brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
     brackets0 = cached_property(lambda t: _sqrt_brackets(
         t.rho, t.x - t.traces[..., None, None] * _eye(t.rho.dim)))
@@ -196,42 +207,49 @@ class _Terms:
 
 
 def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
-    """The :class:`MeasureSet` of each channel of a checked ``(G, N, d, d)`` stack, each
-    with the bits of that channel alone: one ``sym_abs_variance`` call on the flattened
-    ``(G N, d, d)`` stack, one ``_sqrt_brackets`` of its centered form and one
+    """The :class:`MeasureSet` of each channel of a checked ``(G, N, d, d)`` stack, or of
+    each zip of a ``(T, G, N, d, d)`` one under a state stack (its fields arrays over T),
+    each with the bits of that channel alone: one ``sym_abs_variance`` call on the stack
+    flattened to ``(..., G N, d, d)``, one ``_sqrt_brackets`` of its centered form and one
     ``_half_sq_norm`` of both brackets (all per matrix, each clamped under its own name),
-    then per channel the sums in Kraus order, ``u_abs`` and the two identity checks."""
-    flat = x.reshape(-1, *x.shape[-2:])
+    then on arrays over the channels the sums in Kraus order, ``u_abs`` and the two
+    identity checks, whose first failure raises as in a loop over the channels."""
+    flat = x.reshape(*x.shape[:-4], -1, *x.shape[-2:])
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
     i_op, j_op = _half_sq_norm(np.array(_sqrt_brackets(rho, _center(flat, rho))))
     per_op = v_sym, _nonneg(i_op, "skew information"), _nonneg(j_op, "anticommutator information")
-    sets = []
-    for v_sym, i_tilde, j_tilde in zip(*(_kraus_sums(v, x.shape[:2]) for v in per_op)):
+    # per channel, its operators' values added one Kraus position at a time, as Python
+    # floats add them (Python 3.12's sum compensates, ndarray.sum pairs)
+    v_sym, i_tilde, j_tilde = (reduce(operator.add, v.reshape(x.shape[:-2]).T, 0.0).T
+                               for v in per_op)
+    with np.errstate(over="ignore", invalid="ignore"):  # the identity checks raise on these
         c_abs = v_sym - i_tilde
-        u_abs = math.sqrt(max(v_sym * v_sym - c_abs * c_abs, 0.0))
-        if not _close(u_abs * u_abs, i_tilde * j_tilde):
-            raise NumericError(
-                f"u^2 = {u_abs * u_abs!r} disagrees with i_tilde*j_tilde = "
-                f"{i_tilde * j_tilde!r}")
-        if not _close(i_tilde + j_tilde, 2.0 * v_sym):
-            raise NumericError(
-                f"i_tilde + j_tilde = {i_tilde + j_tilde!r} disagrees with "
-                f"2*v_sym = {2.0 * v_sym!r}")
-        sets.append(MeasureSet(v_sym=float(v_sym), i_tilde=float(i_tilde),
-                               j_tilde=float(j_tilde), c_abs=float(c_abs), u_abs=u_abs))
-    return sets
+        u_abs = np.sqrt(np.maximum(v_sym * v_sym - c_abs * c_abs, 0.0))
+        checks = u_abs * u_abs, i_tilde * j_tilde, i_tilde + j_tilde, 2.0 * v_sym
+        if not (_close(*checks[:2]) & _close(*checks[2:])).all():
+            for u2, ij, i_plus_j, v2 in zip(*(c.ravel().tolist() for c in checks)):
+                if not _close(u2, ij):
+                    raise NumericError(
+                        f"u^2 = {u2!r} disagrees with i_tilde*j_tilde = {ij!r}")
+                if not _close(i_plus_j, v2):
+                    raise NumericError(
+                        f"i_tilde + j_tilde = {i_plus_j!r} disagrees with 2*v_sym = {v2!r}")
+    rows = np.array([v_sym, i_tilde, j_tilde, c_abs, u_abs]).T  # (G, ..., 5)
+    rows = rows.tolist() if rows.ndim == 2 else rows.swapaxes(1, 2)  # floats for one state
+    return [MeasureSet(*row) for row in rows]
 
 
 def _measure_all(records: list[_Terms]) -> None:
-    """Fill the measures of every record (all under one state) that has none yet, each
-    record once, in one stacked :func:`_measure_sets` pass per Kraus shape, the shapes in
-    the order they first appear: the one way a record gets its measures."""
+    """Fill the measures of every record (all under one state or state stack) that has
+    none yet, each record once, in one stacked :func:`_measure_sets` pass per Kraus shape,
+    the shapes in the order they first appear: the one way a record gets its measures."""
     todo = {}
     for t in dict.fromkeys(records):  # a record listed twice is measured once
         if t.measures is None:
             todo.setdefault(t.x.shape, []).append(t)
     for group in todo.values():
-        for t, m in zip(group, _measure_sets(group[0].rho, np.array([t.x for t in group]))):
+        rho = group[0].rho
+        for t, m in zip(group, _measure_sets(rho, _pile(rho, [t.x for t in group]))):
             t.measures = m
 
 

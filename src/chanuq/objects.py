@@ -54,6 +54,24 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)  # identity equality and hashing, as DensityMatrix
+class _States:
+    """A stack of validated states, ``(T, d, d)`` arrays over a leading trial axis, built by
+    :func:`_stack_states` from :class:`DensityMatrix` objects: state t goes with entry t
+    of every operand stack. It runs no check of its own, and the public functions take
+    its operands, stacks of the verification harness's own draws, unchecked."""
+
+    matrix: np.ndarray
+    sqrt_matrix: np.ndarray
+
+    dim = property(lambda self: self.matrix.shape[-1])
+
+
+def _stack_states(rhos) -> _States:
+    return _States(_frozen(np.array([r.matrix for r in rhos])),
+                   _frozen(np.array([r.sqrt_matrix for r in rhos])))
+
+
+@dataclass(frozen=True, eq=False)  # identity equality and hashing, as DensityMatrix
 class KrausChannel:
     """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
@@ -131,7 +149,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _operand(rho: DensityMatrix, k, stack: bool = False) -> np.ndarray:
     """The check on an operator argument of a public function: ``as_matrix`` (with
-    ``stack``, of an ``(N, d, d)`` stack too) plus the state's dimension."""
+    ``stack``, of an ``(N, d, d)`` stack too) plus the state's dimension; none under a
+    state stack (see :class:`_States`)."""
+    if isinstance(rho, _States):
+        return k
     k = linalg._as_square(k, (2, 3) if stack else (2,))
     _same_dim(rho, k.shape[-1], "operator")
     return k
@@ -151,13 +172,36 @@ def center_operator(k, rho: DensityMatrix) -> np.ndarray:
 
 def _expect(rho: DensityMatrix, k: np.ndarray):
     """Tr(rho K) of a checked operator, or an array of it over leading grid axes."""
-    value = (rho.matrix @ k).trace(0, -2, -1)
+    value = (_aligned(rho.matrix, k) @ k).trace(0, -2, -1)
     return value if value.ndim else complex(value)
 
 
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     """:func:`center_operator` of a checked operator, or of each operator of a stack."""
-    return k - np.trace(rho.matrix @ k, axis1=-2, axis2=-1)[..., None, None] * _eye(rho.dim)
+    value = np.trace(_aligned(rho.matrix, k) @ k, axis1=-2, axis2=-1)
+    return k - value[..., None, None] * _eye(rho.dim)
+
+
+def _aligned(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A state's matrix ``m`` facing an operand ``x``: a lone ``(d, d)`` one as it is, a
+    stack's ``(T, d, d)`` with unit axes after its trial axis, up to the ndim of ``x``,
+    whose leading axis is that trial axis. Products of the two give each matrix the bits
+    of its own product with its own state."""
+    return m if m.ndim == 2 else m.reshape(len(m), *(1,) * (x.ndim - 3), *m.shape[1:])
+
+
+def _pile(rho, arrays) -> np.ndarray:
+    """``np.array(arrays)``, its new axis moved after a state stack's trial axis."""
+    a = np.array(arrays)
+    return a.swapaxes(0, 1) if isinstance(rho, _States) else a
+
+
+def _unpile(rho, x):
+    """The parts of a :func:`_pile`'d result along its piled axis: Python numbers where
+    they are single values of one state (``tolist``), else arrays."""
+    if x.ndim == 1:
+        return x.tolist()
+    return x.swapaxes(0, 1) if isinstance(rho, _States) else x
 
 
 @functools.lru_cache(maxsize=64)

@@ -358,7 +358,7 @@ def test_verify_numeric_error_names_the_trial_seed_and_exits_5(runner, monkeypat
     def fail(*args):
         raise chanuq.errors.NumericError("injected")
 
-    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", fail)
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", fail)
     result = runner.invoke(cli, ["verify", "--dim", "2", "--kraus", "1", "--trials", "2",
                                  "--seed", "7"])
     assert result.exit_code == 5
@@ -366,24 +366,79 @@ def test_verify_numeric_error_names_the_trial_seed_and_exits_5(runner, monkeypat
     assert result.stdout == ""
 
 
+def _zero_relations(trials) -> dict:
+    """A chunk hook's result for a chunk of trials: every (lhs, bound) 0.0."""
+    zeros = np.zeros((len(trials), len(trials[0])))
+    return {name: (zeros, zeros) for name in chanuq.ensembles.BOUND_NAMES}
+
+
 def test_verify_numeric_error_names_the_earliest_trial_seed_of_its_group(runner, monkeypatch):
-    # the Kraus counts of a dim run seed-major: the second config fails at the first
-    # trial seed, and the run stops there, before the first config's later seeds
+    # the Kraus counts of a dim run seed-major: the chunk of all three trial seeds fails,
+    # then runs again one (trial seed, config) at a time, and the second config fails at
+    # the first trial seed, before the first config's later seeds
     seen = []
 
-    def fail_second(rho, phi, *args):
-        seen.append(len(phi))
-        if len(phi) == 2:
+    def fail_second(rhos, trials):
+        seen.append([len(phi) for row in trials for phi, *_ in row])
+        if 2 in seen[-1]:
             raise chanuq.errors.NumericError("injected")
-        return {name: (0.0, 0.0) for name in chanuq.ensembles.BOUND_NAMES}
+        return _zero_relations(trials)
 
-    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", fail_second)
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", fail_second)
     result = runner.invoke(cli, ["verify", "--dim", "2", "--kraus", "1", "--kraus", "2",
                                  "--trials", "3", "--seed", "7"])
     assert result.exit_code == 5
     assert result.stderr == "verification failure: trial seed 7: injected\n"
     assert result.stdout == ""
-    assert seen == [1, 2]
+    assert seen == [[1, 2] * 3, [1], [2]]
+
+
+def _failing_at(faults: dict, dim: int):
+    """A chunk hook that raises ``NumericError`` for the (trial seed, Kraus count) pairs in
+    ``faults``, naming the pair, and returns zeros otherwise; each trial's seed is found
+    from its state, which the seed's stream determines. ``hook.sizes`` lists the number of
+    trials of each call."""
+    seeds = {random_density(dim, dim, SplitMix64(s)).matrix.tobytes(): s for s, _ in faults}
+
+    def hook(rhos, trials):
+        hook.sizes.append(len(rhos))
+        for rho, row in zip(rhos, trials):
+            for phi, *_ in row:
+                key = seeds.get(rho.matrix.tobytes()), len(phi)
+                if key in faults:
+                    raise chanuq.errors.NumericError(faults[key])
+        return _zero_relations(trials)
+    hook.sizes = []
+    return hook
+
+
+def test_verify_numeric_error_in_a_later_chunk_names_its_trial_seed(runner, monkeypatch):
+    # d=8, Kraus 5: the trials run in chunks of `size` seeds; a fault in the second chunk
+    # is named by its own trial seed, after the first chunk ran clean
+    size = chanuq.ensembles._CHUNK_ENTRIES // (5 * 8 * 8)
+    bad = 40 + size + 1
+    hook = _failing_at({(bad, 5): "injected"}, 8)
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", hook)
+    result = runner.invoke(cli, ["verify", "--dim", "8", "--kraus", "5",
+                                 "--trials", str(size + 3), "--seed", "40"])
+    assert result.exit_code == 5
+    assert result.stderr == f"verification failure: trial seed {bad}: injected\n"
+    assert result.stdout == ""
+    assert hook.sizes == [size, 3, 1, 1]  # both chunks, then the second one seed by seed
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_verify_numeric_errors_of_two_configs_in_one_chunk_name_the_earlier_seed(
+        runner, monkeypatch, first):
+    # two configs of a chunk fail at different trial seeds; the report names the earlier
+    # seed, whichever config fails there, as trials run one after another would
+    faults = {(8, first): f"config {first}", (9, 3 - first): f"config {3 - first}"}
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", _failing_at(faults, 2))
+    result = runner.invoke(cli, ["verify", "--dim", "2", "--kraus", "1", "--kraus", "2",
+                                 "--trials", "4", "--seed", "7"])
+    assert result.exit_code == 5
+    assert result.stderr == f"verification failure: trial seed 8: config {first}\n"
+    assert result.stdout == ""
 
 
 def test_sweep_noncanonical_theta_leaves_closed_columns_empty(runner, tmp_path):

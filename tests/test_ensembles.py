@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -9,12 +10,15 @@ import pytest
 
 import chanuq.ensembles
 from chanuq import linalg
-from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
-from chanuq.ensembles import (BOUND_NAMES, EnsembleConfig, SplitMix64, _gram_schmidt,
-                              _normals, _trial_relations, random_channel, random_density,
-                              random_operator, verify_suite)
+from chanuq.bounds import (_schrodinger_terms, bound_report, dou_bounds, heisenberg_bound,
+                           luo_bound, schrodinger_bound)
+from chanuq.ensembles import (_CHUNK_ENTRIES, BOUND_NAMES, EnsembleConfig, SplitMix64,
+                              _chunk_relations, _gram_schmidt, _normals, random_channel,
+                              random_density, random_operator, verify_suite)
 from chanuq.errors import NumericError
-from chanuq.measures import _measure_sets, _terms, abs_variance, sym_abs_variance
+from chanuq.measures import (_measure_sets, _mwy_skew_info, _sym_abs_variance, _u_from,
+                             abs_variance, sym_abs_variance)
+from chanuq.objects import _stack_states
 
 import oracles
 
@@ -269,42 +273,102 @@ def _harness_trial(dim, kraus_count, trial_seed, rank=None):
     return (rho, phi, psi, *ops)
 
 
+def _harness_chunk(dim, kraus_counts, trial_seeds, rank=None):
+    """A chunk as verify_suite hands it to _chunk_relations: per trial seed one state and,
+    per Kraus count, that config's draws, each taken from the trial's own stream."""
+    trials = [[_harness_trial(dim, k, s, rank) for k in kraus_counts] for s in trial_seeds]
+    return [row[0][0] for row in trials], [[draws[1:] for draws in row] for row in trials]
+
+
+def _trial_relations(rho, phi, psi, k, l, a, b) -> dict[str, tuple[float, float]]:
+    """``{name: (lhs, bound)}`` for every name in BOUND_NAMES on one trial: verify's
+    evaluation of one trial at a time before it ran chunks, kept as their oracle. The pair
+    report of one state, then the operator-level relations of the (4, d, d) stack."""
+    relations = bound_report(rho, phi, psi, check=False).relations()
+    ops = np.stack([k, l, a, b])
+    v = _sym_abs_variance(rho, ops)
+    uk, ul, ua, ub = _u_from(v, _mwy_skew_info(rho, ops)).tolist()
+    vk, vl, va, vb = v.tolist()
+    comm, anti = _schrodinger_terms(rho, a, b)
+    relations["heisenberg_bound"] = (va * vb, comm)
+    relations["schrodinger_bound"] = (va * vb, comm + anti)
+    relations["luo_bound"] = (ua * ub, comm)
+    comm, brackets, u_comm = dou_bounds(rho, k, l)
+    relations["dou_comm"] = (vk * vl, comm)
+    relations["dou_brackets"] = (vk * vl, brackets)
+    relations["dou_u"] = (uk * ul, u_comm)
+    return relations
+
+
+def _zero_relations(rhos, trials, values=None):
+    """A chunk hook's result: (lhs, bound) arrays of shape (T, C), lhs ``values`` or 0.0."""
+    lhs = np.zeros((len(trials), len(trials[0]))) if values is None else np.array(values)
+    return {name: (lhs, np.zeros(lhs.shape)) for name in BOUND_NAMES}
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_harness_relations_match_public_functions_bitwise(dim):
     # the harness shares terms between relations and forms them in stacked products;
     # on its exactly Hermitian a, b that must give the public functions' bits, not
-    # merely close values. Both channels are measured in one stacked pass, and each
-    # must keep the measures of a pass over that channel alone
-    for kraus_count, trial_seed in itertools.product((1, 2, 3, 5), range(31, 36)):
-        rho, phi, psi, k, l, a, b = _harness_trial(dim, kraus_count, trial_seed)
+    # merely close values. Both channels of a config are measured in one stacked pass
+    # over the chunk, and each must keep the measures of a pass over that channel alone
+    kraus_counts, trial_seeds = (1, 2, 3, 5), range(31, 36)
+    rhos, trials = _harness_chunk(dim, kraus_counts, trial_seeds)
+    relations = _chunk_relations(rhos, trials)
+    for j in range(len(kraus_counts)):  # the zipped report's pass over both sides
+        x = np.array([[row[j][0].kraus_ops, row[j][1].kraus_ops] for row in trials])
+        for side, zipped in enumerate(_measure_sets(_stack_states(rhos), x)):
+            for t, rho in enumerate(rhos):
+                lone = _measure_sets(rho, x[t, side][None])[0]
+                assert _bits([field[t] for field in astuple(zipped)]) == _bits(astuple(lone))
+    for (t, rho), j in itertools.product(enumerate(rhos), range(len(kraus_counts))):
+        phi, psi, k, l, a, b = trials[t][j]
+        got = {name: (float(lhs[t, j]), float(bound[t, j]))
+               for name, (lhs, bound) in relations.items()}
         for x in (a, b):
             assert abs_variance(rho, x) == sym_abs_variance(rho, x)
-        relations = _trial_relations(rho, phi, psi, k, l, a, b)
-        for channel in (phi, psi):
-            lone = _measure_sets(rho, channel.kraus_ops[None])[0]
-            assert _bits(astuple(_terms(rho, channel).measures)) == _bits(astuple(lone))
-        assert relations["luo_bound"] == luo_bound(rho, a, b)
-        assert relations["heisenberg_bound"][1] == heisenberg_bound(rho, a, b)
-        assert relations["schrodinger_bound"][1] == schrodinger_bound(rho, a, b)
+        m_phi, m_psi = (_measure_sets(rho, channel.kraus_ops[None])[0] for channel in (phi, psi))
+        assert _bits([got["thm1_bound"][0], got["thm3_bound"][0], got["thm4_bound"][0]]) == _bits(
+            [m_phi.v_sym * m_psi.v_sym, m_phi.u_abs * m_psi.u_abs,
+             m_phi.u_abs ** 2 + m_psi.u_abs ** 2])
+        assert got["luo_bound"] == luo_bound(rho, a, b)
+        assert got["heisenberg_bound"][1] == heisenberg_bound(rho, a, b)
+        assert got["schrodinger_bound"][1] == schrodinger_bound(rho, a, b)
         comm, brackets, u_comm = dou_bounds(rho, k, l)
-        assert relations["dou_comm"][1] == comm
-        assert relations["dou_brackets"][1] == brackets
-        assert relations["dou_u"][1] == u_comm
+        assert got["dou_comm"][1] == comm
+        assert got["dou_brackets"][1] == brackets
+        assert got["dou_u"][1] == u_comm
+
+
+@pytest.mark.parametrize("rank", ["1", "2", "d"])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_chunk_relations_equal_the_per_trial_oracle_bitwise(dim, rank):
+    # a chunk of `dim` trial seeds and Kraus counts 1-5 gives every trial and config all
+    # twelve (lhs, bound) pairs with the bits of one trial evaluated alone
+    rank = {"1": 1, "2": 2, "d": dim}[rank]
+    rhos, trials = _harness_chunk(dim, range(1, 6), range(100 * dim + rank, 101 * dim + rank),
+                                  rank)
+    relations = _chunk_relations(rhos, trials)
+    assert all(np.shape(x) == (dim, 5) for pair in relations.values() for x in pair)
+    for t, j in itertools.product(range(dim), range(5)):
+        want = _trial_relations(rhos[t], *trials[t][j])
+        got = [(relations[name][0][t, j], relations[name][1][t, j]) for name in BOUND_NAMES]
+        assert _bits(got) == _bits([want[name] for name in BOUND_NAMES]), (t, j)
 
 
 @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2, 2 ** 70 + 1])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_verify_trial_draws_equal_the_stream_draws(monkeypatch, dim, seed):
-    # verify_suite hands each trial's objects to _trial_relations; they must be
+    # verify_suite hands each trial's objects to _chunk_relations; they must be
     # the objects the public generators draw one after another from
     # SplitMix64(seed + t), including where seed + t wraps past 2^64
     seen = []
 
-    def record(*objects):
-        seen.append(objects)
-        return {name: (0.0, 0.0) for name in BOUND_NAMES}
+    def record(rhos, trials):
+        seen.extend((rho, *draws) for rho, row in zip(rhos, trials) for draws in row)
+        return _zero_relations(rhos, trials)
 
-    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", record)
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", record)
     configs = [EnsembleConfig(dim=dim, kraus_count=k, rank=rank, seed=seed, trials=3)
                for k in range(1, 6) for rank in (dim - 1, dim)]
     verify_suite(*configs)
@@ -353,6 +417,57 @@ def test_verify_suite_of_two_configs_is_their_separate_runs_joined(broken):
         assert bool(alone[c4].violations) == (broken == "luo_bound")
 
 
+# d=8, Kraus 5 runs the fewest trial seeds per chunk
+CHUNK = _CHUNK_ENTRIES // (5 * 8 * 8)
+
+
+@pytest.mark.parametrize("broken", [None, "thm1_bound", "luo_bound"])
+@pytest.mark.parametrize("shift", [(0, -1), (1, -1), (1, 0)], ids=str)
+@pytest.mark.parametrize("dim, kraus, entries", [(2, 2, 40), (8, 5, _CHUNK_ENTRIES)],
+                         ids=["d2-chunks-of-5", "d8"])
+def test_verify_suite_is_blind_to_chunk_boundaries(monkeypatch, dim, kraus, entries, shift,
+                                                   broken):
+    # n trial seeds in one run, or split after the first a into two runs: the chunks fall
+    # elsewhere (n and a at, one below and one above the chunk size), the report may not.
+    # At d=2 the chunks are made small, where an inflated thm1 or luo_bound fires
+    monkeypatch.setattr(chanuq.ensembles, "_CHUNK_ENTRIES", entries)
+    size = entries // (kraus * dim * dim)
+    n, a = size + shift[0], size + shift[1]
+
+    def config(seed, trials):
+        return EnsembleConfig(dim=dim, kraus_count=kraus, rank=dim, seed=seed, trials=trials)
+
+    whole = verify_suite(config(61, n), broken_bound=broken)
+    split = verify_suite(config(61, a), config(61 + a, n - a), broken_bound=broken)
+    assert whole.trials_run == split.trials_run == n
+    assert [(v.bound_name, v.seed, _bits([v.slack])) for v in whole.violations] == [
+        (v.bound_name, v.seed, _bits([v.slack])) for v in split.violations]
+    if dim == 2:
+        assert bool(whole.violations) == (broken is not None)
+    assert _bits(list(whole.min_slack_per_bound.values())) == _bits(
+        list(split.min_slack_per_bound.values()))
+
+
+def _peak_bytes(trials: int) -> int:
+    tracemalloc.start()
+    try:
+        verify_suite(EnsembleConfig(dim=8, kraus_count=5, rank=8, seed=90, trials=trials))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the tracemalloc peak of a 2-chunk run at d=8, Kraus 5 (about 1.6 MiB when measured),
+# with room to spare
+PEAK_BOUND = 2 * 2 ** 20
+
+
+def test_verify_suite_memory_does_not_grow_with_trials():
+    # one chunk of trials is live at a time, so 8 chunks' worth peaks as 2 chunks' do
+    assert _peak_bytes(2 * CHUNK) < PEAK_BOUND
+    assert _peak_bytes(8 * CHUNK) < PEAK_BOUND
+
+
 def test_verify_suite_keeps_the_first_of_equal_minimum_slacks(monkeypatch):
     # +0.0 and -0.0 tie: the report keeps the zero that a run of one config after
     # another meets first, within a config (trial order) and across configs (config
@@ -360,12 +475,16 @@ def test_verify_suite_keeps_the_first_of_equal_minimum_slacks(monkeypatch):
     lhs = {(1, 0): 0.0, (1, 1): -0.0, (2, 0): -0.0, (2, 1): 0.0}  # (Kraus count, trial)
     seen = []
 
-    def zero_slacks(rho, phi, *args):
-        trial = seen.count(len(phi))
-        seen.append(len(phi))
-        return {name: (lhs[len(phi), trial], 0.0) for name in BOUND_NAMES}
+    def zero_slacks(rhos, trials):
+        values = []
+        for row in trials:
+            values.append([])
+            for phi, *_ in row:
+                values[-1].append(lhs[len(phi), seen.count(len(phi))])
+                seen.append(len(phi))
+        return _zero_relations(rhos, trials, values)
 
-    monkeypatch.setattr(chanuq.ensembles, "_trial_relations", zero_slacks)
+    monkeypatch.setattr(chanuq.ensembles, "_chunk_relations", zero_slacks)
     c1, c2 = (EnsembleConfig(dim=2, kraus_count=k, rank=2, seed=3, trials=2) for k in (1, 2))
     for configs, zero in (((c1, c2), 0.0), ((c2, c1), -0.0)):
         seen.clear()
