@@ -18,12 +18,11 @@ Conventions shared by all bound evaluators:
 * each bound reads the stored Kraus stacks of both channels as they are;
   the common N, the longer list's length, enters only the 1/(4 N^2)
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
-* the bounds read a channel's traces, brackets with sqrt(rho) and sums from the
-  record ``measures._terms`` keeps on it, keyed by the state object (its arrays
-  are read-only, so it cannot go stale), a family's from one ``_Terms`` record over
-  its stacked Kraus arrays, and a record pair as it is (``bound_report`` builds one
-  pair per report, after filling both sides' measures in one ``_measure_all`` call);
-  each bound forms its own products and norms on every call;
+* the bounds read each side's traces, brackets with sqrt(rho) and sums from one
+  ``_Terms`` record over its Kraus stack, built per call by ``measures._side`` and
+  kept nowhere, or take a record pair as it is (``bound_report`` builds one pair per
+  report, fills both sides' measures in one ``_measure_all`` call and hands them to
+  its caller); each bound forms its own products and norms on every call;
 * both brackets of an operand pair come from ``linalg._brackets``, which forms the two
   products once (``thm2`` and ``dou_bounds`` read it through ``linalg._sym_brackets``);
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
@@ -36,15 +35,15 @@ Conventions shared by all bound evaluators:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from .errors import BoundViolationError, DimensionMismatchError
+from .errors import BoundViolationError
 from .linalg import SLACK_TOL
-from .measures import (_abs_sq, _measure_all, _nonneg, _Terms, _terms, channel_measures,
-                       operator_u)
+from .measures import (MeasureSet, _abs_sq, _measure_all, _nonneg, _side, _Terms,
+                       channel_measures, operator_u)
 from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _expect, _operand, _pile,
                       _States, _unpile)
 
@@ -132,34 +131,18 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
 # channel grid and channel bounds
 # ---------------------------------------------------------------------------
 
-def _kept(rho: DensityMatrix, channels) -> list:
-    """A family's kept records (a lone channel is one of one), checked for one Kraus count;
-    under a state stack, one record over the stacked Kraus arrays of its zipped channels."""
-    family = [channels] if isinstance(channels, KrausChannel) else channels
-    if isinstance(rho, _States):
-        return [_Terms(rho, np.array([c.kraus_ops for c in family]))]
-    records = [_terms(rho, c) for c in family]
-    if len({t.x.shape for t in records}) != 1:
-        raise DimensionMismatchError("a family needs channels, all of one Kraus count")
-    return records
-
-
-def _grid_terms(rho: DensityMatrix, phi, psi, kept=None):
-    """A bound's terms: a record pair passes through; else, from both sides' kept records
-    (``kept`` or :func:`_kept`'s), a lone pair's own or, for families, one record per
-    side over its stacked Kraus arrays, ``(G, 1, N, d, d)`` and ``(1, G, N, d, d)``, never kept.
-
-    A lone channel facing a family is restacked as a family of one, not broadcast from
-    its kept ``(N, d, d)`` record: numpy's complex ``*`` took a loop without FMA on such
-    operands and moved a last digit of ``lb1_eq14``'s ``Tr(rho F_j^dag) Tr(rho E_j)``."""
+def _grid_terms(rho: DensityMatrix, phi, psi):
+    """A bound's record pair: a record pair (``bound_report``'s) passes through; else one
+    :func:`measures._side` record per side, phi's checked first, stacked as families, phi's
+    on grid axis 0 and psi's on 1, when either side is one. A lone channel facing a family
+    is so restacked as a family of one, not broadcast from an ``(N, d, d)`` record: numpy's
+    complex ``*`` took a loop without FMA on such operands and moved a last digit of
+    ``lb1_eq14``'s ``Tr(rho F_j^dag) Tr(rho E_j)``."""
     if isinstance(phi, _Terms) and isinstance(psi, _Terms):
         return phi, psi
-    e, f = kept or (_kept(rho, phi), _kept(rho, psi))
     if isinstance(rho, _States) or isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
-        return e[0], f[0]
-    # np.array, not np.stack: np.stack grows CPython's tuple free lists
-    e, f = (np.array([t.x for t in side]) for side in (e, f))
-    return _Terms(rho, e[:, None]), _Terms(rho, f[None])
+        return _side(rho, phi), _side(rho, psi)
+    return _side(rho, phi, 0), _side(rho, psi, 1)
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -339,7 +322,8 @@ def thm4_bound(rho: DensityMatrix, phi, psi):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All left-hand sides and all bounds for one triple, or arrays of them over a grid."""
+    """All left-hand sides and all bounds for one triple, or arrays of them over a grid,
+    and the two sides' measures they were read from (not in :meth:`to_dict`)."""
 
     lhs_product_v: float
     lhs_product_u: float
@@ -351,6 +335,9 @@ class BoundReport:
     lb_eq13: float
     lb1_eq14: float
     n_common: int
+    #: phi's and psi's :class:`MeasureSet`: floats for a pair, arrays over the leading
+    #: axes of a family's ``(G, 1)`` and ``(1, G)`` or a zip's ``(T,)``
+    measures: tuple[MeasureSet, MeasureSet]
 
     def relations(self) -> dict[str, tuple[float, float]]:
         """``{name: (lhs, bound)}``: the left-hand side each bound is checked against."""
@@ -369,7 +356,8 @@ class BoundReport:
         return {name: lhs - bound for name, (lhs, bound) in self.relations().items()}
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "slacks": self.slacks}
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "measures"}
+        return {**doc, "slacks": self.slacks}
 
 
 def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
@@ -377,26 +365,20 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     """Evaluate every bound and its left-hand side.
 
     ``phi`` and ``psi`` are channels or families, or a state stack's zipped channels.
-    With ``check=True`` (the default)
+    Each side is read and checked once, into one record that its measures and all six
+    bounds read; the report carries both sides' measures. With ``check=True`` (the default)
     a slack below ``-SLACK_TOL`` raises ``BoundViolationError`` naming the offending
     bound, at the first violating cell in row-major order and, within that cell, the
     first violated relation in ``relations()`` order; the randomized
     verification harness passes ``check=False`` and inspects the slacks itself.
     """
-    records = _kept(rho, phi), _kept(rho, psi)  # both sides are checked before any measure
-    _measure_all(records[0] + records[1])  # one stacked pass per Kraus count, phi's first
-    e, f = _grid_terms(rho, phi, psi, records)  # the one record pair the six bounds read
-    if isinstance(rho, _States) or isinstance(phi, KrausChannel) and isinstance(psi, KrausChannel):
-        m_phi, m_psi = channel_measures(rho, e), channel_measures(rho, f)
-        v_phi, u_phi, v_psi, u_psi = m_phi.v_sym, m_phi.u_abs, m_psi.v_sym, m_psi.u_abs
-    else:  # each channel's kept v_sym and u_abs, stacked on its side's grid axis
-        (v_phi, u_phi), (v_psi, u_psi) = (
-            np.array([(t.measures.v_sym, t.measures.u_abs) for t in r]).T for r in records)
-        v_phi, u_phi = v_phi[:, None], u_phi[:, None]
+    e, f = _grid_terms(rho, phi, psi)  # both sides are checked before any measure
+    _measure_all([e, f])  # one stacked pass per Kraus count, phi's first
+    m_phi, m_psi = channel_measures(rho, e), channel_measures(rho, f)
     report = BoundReport(
-        lhs_product_v=v_phi * v_psi,
-        lhs_product_u=u_phi * u_psi,
-        lhs_sum_u2=_abs_sq(u_phi) + _abs_sq(u_psi),  # u_abs ** 2, with its bits
+        lhs_product_v=m_phi.v_sym * m_psi.v_sym,
+        lhs_product_u=m_phi.u_abs * m_psi.u_abs,
+        lhs_sum_u2=_abs_sq(m_phi.u_abs) + _abs_sq(m_psi.u_abs),  # u_abs ** 2, with its bits
         thm1=thm1_bound(rho, e, f),
         thm2=thm2_bound(rho, e, f),
         thm3=thm3_bound(rho, e, f, basis_index),
@@ -404,6 +386,7 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
         thm4=thm4_bound(rho, e, f),
         lb1_eq14=lb1_eq14(rho, e, f),
         n_common=max(e.x.shape[-3], f.x.shape[-3]),
+        measures=(m_phi, m_psi),
     )
     if check:  # the first violation in row-major cell order, then in relations() order
         relations = list(report.relations().items())

@@ -28,7 +28,6 @@ from .errors import (BoundViolationError, ChanuqError, DimensionMismatchError,
                      NumericError, SchemaError, ValidationError)
 from .examples import (CLOSED_FORM_THETA, EXAMPLE_IDS, _channel_family, channel_E,
                        channel_F, closed_forms, example_state)
-from .measures import channel_measures
 from .objects import channel_from_json, state_from_json
 
 EXIT_VERIFICATION = 5
@@ -155,8 +154,7 @@ def sweep(example_id, theta, grid_steps, basis_index, out):
     rho = example_state(example_id, theta)
     phis, psis = _channel_family("E", grid), _channel_family("F", grid)
     report = bound_report(rho, phis, psis, basis_index=basis_index)
-    u_phi = np.array([channel_measures(rho, phi).u_abs for phi in phis])
-    u_psi = np.array([channel_measures(rho, psi).u_abs for psi in psis])
+    u_phi, u_psi = (m.u_abs.ravel() for m in report.measures)  # (G, 1) and (1, G)
     cells = [report.lhs_product_u, report.lhs_sum_u2, report.thm1, report.thm2,
              report.thm3, report.lb_eq13, report.lb1_eq14, report.thm4]
     if theta == CLOSED_FORM_THETA[example_id]:
@@ -217,7 +215,7 @@ def example(example_id, theta, p, q, basis_index):
     rho = example_state(example_id, theta)
     phi, psi = channel_E(p), channel_F(q)
     report = bound_report(rho, phi, psi, basis_index=basis_index)
-    m_phi, m_psi = channel_measures(rho, phi), channel_measures(rho, psi)
+    m_phi, m_psi = report.measures
     closed = closed_forms(example_id, p, q) if theta == CLOSED_FORM_THETA[example_id] else None
     doc = {
         "example": example_id,

@@ -8,13 +8,13 @@ measure takes one operator or an ``(N, d, d)`` stack. A channel's measures are
 ``sym_abs_variance`` of its Kraus stack and the skew pair of the centered stack,
 summed in Kraus order; ``u_abs`` interpolates between total and quantum uncertainty
 and obeys ``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them
-for a ``(G, N, d, d)`` stack of channels at once, each with the bits of that channel
-alone. One record, ``_Terms``, kept on each channel by ``_terms``, holds the
-per-channel terms of a (state, channel) pair: its measures, which ``_measure_all``
-alone fills, and the traces, brackets and sums the bounds read, the last three also
-over the leading grid axes of a family's stacked Kraus arrays, or of a zip's under a
-stack of states (``objects._States``), which every kernel reading the state aligns
-to its operand's leading axes (``objects._aligned``).
+for a ``(..., G, N, d, d)`` stack of channels at once, each with the bits of that channel
+alone. One record, ``_Terms``, built by ``_side`` for each side of each call and kept
+nowhere, holds a side's per-channel terms: its measures, which ``_measure_all`` alone
+fills, and the traces, brackets and sums the bounds read, all over the leading axes of
+a family's stacked Kraus arrays, or of a zip's under a stack of states
+(``objects._States``), which every kernel reading the state aligns to its operand's
+leading axes (``objects._aligned``).
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
 from . import linalg
-from .errors import NumericError
+from .errors import DimensionMismatchError, NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
 from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _eye, _frozen, _operand,
-                      _pile, _same_dim, _unpile)
+                      _pile, _same_dim, _States, _unpile)
 
 
 @dataclass(frozen=True)
@@ -164,36 +165,34 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     for the anticommutator part); ``u_abs`` is derived from ``v_sym`` and
     ``c_abs`` with clamping, and the internal identities
     ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
-    asserted. The result is a field of the channel's kept ``_terms(rho, phi)``, or of
-    ``phi`` itself where that is a record.
+    asserted. A channel is checked and measured afresh on every call; a record
+    (``bound_report``'s) is measured once, and its fields are arrays over its
+    leading axes.
     """
-    terms = phi if isinstance(phi, _Terms) else _terms(rho, phi)
-    _measure_all([terms])
+    terms = phi if isinstance(phi, _Terms) else _side(rho, phi)
+    if terms.measures is None:
+        _measure_all([terms])
     return terms.measures
 
 
 def _traces(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
-    """Tr(rho K_i) of each matrix of a stack, over its leading axes: one einsum, under a
-    state stack of the stack with the states broadcast to its shape in a contiguous copy,
-    which gives each slice the bits of the lone state's einsum; the same einsum over the
-    stack's trial axis moves last bits."""
-    if rho.matrix.ndim == 2:
-        return np.einsum("ab,...iba->...i", rho.matrix, x)
+    """Tr(rho K_i) of each matrix of a stack, over its leading axes: one einsum of the stack
+    with the state, or state stack, broadcast to its shape in a contiguous copy, which gives
+    each slice its own state's bits (an einsum that reads a state stack as it is does not)."""
     r = np.ascontiguousarray(np.broadcast_to(_aligned(rho.matrix, x), x.shape))
     return np.einsum("...ab,...ba->...", r, x)
 
 
 class _Terms:
-    """The per-channel terms of a Kraus stack ``x``, a channel's ``(N, d, d)`` or a
-    family's ``(..., N, d, d)``, under the state ``rho``, or under a state stack a zip's
-    ``(T, N, d, d)``: its :class:`MeasureSet`, of arrays over a zip
-    (``None`` until :func:`_measure_all`), and, each built on first use, what the bounds
-    read, over the leading axes with each channel's bits: Tr(rho K_i), Tr(rho K_i^dag),
-    ``_sqrt_brackets`` of the raw and of the centered K_i, sum_i K_i and its centered
-    form. Each bound forms its own products and norms of these on every call."""
+    """One side's per-channel terms under the state, or state stack, ``rho``, over the
+    leading axes of its Kraus stack ``x`` (see :func:`_side`) with each channel's bits:
+    its :class:`MeasureSet` (``None`` until :func:`_measure_all`) and, each built on
+    first use, what the bounds read: Tr(rho K_i), Tr(rho K_i^dag), ``_sqrt_brackets`` of
+    the raw and of the centered K_i, sum_i K_i and its centered form. Each bound forms
+    its own products and norms of these on every call."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
-        self.rho = rho  # held, so the state's identity cannot be reused while cached
+        self.rho = rho
         self.x = x
         self.measures: MeasureSet | None = None
 
@@ -206,14 +205,32 @@ class _Terms:
     total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
 
 
-def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
-    """The :class:`MeasureSet` of each channel of a checked ``(G, N, d, d)`` stack, or of
-    each zip of a ``(T, G, N, d, d)`` one under a state stack (its fields arrays over T),
-    each with the bits of that channel alone: one ``sym_abs_variance`` call on the stack
-    flattened to ``(..., G N, d, d)``, one ``_sqrt_brackets`` of its centered form and one
-    ``_half_sq_norm`` of both brackets (all per matrix, each clamped under its own name),
-    then on arrays over the channels the sums in Kraus order, ``u_abs`` and the two
-    identity checks, whose first failure raises as in a loop over the channels."""
+def _side(rho: DensityMatrix, channels, grid_axis: int | None = None) -> _Terms:
+    """One report side's record, after checking each channel's dimension, then the side's
+    one Kraus count (an empty family has none): a lone channel's ``(N, d, d)`` stack as it
+    is; with ``grid_axis`` a family's, a lone channel being a family of one, stacked to
+    ``(G, 1, N, d, d)`` on axis 0 or ``(1, G, N, d, d)`` on axis 1; under a state stack a
+    zip's ``(T, N, d, d)``. A family is read once, so a single-pass iterable is one."""
+    family = [channels] if isinstance(channels, KrausChannel) else list(channels)
+    for channel in family:
+        _same_dim(rho, channel.dim, "channel")
+    if len({channel.kraus_ops.shape for channel in family}) != 1:
+        raise DimensionMismatchError("a family needs channels, all of one Kraus count")
+    if grid_axis is None and not isinstance(rho, _States):
+        return _Terms(rho, channels.kraus_ops)
+    # np.array, not np.stack: np.stack grows CPython's tuple free lists
+    x = _frozen(np.array([channel.kraus_ops for channel in family]))
+    return _Terms(rho, x if grid_axis is None else np.expand_dims(x, 1 - grid_axis))
+
+
+def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> MeasureSet:
+    """The :class:`MeasureSet` of a checked ``(..., G, N, d, d)`` stack of channels, its
+    leading axes a state stack's trial axis, if any, and then any grid axes, each field
+    an array over them with each channel's bits alone: one ``sym_abs_variance`` call on
+    the stack flattened to ``(..., G N, d, d)``, one ``_sqrt_brackets`` of its centered
+    form and one ``_half_sq_norm`` of both brackets (all per matrix, each clamped under its
+    own name), then on arrays over the channels the sums in Kraus order, ``u_abs`` and the
+    two identity checks, whose first failure raises as in a loop over the channels."""
     flat = x.reshape(*x.shape[:-4], -1, *x.shape[-2:])
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
     i_op, j_op = _half_sq_norm(np.array(_sqrt_brackets(rho, _center(flat, rho))))
@@ -234,33 +251,22 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> list[MeasureSet]:
                 if not _close(i_plus_j, v2):
                     raise NumericError(
                         f"i_tilde + j_tilde = {i_plus_j!r} disagrees with 2*v_sym = {v2!r}")
-    rows = np.array([v_sym, i_tilde, j_tilde, c_abs, u_abs]).T  # (G, ..., 5)
-    rows = rows.tolist() if rows.ndim == 2 else rows.swapaxes(1, 2)  # floats for one state
-    return [MeasureSet(*row) for row in rows]
+    return MeasureSet(v_sym, i_tilde, j_tilde, c_abs, u_abs)
 
 
 def _measure_all(records: list[_Terms]) -> None:
-    """Fill the measures of every record (all under one state or state stack) that has
-    none yet, each record once, in one stacked :func:`_measure_sets` pass per Kraus shape,
-    the shapes in the order they first appear: the one way a record gets its measures."""
-    todo = {}
-    for t in dict.fromkeys(records):  # a record listed twice is measured once
-        if t.measures is None:
-            todo.setdefault(t.x.shape, []).append(t)
-    for group in todo.values():
-        rho = group[0].rho
-        for t, m in zip(group, _measure_sets(rho, _pile(rho, [t.x for t in group]))):
-            t.measures = m
-
-
-def _terms(rho: DensityMatrix, channel: KrausChannel) -> _Terms:
-    """The channel's terms under ``rho``, kept on the channel in one slot keyed by the
-    identity of the state. Another state is first checked against the channel's
-    dimension, then replaces them; a kept record passed that check when built."""
-    terms = channel._terms
-    if terms is not None and terms.rho is rho:
-        return terms
-    _same_dim(rho, channel.dim, "channel")
-    terms = _Terms(rho, channel.kraus_ops)
-    object.__setattr__(channel, "_terms", terms)  # the channel is frozen
-    return terms
+    """Fill the measures of records, a report's two or one channel's, all under one state
+    or state stack: one :func:`_measure_sets` pass per Kraus count, the counts in the order
+    they first appear, over the records' channels concatenated on one channel axis (after
+    a state stack's trial axis). Each record reads back its own channels' slices, shaped to
+    its leading axes, a lone channel's as Python floats: the one way a record gets measures."""
+    trial = int(isinstance(records[0].rho, _States))  # the channel axis of a pass
+    for n in dict.fromkeys(t.x.shape[-3] for t in records):
+        group = [t for t in records if t.x.shape[-3] == n]
+        stacks = [t.x.reshape(*t.x.shape[:trial], -1, *t.x.shape[-3:]) for t in group]
+        m = _measure_sets(group[0].rho, np.concatenate(stacks, axis=trial))
+        fields = _frozen(np.array(list(vars(m).values())))  # (5, ..., channels)
+        ends = [0, *accumulate(s.shape[trial] for s in stacks)]
+        for t, start, stop in zip(group, ends, ends[1:]):
+            part = fields[..., start:stop].reshape(len(fields), *t.x.shape[:-3])
+            t.measures = MeasureSet(*(part.tolist() if part.ndim == 1 else part))

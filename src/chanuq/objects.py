@@ -76,15 +76,10 @@ class KrausChannel:
     """A CPTP map stored as its ordered Kraus operators, one ``(N, d, d)`` stack."""
 
     kraus_ops: np.ndarray
-    _terms: object = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.kraus_ops.shape[1]
-
-    def __getstate__(self) -> dict:
-        # the kept terms are a cache: a pickle or a copy builds its own
-        return {"kraus_ops": self.kraus_ops}
 
     __setstate__ = _refreeze
 

@@ -285,3 +285,10 @@ def splitmix_complex_matrix(seed, rows, cols):
         entries.append(complex(r * math.cos(2.0 * math.pi * u2),
                                r * math.sin(2.0 * math.pi * u2)))
     return np.array(entries, dtype=complex).reshape(rows, cols)
+
+
+def measure_bits(measures, cell=()):
+    """The bit patterns of a report's side measures, phi's five fields then psi's: a pair
+    report's floats, or a family's or zip's arrays broadcast together, at ``cell``."""
+    fields = np.broadcast_arrays(*(v for m in measures for v in vars(m).values()))
+    return np.array([f[cell] for f in fields], dtype=float).view(np.uint64).tolist()

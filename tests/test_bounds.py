@@ -1,6 +1,7 @@
 """Unit tests for the bound catalog."""
 
 import copy
+import itertools
 import pickle
 import sys
 import tracemalloc
@@ -19,9 +20,9 @@ import chanuq.measures
 from chanuq.errors import (BoundViolationError, DimensionMismatchError,
                            NotHermitianError, NumericError)
 from chanuq.ensembles import SplitMix64, random_channel, random_density, random_operator
-from chanuq.measures import (_Terms, _terms, abs_variance, channel_measures, operator_u,
+from chanuq.measures import (_side, _Terms, abs_variance, channel_measures, operator_u,
                              sym_abs_variance)
-from chanuq.objects import KrausChannel, center_operator, make_channel, make_density
+from chanuq.objects import KrausChannel, _stack_states, center_operator, make_channel, make_density
 
 import oracles
 from oracles import I2, SX, SY, ketbra, random_triples
@@ -369,6 +370,7 @@ def test_fine_grained_basis_index_must_be_an_integer(werner1, index):
     assert fine_grained_terms(werner1, *pair, index) == fine_grained_terms(werner1, *pair, 1)
     assert bound_report(werner1, *pair, basis_index=index) == bound_report(werner1, *pair, 1)
     got, want = (vars(bound_report(werner1, *families, t)) for t in (index, 1))
+    assert oracles.measure_bits(got.pop("measures")) == oracles.measure_bits(want.pop("measures"))
     assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
@@ -629,37 +631,40 @@ def _measure_passes(monkeypatch) -> list:
 @pytest.mark.parametrize("family", [False, True], ids=["pair", "families"])
 def test_bound_report_measures_unequal_kraus_counts_in_two_passes(monkeypatch, family):
     # both sides reach one _measure_all call, which runs one stacked pass per Kraus
-    # count, phi's first; each channel keeps the measures of that channel alone
+    # count, phi's first; the report carries each channel's measures of that channel alone
     gen = SplitMix64(2323)
     rho = random_density(3, 3, gen)
     phis = [random_channel(3, 2, gen) for _ in range(2 if family else 1)]
     psis = [random_channel(3, 5, gen) for _ in range(3 if family else 1)]
-    want = [channel_measures(rho, copy.deepcopy(c)) for c in phis + psis]
+    want = [channel_measures(rho, c) for c in phis + psis]
     passes = _measure_passes(monkeypatch)
     report = bound_report(rho, *((phis, psis) if family else (phis[0], psis[0])))
     assert passes == [(len(phis), 2, 3, 3), (len(psis), 5, 3, 3)]
-    assert [channel_measures(rho, c) for c in phis + psis] == want
-    assert len(passes) == 2  # the kept measures were read, not formed again
+    for i, j in itertools.product(range(len(phis)), range(len(psis))):
+        assert oracles.measure_bits(report.measures, (i, j) if family else ()) == (
+            oracles.measure_bits((want[i], want[len(phis) + j])))
     v = [m.v_sym for m in want]
     assert np.array_equal(report.lhs_product_v,
                           np.outer(v[:len(phis)], v[len(phis):]) if family else v[0] * v[1])
 
 
 @pytest.mark.parametrize("family", [False, True], ids=["pair", "families"])
-def test_bound_report_same_channel_on_both_sides_is_measured_once(monkeypatch, family):
-    # a channel on both sides is one kept record, measured in one pass of one slice;
-    # the report equals that of two copies, which share a pass as two slices
+def test_bound_report_same_channel_on_both_sides_is_measured_per_side(monkeypatch, family):
+    # a channel on both sides is one slice of each side's record, both measured in one
+    # pass of two slices; the report equals that of two copies, which share a pass alike
     gen = SplitMix64(2424)
     rho = random_density(4, 2, gen)
     side = [random_channel(4, 3, gen) for _ in range(3 if family else 1)]
     twins = copy.deepcopy(side), copy.deepcopy(side)
     passes = _measure_passes(monkeypatch)
-    report = bound_report(rho, *((side, side) if family else (side[0], side[0])))
-    assert passes == [(len(side), 3, 4, 4)]
-    want = bound_report(rho, *(twins if family else (twins[0][0], twins[1][0])))
+    report = vars(bound_report(rho, *((side, side) if family else (side[0], side[0]))))
+    assert passes == [(2 * len(side), 3, 4, 4)]
+    want = vars(bound_report(rho, *(twins if family else (twins[0][0], twins[1][0]))))
     assert passes[1:] == [(2 * len(side), 3, 4, 4)]
-    for name, value in vars(want).items():
-        assert np.array_equal(vars(report)[name], value), name
+    assert oracles.measure_bits(report.pop("measures")) == oracles.measure_bits(
+        want.pop("measures"))
+    for name, value in want.items():
+        assert np.array_equal(report[name], value), name
 
 
 @pytest.mark.parametrize("bad_side", ["phi", "psi"])
@@ -681,10 +686,11 @@ def test_bound_report_overflowing_channel_raises_its_numeric_error(bad_side, kra
         "absolute variance evaluated to inf: negative beyond rounding, or not finite")
 
 
-# -- terms shared between bounds and calls ---------------------------------------
+# -- terms shared between bounds ------------------------------------------------
 #
-# Each channel keeps the terms the bounds read under one state. A channel
-# reused across calls ("warm") must give exactly the values of a channel
+# Each call builds one record per side, which holds the terms the bounds read; a
+# report shares its pair between its measures and six bounds and keeps nothing. A
+# channel reused across calls ("warm") must give exactly the values of a channel
 # built afresh from the same Kraus stack, whatever the order of the calls.
 
 def fresh(channel):
@@ -756,36 +762,52 @@ def test_warm_channel_still_checks_the_state_dimension(werner1):
     assert bound_report(werner1, phi, psi) == bound_report(werner1, ch_e(0.5), ch_f(0.5))
 
 
-def test_kept_terms_are_read_only(werner1):
-    phi, psi = ch_e(0.5), ch_f(0.5)
-    bound_report(werner1, phi, psi)
-    # per-channel terms only: each bound forms its own products and norms
+def _records(monkeypatch) -> list:
+    """Every ``_Terms`` record built from here on, in order."""
+    built, init = [], _Terms.__init__
+
+    def counted(self, rho, x):
+        built.append(self)
+        init(self, rho, x)
+
+    monkeypatch.setattr(_Terms, "__init__", counted)
+    return built
+
+
+def test_kept_terms_are_read_only(werner1, monkeypatch):
+    # the terms of a pair report's two records and a family report's: per-channel terms
+    # only, each bound forms its own products and norms; every array, the measures of a
+    # family included, is read-only
+    phis, psis = [ch_e(0.5), ch_e(0.7)], [ch_f(0.5), ch_f(0.1)]
+    records = _records(monkeypatch)
+    bound_report(werner1, phis[0], psis[0])
+    bound_report(werner1, phis, psis)
     kept = {"rho", "x", "measures", "traces", "traces_dag", "brackets", "brackets0",
             "total", "total0"}
-    for channel in (phi, psi):
-        assert set(vars(channel._terms)) <= kept
-        fields = vars(channel._terms).values()
+    assert [t.x.ndim for t in records] == [3, 3, 5, 5]
+    for record in records:
+        assert set(vars(record)) <= kept
+        fields = [*vars(record).values(), *vars(record.measures).values()]
         arrays = [a for v in fields for a in (v if isinstance(v, tuple) else (v,))
                   if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 7
+        assert len(arrays) >= (13 if record.x.ndim == 5 else 8)
         assert not any(a.flags.writeable for a in arrays)
 
 
 def test_kept_terms_are_not_pickled_or_copied():
+    # a report keeps nothing on its channels: a channel pickles to the same size after
+    # one, and its pickled or copied twin is read-only and gives the same report
     rho_m, ops_e, ops_f = next(random_triples(50, count=1))  # d = N = 16
     rho = make_density(rho_m)
     phi, psi = make_channel(ops_e), make_channel(ops_f)
     size = len(pickle.dumps(phi))
     report = bound_report(rho, phi, psi)
-    assert phi._terms is not None
     assert len(pickle.dumps(phi)) == size
+    assert vars(phi).keys() == {"kraus_ops"}
     for twin in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
-        assert twin._terms is None
         assert np.array_equal(twin.kraus_ops, phi.kraus_ops)
         assert not twin.kraus_ops.flags.writeable
         assert bound_report(rho, twin, psi) == report
-        assert twin._terms is not None
-        assert twin._terms is not phi._terms
 
 
 # -- channel families ----------------------------------------------------------
@@ -816,9 +838,8 @@ def _family_draws():
 
 
 def test_channel_families_equal_pair_calls_in_every_cell():
-    # every pair call takes fresh copies, which keep no record (__getstate__ drops it), so
-    # a pair call forms its own terms and measures instead of reading the ones a family
-    # call kept on the same channel objects
+    # every call builds its own records, so pair and family calls share no terms; the
+    # pair calls also take fresh copies of the channels
     fresh = copy.deepcopy
     for draw, (rho, phis, psis, t) in enumerate(_family_draws()):
         for name, bound in CHANNEL_BOUNDS.items():
@@ -828,9 +849,9 @@ def test_channel_families_equal_pair_calls_in_every_cell():
             assert grid.shape == (len(phis), len(psis)), (draw, name)
             assert grid.tolist() == pairs, (draw, name)
             # a record pair, as bound_report passes it: a family's stacked records and a
-            # lone pair's kept ones
+            # lone pair's own
             assert bound(rho, *_grid_terms(rho, phis, psis), *args).tolist() == pairs, (draw, name)
-            assert [[bound(rho, _terms(rho, fresh(phi)), _terms(rho, fresh(psi)), *args)
+            assert [[bound(rho, *_grid_terms(rho, phi, psi), *args)
                      for psi in psis] for phi in phis] == pairs, (draw, name)
             assert bound(rho, phis[:1], psis[:1], *args).tolist() == [pairs[0][:1]], (draw, name)
             assert bound(rho, phis[0], psis, *args).tolist() == pairs[:1], (draw, name)
@@ -843,30 +864,46 @@ def test_channel_families_equal_pair_calls_in_every_cell():
         family = vars(bound_report(rho, phis, psis, t, check=False))
         for i, phi in enumerate(phis):
             for j, psi in enumerate(psis):
-                pair = bound_report(rho, fresh(phi), fresh(psi), t, check=False)
-                for name, value in vars(pair).items():
+                pair = vars(bound_report(rho, fresh(phi), fresh(psi), t, check=False))
+                assert oracles.measure_bits(family["measures"], (i, j)) == oracles.measure_bits(
+                    pair.pop("measures")), draw
+                for name, value in pair.items():
                     cell = family[name] if name == "n_common" else family[name][i, j]
                     assert cell == value, (draw, name)
 
 
-def test_family_records_equal_kept_records_slice_by_slice():
-    # a family's record runs the kept record's code on the stacked Kraus arrays, phi's
-    # on grid axis 0 (G, 1, N, d, d) and psi's on axis 1 (1, G, N, d, d); each slice of
-    # each field must be that channel's kept field, bit for bit
+def test_family_records_equal_pair_records_slice_by_slice():
+    # a family's record runs a lone channel's record code on the stacked Kraus arrays,
+    # phi's on grid axis 0 (G, 1, N, d, d) and psi's on axis 1 (1, G, N, d, d); each slice
+    # of each field must be that channel's own record's field, bit for bit
     fields = ("traces", "traces_dag", "brackets", "brackets0", "total", "total0")
     for draw, (rho, phis, psis, _) in enumerate(_family_draws()):
         e, f = _grid_terms(rho, phis, psis)
         assert type(e) is type(f) is _Terms, draw
         for record, channels, grid in ((e, phis, (len(phis), 1)), (f, psis, (1, len(psis)))):
             for g, channel in enumerate(channels):
-                kept, cell = _terms(rho, channel), np.unravel_index(g, grid)
+                lone, cell = _side(rho, channel), np.unravel_index(g, grid)
                 for name in fields:
-                    stacked, own = getattr(record, name), getattr(kept, name)
+                    stacked, own = getattr(record, name), getattr(lone, name)
                     if not isinstance(own, tuple):
                         stacked, own = (stacked,), (own,)
                     for a, b in zip(stacked, own, strict=True):
                         assert a.shape == grid + b.shape, (draw, name)
                         assert a[cell].tobytes() == b.tobytes(), (draw, name, g)
+
+
+def test_report_side_measures_equal_lone_channel_measures():
+    # the side measures a report hands its caller are each channel's measures alone, bit
+    # for bit: a family report's (G, 1) and (1, G) arrays in every cell, a pair's floats
+    for draw, (rho, phis, psis, t) in enumerate(_family_draws()):
+        lone = [channel_measures(rho, c) for c in phis], [channel_measures(rho, c) for c in psis]
+        family = bound_report(rho, phis, psis, t, check=False).measures
+        for i, j in itertools.product(range(len(phis)), range(len(psis))):
+            assert oracles.measure_bits(family, (i, j)) == oracles.measure_bits(
+                (lone[0][i], lone[1][j])), (draw, i, j)
+        pair = bound_report(rho, phis[0], psis[0], t, check=False).measures
+        assert all(type(v) is float for m in pair for v in vars(m).values()), draw
+        assert oracles.measure_bits(pair) == oracles.measure_bits((lone[0][0], lone[1][0])), draw
 
 
 @pytest.mark.parametrize("axes, blocks", [
@@ -956,26 +993,30 @@ def test_bound_report_reads_each_family_side_once(werner1):
     for args in ((iter(phis), iter(psis)), (iter(phis), psis), (phis, iter(psis))):
         got = vars(bound_report(werner1, *args))
         assert got.keys() == want.keys()
+        assert oracles.measure_bits(got["measures"]) == oracles.measure_bits(want["measures"])
         for name, value in want.items():
-            assert np.array_equal(got[name], value), name
+            if name != "measures":
+                assert np.array_equal(got[name], value), name
 
 
-def test_warm_family_report_builds_one_record_pair(werner1, monkeypatch):
-    # the six bounds read the report's one record pair: once every channel keeps its
-    # record, a family report builds the two stacked records and no other
+@pytest.mark.parametrize("case", ["pair", "families", "lone-vs-family", "zip"])
+def test_bound_report_builds_one_record_per_side(werner1, monkeypatch, case):
+    # the side measures and the six bounds read the report's one record pair, and a
+    # second report on the same channels builds its own pair and no other record
     grid = np.linspace(0.0, 1.0, 21)
     phis, psis = [ch_e(p) for p in grid], [ch_f(q) for q in grid]
-    bound_report(werner1, phis, psis)
-    built, init = [], _Terms.__init__
-
-    def counted(self, rho, x):
-        built.append(x.shape)
-        init(self, rho, x)
-
-    monkeypatch.setattr(_Terms, "__init__", counted)
-    bound_report(werner1, phis, psis)
-    n, d = phis[0].kraus_ops.shape[0], werner1.dim
-    assert built == [(21, 1, n, d, d), (1, 21, psis[0].kraus_ops.shape[0], d, d)]
+    args, shapes = {
+        "pair": ((phis[3], psis[5]), [(2, 4, 4), (2, 4, 4)]),
+        "families": ((phis, psis), [(21, 1, 2, 4, 4), (1, 21, 2, 4, 4)]),
+        "lone-vs-family": ((phis[3], psis), [(1, 1, 2, 4, 4), (1, 21, 2, 4, 4)]),
+        "zip": ((phis[:3], psis[:3]), [(3, 2, 4, 4), (3, 2, 4, 4)]),
+    }[case]
+    rho = werner1 if case != "zip" else _stack_states(
+        [werner1, make_density(oracles.werner_matrix(0.5)), werner1])
+    for _ in range(2):
+        records = _records(monkeypatch)
+        bound_report(rho, *args, check=False)
+        assert [t.x.shape for t in records] == shapes
 
 
 def test_warm_family_thm2_frees_the_raw_products_first(werner1):

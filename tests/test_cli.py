@@ -715,8 +715,12 @@ def test_grid_points_equal_fresh_reports_in_every_cell(runner, tmp_path, example
                      for column, path in SWEEP_CELLS.items() if path[0] == "closed"}}
         assert row == ["" if values[column] is None else format(float(values[column]) + 0.0, ".17g")
                        for column in SWEEP_COLUMNS], (example_id, theta, grid[i], grid[j])
+        assert oracles.measure_bits(family["measures"], (i, j)) == oracles.measure_bits(
+            pair.measures), cell
         for name, value in vars(pair).items():
-            assert (family[name] if name == "n_common" else family[name][i, j]) == value, (cell, name)
+            if name != "measures":
+                assert (family[name] if name == "n_common" else family[name][i, j]) == value, (
+                    cell, name)
 
 
 def test_sweep_violated_bound_in_two_cells_exits_5_without_csv(runner, tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from chanuq.ensembles import (_CHUNK_ENTRIES, BOUND_NAMES, EnsembleConfig, Split
                               random_density, random_operator, verify_suite)
 from chanuq.errors import NumericError
 from chanuq.measures import (_measure_sets, _mwy_skew_info, _sym_abs_variance, _u_from,
-                             abs_variance, sym_abs_variance)
+                             abs_variance, channel_measures, sym_abs_variance)
 from chanuq.objects import _stack_states
 
 import oracles
@@ -317,17 +317,18 @@ def test_harness_relations_match_public_functions_bitwise(dim):
     relations = _chunk_relations(rhos, trials)
     for j in range(len(kraus_counts)):  # the zipped report's pass over both sides
         x = np.array([[row[j][0].kraus_ops, row[j][1].kraus_ops] for row in trials])
-        for side, zipped in enumerate(_measure_sets(_stack_states(rhos), x)):
-            for t, rho in enumerate(rhos):
-                lone = _measure_sets(rho, x[t, side][None])[0]
-                assert _bits([field[t] for field in astuple(zipped)]) == _bits(astuple(lone))
+        zipped = _measure_sets(_stack_states(rhos), x)  # fields (T, 2)
+        for (t, rho), side in itertools.product(enumerate(rhos), range(2)):
+            lone = _measure_sets(rho, x[t, side][None])  # fields (1,)
+            assert _bits([field[t, side] for field in astuple(zipped)]) == _bits(
+                [field[0] for field in astuple(lone)])
     for (t, rho), j in itertools.product(enumerate(rhos), range(len(kraus_counts))):
         phi, psi, k, l, a, b = trials[t][j]
         got = {name: (float(lhs[t, j]), float(bound[t, j]))
                for name, (lhs, bound) in relations.items()}
         for x in (a, b):
             assert abs_variance(rho, x) == sym_abs_variance(rho, x)
-        m_phi, m_psi = (_measure_sets(rho, channel.kraus_ops[None])[0] for channel in (phi, psi))
+        m_phi, m_psi = (channel_measures(rho, channel) for channel in (phi, psi))
         assert _bits([got["thm1_bound"][0], got["thm3_bound"][0], got["thm4_bound"][0]]) == _bits(
             [m_phi.v_sym * m_psi.v_sym, m_phi.u_abs * m_psi.u_abs,
              m_phi.u_abs ** 2 + m_psi.u_abs ** 2])
@@ -338,6 +339,20 @@ def test_harness_relations_match_public_functions_bitwise(dim):
         assert got["dou_comm"][1] == comm
         assert got["dou_brackets"][1] == brackets
         assert got["dou_u"][1] == u_comm
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_zipped_report_side_measures_equal_lone_channel_measures(dim):
+    # a config's zipped report over one chunk hands its caller (T,) arrays of each side's
+    # measures; trial t's entries are channel_measures of its channels alone, bit for bit
+    kraus_counts = (1, 2, 3, 5)
+    rhos, trials = _harness_chunk(dim, kraus_counts, range(31, 36))
+    for j in range(len(kraus_counts)):
+        phis, psis = zip(*(row[j][:2] for row in trials))
+        measures = bound_report(_stack_states(rhos), phis, psis, check=False).measures
+        for t, rho in enumerate(rhos):
+            assert oracles.measure_bits(measures, (t,)) == oracles.measure_bits(
+                (channel_measures(rho, phis[t]), channel_measures(rho, psis[t]))), (j, t)
 
 
 @pytest.mark.parametrize("rank", ["1", "2", "d"])

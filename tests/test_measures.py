@@ -1,6 +1,5 @@
 """Unit tests for the uncertainty measures."""
 
-import copy
 import math
 import warnings
 from dataclasses import astuple
@@ -528,13 +527,15 @@ def test_stacked_measure_sets_equal_lone_ones():
         if lone_built is not None:  # _channel_family stacks channel_E / channel_F
             assert ([c.kraus_ops.tobytes() for c in family]
                     == [c.kraus_ops.tobytes() for c in lone_built]), draw
-        records = [measures._terms(rho, c) for c in family]
-        assert all(t.measures is None for t in records), draw
-        measures._measure_all(records)
-        # copies keep no record, so each lone MeasureSet is formed afresh
-        lone = [channel_measures(rho, copy.deepcopy(c)) for c in family]
-        assert ([_bits(astuple(t.measures)) for t in records]
-                == [_bits(astuple(m)) for m in lone]), draw
+        # each call measures its channel alone, in a pass of one
+        lone = [_bits(astuple(channel_measures(rho, c))) for c in family]
+        for axis in (0, 1):  # phi's (G, 1, N, d, d) family record and psi's (1, G, N, d, d)
+            record = measures._side(rho, iter(family), axis)
+            assert record.measures is None, draw
+            measures._measure_all([record])
+            cells = [(g, 0) if axis == 0 else (0, g) for g in range(len(family))]
+            assert [_bits([f[cell] for f in astuple(record.measures)]) for cell in cells] == lone, (
+                draw, axis)
 
 
 @pytest.mark.parametrize("bad, error", [
