@@ -58,8 +58,9 @@ def _observable(rho: DensityMatrix, m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _comm_term(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> float:
-    """(1/4) |Tr(rho [x, y])|^2 of checked operands."""
-    return _nonneg(0.25 * _abs_sq(_expect(rho, linalg.commutator(x, y))), "commutator term")
+    """(1/4) |Tr(rho [x, y])|^2 of checked operands, or of each pair of two stacks."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
+        return _nonneg(0.25 * _abs_sq(_expect(rho, linalg.commutator(x, y))), "commutator term")
 
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
@@ -68,14 +69,12 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
 
 
 def _schrodinger_terms(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(1/4) |Tr(rho [a, b])|^2 and (1/4) |Tr(rho {a0, b0})|^2 of checked operands."""
+    """:func:`_comm_term` and (1/4) |Tr(rho {a0, b0})|^2 of checked operands or stacks."""
+    comm = _comm_term(rho, a, b)
     a0, b0 = _unpile(rho, _center(_pile(rho, [a, b]), rho))
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
-        comm, anti = (_unpile(rho, x) for x in
-                      linalg._brackets(_pile(rho, [a, a0]), _pile(rho, [b, b0])))
-    comm, anti = _unpile(rho, _expect(rho, _pile(rho, [comm[0], anti[1]])))
-    return (_nonneg(0.25 * _abs_sq(comm), "commutator term"),
-            _nonneg(0.25 * _abs_sq(anti), "anticommutator term"))
+        anti = _expect(rho, linalg.anticommutator(a0, b0))
+    return comm, _nonneg(0.25 * _abs_sq(anti), "anticommutator term")
 
 
 def schrodinger_bound(rho: DensityMatrix, a, b) -> float:
@@ -120,8 +119,8 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
         anti, sym_comm, comm = (_unpile(rho, x) for x in
                                 linalg._sym_brackets(_pile(rho, [k, k0]), _pile(rho, [l, l0])))
-    brackets = _pile(rho, [sym_comm[0], anti[1], comm[0]])
-    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in _unpile(rho, _expect(rho, brackets)))
+        brackets = _unpile(rho, _expect(rho, _pile(rho, [sym_comm[0], anti[1], comm[0]])))
+    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in brackets)
     # both bracket terms are >= 0, so a finite sum means two finite terms
     return (_nonneg(comm, "commutator term"), _nonneg(sym_comm + sym_anti, "Dou bracket bound"),
             sym_comm)
@@ -157,7 +156,7 @@ def _sq_norms(x: np.ndarray, axes: int = 2):
     by ``np.vdot`` when ``x`` is one block, else one per block over the leading grid axes,
     from one batched product ``(B, 1, n) @ (B, n, 1)`` of the conjugated blocks with the
     blocks, which gives each block the bits of its own ``np.vdot``. The bounds form these
-    on every call; the kept record holds no norms."""
+    on every call; no record holds norms."""
     if x.ndim == axes:
         return float(np.vdot(x, x).real)
     rows = x.reshape(*x.shape[:x.ndim - axes], 1, -1)

@@ -47,7 +47,7 @@ import numpy as np
 from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
-from .measures import _mwy_skew_info, _sym_abs_variance, _u_from
+from .measures import _u_from, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, _stack_states, make_channel, make_density
 
 _MASK64 = (1 << 64) - 1
@@ -224,13 +224,13 @@ def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]
                .relations() for j in range(len(trials[0]))]
     relations = {name: np.stack([r[name] for r in reports], axis=-1) for name in reports[0]}
 
-    # a, b are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to
-    # the bit and the Schrodinger terms give the bits of heisenberg_bound,
-    # schrodinger_bound and luo_bound; the measures' bodies take the stack unchecked
+    # a, b are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to the
+    # bit and the Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
+    # luo_bound; under the state stack the public measures take the stack unchecked (_operand)
     quads = np.array([[item[2:] for item in row] for row in trials])  # (T, C, 4, d, d)
     ops = quads.reshape(len(quads), -1, *quads.shape[-2:])
-    v = _sym_abs_variance(states, ops)
-    u = _u_from(v, _mwy_skew_info(states, ops))
+    v = sym_abs_variance(states, ops)
+    u = _u_from(v, mwy_skew_info(states, ops))
     (vk, vl, va, vb), (uk, ul, ua, ub) = (np.moveaxis(x.reshape(quads.shape[:3]), -1, 0)
                                           for x in (v, u))
     k, l, a, b = np.moveaxis(quads, 2, 0)

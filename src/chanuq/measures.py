@@ -97,10 +97,7 @@ def _abs_variance(rho: DensityMatrix, k: np.ndarray):
 
 def sym_abs_variance(rho: DensityMatrix, k):
     """Average of the absolute variances of K and K^dag."""
-    return _sym_abs_variance(rho, _operand(rho, k, stack=True))
-
-
-def _sym_abs_variance(rho: DensityMatrix, k: np.ndarray):
+    k = _operand(rho, k, stack=True)
     v, v_dag = _unpile(rho, _abs_variance(rho, _pile(rho, [k, linalg.dagger(k)])))  # one pass
     return 0.5 * (v + v_dag)
 
@@ -123,11 +120,7 @@ def _sqrt_brackets(rho: DensityMatrix, k: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def mwy_skew_info(rho: DensityMatrix, k):
     """Half the squared Frobenius norm of [sqrt(rho), K]."""
-    return _mwy_skew_info(rho, _operand(rho, k, stack=True))
-
-
-def _mwy_skew_info(rho: DensityMatrix, k: np.ndarray):
-    comm, _ = _sqrt_brackets(rho, k)
+    comm, _ = _sqrt_brackets(rho, _operand(rho, k, stack=True))
     return _nonneg(_half_sq_norm(comm), "skew information")
 
 
@@ -144,12 +137,11 @@ def operator_u(rho: DensityMatrix, k):
 
 
 def _u_from(v, i):
-    """|U_rho|(K) from V_sym(K) and the skew information I(K), floats or arrays (an array
-    checks every square, ``_abs_sq``, before the first ``|U|``)."""
-    if isinstance(v, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
-            return _nonneg(np.sqrt(np.maximum(v * v - _abs_sq(v - i), 0.0)), "|U|")
-    return _nonneg(math.sqrt(max(v * v - _abs_sq(v - i), 0.0)), "|U|")
+    """|U_rho|(K) from V_sym(K) and the skew information I(K): for floats, the Python float of
+    ``math.sqrt(max(...))``'s bits (``sqrt`` rounds correctly, the difference is never -0.0);
+    for arrays, each value's, every square checked (``_abs_sq``) before the first ``|U|``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what overflows
+        return _nonneg(np.sqrt(np.maximum(v * v - _abs_sq(v - i), 0.0)), "|U|")
 
 
 def _close(a, b):

@@ -172,9 +172,8 @@ def _expect(rho: DensityMatrix, k: np.ndarray):
 
 
 def _center(k: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """:func:`center_operator` of a checked operator, or of each operator of a stack."""
-    value = np.trace(_aligned(rho.matrix, k) @ k, axis1=-2, axis2=-1)
-    return k - value[..., None, None] * _eye(rho.dim)
+    """:func:`center_operator` of a checked operator or of each of a stack, by :func:`_expect`."""
+    return k - np.multiply.outer(_expect(rho, k), _eye(rho.dim))
 
 
 def _aligned(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -194,6 +194,8 @@ def test_overflow_in_unread_brackets_gives_no_warning():
 HUGE_DIAGONAL = np.diag([1e308, -1e308])
 # they commute, so only the centered anticommutator term overflows
 HUGE_COMMUTING = (np.diag([1e160, 0.0]), np.diag([0.0, 1e160]))
+# finite brackets, whose trace with the state overflows
+HUGE_TRACED = (1e160 * ketbra(0, 1), 1e160 * SX)
 
 
 @pytest.mark.parametrize("relation, a, b", [
@@ -203,13 +205,15 @@ HUGE_COMMUTING = (np.diag([1e160, 0.0]), np.diag([0.0, 1e160]))
     (luo_bound, HUGE_DIAGONAL, HUGE_DIAGONAL),
     (dou_bounds, HUGE_DIAGONAL, HUGE_DIAGONAL),
     (dou_bounds, *HUGE_COMMUTING),
-], ids=["heisenberg", "schrodinger", "schrodinger-commuting", "luo", "dou", "dou-commuting"])
+    (dou_bounds, *HUGE_TRACED),
+], ids=["heisenberg", "schrodinger", "schrodinger-commuting", "luo", "dou", "dou-commuting",
+        "dou-traced"])
 def test_overflowing_operator_relations_raise(relation, a, b):
-    # the operands are finite and Hermitian, but their products overflow:
+    # the operands are finite, but their products overflow:
     # NaN or inf must not come back
     rho = make_density(I2 / 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on such operands
+        warnings.simplefilter("error")  # and no numpy warning comes before the error
         with pytest.raises(NumericError):
             relation(rho, a, b)
 

@@ -16,8 +16,8 @@ from chanuq.ensembles import (_CHUNK_ENTRIES, BOUND_NAMES, EnsembleConfig, Split
                               _chunk_relations, _gram_schmidt, _normals, random_channel,
                               random_density, random_operator, verify_suite)
 from chanuq.errors import NumericError
-from chanuq.measures import (_measure_sets, _mwy_skew_info, _sym_abs_variance, _u_from,
-                             abs_variance, channel_measures, sym_abs_variance)
+from chanuq.measures import (_measure_sets, _u_from, abs_variance, channel_measures,
+                             mwy_skew_info, sym_abs_variance)
 from chanuq.objects import _stack_states
 
 import oracles
@@ -286,8 +286,8 @@ def _trial_relations(rho, phi, psi, k, l, a, b) -> dict[str, tuple[float, float]
     report of one state, then the operator-level relations of the (4, d, d) stack."""
     relations = bound_report(rho, phi, psi, check=False).relations()
     ops = np.stack([k, l, a, b])
-    v = _sym_abs_variance(rho, ops)
-    uk, ul, ua, ub = _u_from(v, _mwy_skew_info(rho, ops)).tolist()
+    v = sym_abs_variance(rho, ops)
+    uk, ul, ua, ub = _u_from(v, mwy_skew_info(rho, ops)).tolist()
     vk, vl, va, vb = v.tolist()
     comm, anti = _schrodinger_terms(rho, a, b)
     relations["heisenberg_bound"] = (va * vb, comm)

@@ -346,12 +346,21 @@ def test_nonneg_equals_scalar_form_bitwise():
         assert _bits(got.ravel()) == _bits([max(float(v), 0.0) for v in x.ravel().tolist()])
 
 
+def _u_scalar(v: float, i: float) -> float:
+    """|U| of one float pair by the scalar formula, clamped as the measures clamp it."""
+    return _nonneg(math.sqrt(max(v * v - measures._abs_sq(v - i), 0.0)), "|U|")
+
+
 def test_u_from_equals_scalar_form_bitwise():
     rng = np.random.default_rng(73)
     v = np.abs(_spread(rng, 20_000))
     for i in (np.abs(_spread(rng, 20_000)), v * rng.uniform(0.0, 2.0, v.shape), v, 0.0 * v):
         got = measures._u_from(v, i)
-        assert _bits(got) == _bits([measures._u_from(*vi) for vi in zip(v.tolist(), i.tolist())])
+        pairs = list(zip(v.tolist(), i.tolist()))
+        assert _bits(got) == _bits([math.sqrt(max(v * v - abs(v - i) ** 2, 0.0)) for v, i in pairs])
+        lone = [measures._u_from(*vi) for vi in pairs[::97]]  # a float pair: a Python float
+        assert {type(u) for u in lone} == {float}
+        assert _bits(lone) == _bits(got[::97])
 
 
 def test_half_sq_norm_equals_scalar_form_bitwise():
@@ -416,7 +425,7 @@ def test_array_kernels_raise_the_scalar_error(kernel):
             scalar, call = lambda v: measures._abs_sq(complex(v)), lambda: measures._abs_sq(array)
         else:
             v, i = np.array(entries).T
-            scalar, call = measures._u_from, lambda: measures._u_from(v, i)
+            scalar, call = _u_scalar, lambda: measures._u_from(v, i)
         with pytest.raises(NumericError) as raised:
             call()
         assert str(raised.value) == _first_scalar_error(scalar, entries)

@@ -13,8 +13,8 @@ from chanuq.errors import (CompletenessError, DimensionMismatchError,
                            NotHermitianError, NotPositiveError, NumericError,
                            SchemaError, TraceError, ValidationError)
 from chanuq.measures import channel_measures
-from chanuq.objects import (_make_channels, center_operator, channel_from_json,
-                            channel_to_json, make_channel, make_density,
+from chanuq.objects import (_make_channels, _operand, _stack_states, center_operator,
+                            channel_from_json, channel_to_json, make_channel, make_density,
                             state_from_json, state_to_json)
 
 import oracles
@@ -150,6 +150,16 @@ def test_stacked_completeness_check_keeps_each_block():
     for ops, channel in zip(blocks, channels, strict=True):
         assert channel.kraus_ops.tobytes() == make_channel(ops).kraus_ops.tobytes()
         assert not channel.kraus_ops.flags.writeable
+
+
+def test_operand_under_a_state_stack_is_the_operand_itself():
+    # the verify harness hands its own draws to the public measures under a state stack,
+    # which take them as they are: no copy, no coercion and no check
+    states = _stack_states([make_density(I2 / 2), make_density(ketbra(0, 0))])
+    for k in (np.stack([SX, SZ]), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(3), [[1, 2]]):
+        assert _operand(states, k) is k
+        assert _operand(states, k, stack=True) is k
+    assert _operand(make_density(I2 / 2), SX) is not SX  # a lone state's operand is a copy
 
 
 def test_center_operator_identity():
