@@ -347,7 +347,7 @@ def test_nonneg_equals_scalar_form_bitwise():
 
 
 def _u_scalar(v: float, i: float) -> float:
-    """|U| of one float pair by the scalar formula, clamped as the measures clamp it."""
+    """|U| of one float pair by the scalar formula: the oracle of ``_u_from``'s numpy form."""
     return _nonneg(math.sqrt(max(v * v - measures._abs_sq(v - i), 0.0)), "|U|")
 
 
@@ -357,7 +357,7 @@ def test_u_from_equals_scalar_form_bitwise():
     for i in (np.abs(_spread(rng, 20_000)), v * rng.uniform(0.0, 2.0, v.shape), v, 0.0 * v):
         got = measures._u_from(v, i)
         pairs = list(zip(v.tolist(), i.tolist()))
-        assert _bits(got) == _bits([math.sqrt(max(v * v - abs(v - i) ** 2, 0.0)) for v, i in pairs])
+        assert _bits(got) == _bits([_u_scalar(*vi) for vi in pairs])
         lone = [measures._u_from(*vi) for vi in pairs[::97]]  # a float pair: a Python float
         assert {type(u) for u in lone} == {float}
         assert _bits(lone) == _bits(got[::97])
