@@ -44,8 +44,7 @@ from .errors import BoundViolationError
 from .linalg import SLACK_TOL
 from .measures import (MeasureSet, _abs_sq, _measure_all, _nonneg, _side, _Terms,
                        channel_measures, operator_u)
-from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _expect, _operand, _pile,
-                      _States, _unpile)
+from .objects import DensityMatrix, KrausChannel, _aligned, _center, _expect, _operand, _States
 
 
 def _observable(rho: DensityMatrix, m) -> np.ndarray:
@@ -71,7 +70,7 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
 def _schrodinger_terms(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """:func:`_comm_term` and (1/4) |Tr(rho {a0, b0})|^2 of checked operands or stacks."""
     comm = _comm_term(rho, a, b)
-    a0, b0 = _unpile(rho, _center(_pile(rho, [a, b]), rho))
+    a0, b0 = _center(a, rho), _center(b, rho)
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
         anti = _expect(rho, linalg.anticommutator(a0, b0))
     return comm, _nonneg(0.25 * _abs_sq(anti), "anticommutator term")
@@ -113,14 +112,14 @@ def dou_bounds(rho: DensityMatrix, k, l) -> tuple[float, float, float]:
     """
     k = _operand(rho, k)
     l = _operand(rho, l)
-    k0, l0 = _unpile(rho, _center(_pile(rho, [k, l]), rho))
+    k0, l0 = _center(k, rho), _center(l, rho)
     # the raw pair's symmetrized and plain commutator and the centered pair's symmetrized
-    # anticommutator from one stacked bracket pass, then the three traces in one product
+    # anticommutator, then the trace of each
     with np.errstate(over="ignore", invalid="ignore"):  # _nonneg raises on what is read
-        anti, sym_comm, comm = (_unpile(rho, x) for x in
-                                linalg._sym_brackets(_pile(rho, [k, k0]), _pile(rho, [l, l0])))
-        brackets = _unpile(rho, _expect(rho, _pile(rho, [sym_comm[0], anti[1], comm[0]])))
-    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in brackets)
+        _, sym_comm, comm = linalg._sym_brackets(k, l)
+        sym_anti = linalg._sym_brackets(k0, l0)[0]
+        traces = [_expect(rho, t) for t in (sym_comm, sym_anti, comm)]
+    sym_comm, sym_anti, comm = (0.25 * _abs_sq(t) for t in traces)
     # both bracket terms are >= 0, so a finite sum means two finite terms
     return (_nonneg(comm, "commutator term"), _nonneg(sym_comm + sym_anti, "Dou bracket bound"),
             sym_comm)

@@ -48,7 +48,7 @@ from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
 from .measures import _u_from, mwy_skew_info, sym_abs_variance
-from .objects import DensityMatrix, KrausChannel, _stack_states, make_channel, make_density
+from .objects import DensityMatrix, KrausChannel, _make_channels, _stack_states, make_density
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -159,8 +159,8 @@ def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
         raise ValueError(f"kraus_count must be >= 1, got {kraus_count}")
     rng = _as_rng(seed)
     g = rng.complex_matrix(dim * kraus_count, dim)
-    isometry = _gram_schmidt(g)
-    return make_channel(isometry.reshape(kraus_count, dim, dim), tol=ISOMETRY_CPTP_TOL)
+    isometry = _gram_schmidt(g)  # finite and complex by construction: completeness alone
+    return _make_channels(isometry.reshape(1, kraus_count, dim, dim), ISOMETRY_CPTP_TOL)[0]
 
 
 @dataclass(frozen=True)

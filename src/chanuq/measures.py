@@ -31,7 +31,7 @@ from . import linalg
 from .errors import DimensionMismatchError, NumericError
 from .linalg import IDENTITY_RTOL, NEGATIVITY_FLOOR
 from .objects import (DensityMatrix, KrausChannel, _aligned, _center, _eye, _frozen, _operand,
-                      _pile, _same_dim, _States, _unpile)
+                      _same_dim, _States)
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,12 @@ def _abs_variance(rho: DensityMatrix, k: np.ndarray):
 
 
 def sym_abs_variance(rho: DensityMatrix, k):
-    """Average of the absolute variances of K and K^dag."""
+    """Average of the absolute variances of K and K^dag, from one pass over both, paired on
+    an axis after a state stack's trial axis; a lone K's pair is read back as floats."""
     k = _operand(rho, k, stack=True)
-    v, v_dag = _unpile(rho, _abs_variance(rho, _pile(rho, [k, linalg.dagger(k)])))  # one pass
+    axis = int(isinstance(rho, _States))
+    v = _abs_variance(rho, np.array([k, linalg.dagger(k)]).swapaxes(0, axis))
+    v, v_dag = v.tolist() if v.ndim == 1 else v.swapaxes(0, axis)
     return 0.5 * (v + v_dag)
 
 
@@ -220,12 +223,12 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> MeasureSet:
     leading axes a state stack's trial axis, if any, and then any grid axes, each field
     an array over them with each channel's bits alone: one ``sym_abs_variance`` call on
     the stack flattened to ``(..., G N, d, d)``, one ``_sqrt_brackets`` of its centered
-    form and one ``_half_sq_norm`` of both brackets (all per matrix, each clamped under its
+    form and one ``_half_sq_norm`` of each bracket (all per matrix, each clamped under its
     own name), then on arrays over the channels the sums in Kraus order, ``u_abs`` and the
     two identity checks, whose first failure raises as in a loop over the channels."""
     flat = x.reshape(*x.shape[:-4], -1, *x.shape[-2:])
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
-    i_op, j_op = _half_sq_norm(np.array(_sqrt_brackets(rho, _center(flat, rho))))
+    i_op, j_op = map(_half_sq_norm, _sqrt_brackets(rho, _center(flat, rho)))
     per_op = v_sym, _nonneg(i_op, "skew information"), _nonneg(j_op, "anticommutator information")
     # per channel, its operators' values added one Kraus position at a time, as Python
     # floats add them (Python 3.12's sum compensates, ndarray.sum pairs)

@@ -7,9 +7,10 @@ so downstream code can assume validity and does not check them again.
 ``make_channel`` runs the same check once on the ``(N, d, d)`` stack it
 stores, then checks completeness as the one-channel case of
 ``_make_channels``, which validates a ``(G, N, d, d)`` stack of channels
-in one product and sum. The tolerances are those of the table in
-:mod:`chanuq.linalg`, chosen for double precision, so file-loaded inputs
-work without exact arithmetic.
+in one product and sum, and alone checks the library's own arrays: the
+example channels and ``random_channel``'s isometry. The tolerances are
+those of the table in :mod:`chanuq.linalg`, chosen for double precision,
+so file-loaded inputs work without exact arithmetic.
 
 The JSON layout (consumed by the CLI) encodes a complex number as a
 two-element array ``[re, im]`` of finite JSON numbers (not booleans):
@@ -111,16 +112,16 @@ def make_density(m) -> DensityMatrix:
                              sqrt_matrix=_frozen(linalg._sqrt_from_spectrum(m, spectrum)))
 
 
-def make_channel(ops, tol: float = CPTP_TOL) -> KrausChannel:
+def make_channel(ops) -> KrausChannel:
     """Validate a list of Kraus operators as a CPTP channel, stored as one read-only stack.
 
-    Completeness is checked as ``||sum E_i^dag E_i - I||_F <= tol``, by the one-channel
+    Completeness is checked as ``||sum E_i^dag E_i - I||_F <= CPTP_TOL``, by the one-channel
     case of :func:`_make_channels`.
     """
     if len(ops) == 0:
         raise ValidationError("nonempty Kraus list", 0.0,
                               "a channel needs at least one Kraus operator")
-    return _make_channels(linalg._as_square(ops, (3,))[None], tol)[0]
+    return _make_channels(linalg._as_square(ops, (3,))[None])[0]
 
 
 def _make_channels(stack: np.ndarray, tol: float = CPTP_TOL) -> list[KrausChannel]:
@@ -182,20 +183,6 @@ def _aligned(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     whose leading axis is that trial axis. Products of the two give each matrix the bits
     of its own product with its own state."""
     return m if m.ndim == 2 else m.reshape(len(m), *(1,) * (x.ndim - 3), *m.shape[1:])
-
-
-def _pile(rho, arrays) -> np.ndarray:
-    """``np.array(arrays)``, its new axis moved after a state stack's trial axis."""
-    a = np.array(arrays)
-    return a.swapaxes(0, 1) if isinstance(rho, _States) else a
-
-
-def _unpile(rho, x):
-    """The parts of a :func:`_pile`'d result along its piled axis: Python numbers where
-    they are single values of one state (``tolist``), else arrays."""
-    if x.ndim == 1:
-        return x.tolist()
-    return x.swapaxes(0, 1) if isinstance(rho, _States) else x
 
 
 @functools.lru_cache(maxsize=64)

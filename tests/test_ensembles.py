@@ -15,7 +15,7 @@ from chanuq.bounds import (_schrodinger_terms, bound_report, dou_bounds, heisenb
 from chanuq.ensembles import (_CHUNK_ENTRIES, BOUND_NAMES, EnsembleConfig, SplitMix64,
                               _chunk_relations, _gram_schmidt, _normals, random_channel,
                               random_density, random_operator, verify_suite)
-from chanuq.errors import NumericError
+from chanuq.errors import CompletenessError, NumericError
 from chanuq.measures import (_measure_sets, _u_from, abs_variance, channel_measures,
                              mwy_skew_info, sym_abs_variance)
 from chanuq.objects import _stack_states
@@ -164,6 +164,16 @@ def test_random_channel_completeness_sweep():
         ch = random_channel(dim, count, seed)
         total = sum(op.conj().T @ op for op in ch.kraus_ops)
         assert np.linalg.norm(total - np.eye(dim)) <= 1e-10
+
+
+def test_random_channel_keeps_the_isometry_tolerance(monkeypatch):
+    # an isometry scaled by 1 + 3e-10 leaves a completeness residual of 2 * 3e-10 * sqrt(3),
+    # about 1.04e-9: CPTP_TOL (1e-8) would take it, ISOMETRY_CPTP_TOL (1e-10) must not
+    monkeypatch.setattr(chanuq.ensembles, "_gram_schmidt",
+                        lambda a, gram_schmidt=_gram_schmidt: gram_schmidt(a) * (1 + 3e-10))
+    with pytest.raises(CompletenessError) as info:
+        random_channel(3, 2, 5)
+    assert linalg.CPTP_TOL > info.value.residual > linalg.ISOMETRY_CPTP_TOL
 
 
 def test_random_channel_deterministic():

@@ -15,7 +15,7 @@ from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.examples import _channel_family, channel_E, channel_F, rho_theta_state, werner_state
 from chanuq.measures import (MeasureSet, _nonneg, _Terms, abs_variance, channel_measures,
                              mwy_anti_info, mwy_skew_info, operator_u, sym_abs_variance)
-from chanuq.objects import center_operator, make_channel, make_density
+from chanuq.objects import _stack_states, center_operator, make_channel, make_density
 
 import oracles
 from oracles import I2, SX, SZ, ketbra
@@ -478,6 +478,21 @@ def test_stacked_measures_equal_their_single_operator_values(name):
         values = measure(rho, stack)
         assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
         assert _bits(values) == _bits(singles)
+
+
+def test_sym_abs_variance_of_the_adjoint_is_equal_bitwise():
+    # one pass pairs each K with its K^dag, so K^dag gives the same pair, swapped: the same
+    # bits for a lone operand, an (N, d, d) stack and a (T, M, d, d) stack under a stack of
+    # T = 2 states, where each trial's pair must face that trial's state
+    rng = np.random.default_rng(31)
+    for dim in range(2, 9):
+        for rank in (1, dim):
+            rhos = [make_density(oracles.rand_rho(rng, dim, rank)) for _ in range(2)]
+            ops = np.array([[oracles.rand_op(rng, dim) for _ in range(3)] for _ in range(2)])
+            for rho, k in ((rhos[0], ops[0, 0]), (rhos[1], ops[0]), (_stack_states(rhos), ops)):
+                values = sym_abs_variance(rho, k)
+                assert np.shape(values) == k.shape[:-2]
+                assert _bits(values) == _bits(sym_abs_variance(rho, linalg.dagger(k)))
 
 
 def _per_operator_loop(rho, phi) -> MeasureSet:

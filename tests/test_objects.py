@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chanuq import ensembles
+from chanuq import ensembles, linalg
 from chanuq.errors import (CompletenessError, DimensionMismatchError,
                            NotHermitianError, NotPositiveError, NumericError,
                            SchemaError, TraceError, ValidationError)
@@ -47,6 +47,16 @@ def test_make_density_rejects_non_hermitian():
     m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NotHermitianError):
         make_density(m)
+
+
+def test_make_density_hermiticity_check_fires_before_the_spectral_one():
+    # ||m - m^dag||_F = 1.5e-10 * sqrt(2) is above the absolute DENSITY_TOL, but within the
+    # spectral check's relative HERMITICITY_TOL * ||m||_F = 1e-10 * sqrt(5)
+    m = np.array([[2, 0], [1.5e-10, -1]], dtype=complex)
+    with pytest.raises(NotHermitianError) as info:
+        make_density(m)
+    assert info.value.residual == pytest.approx(1.5e-10 * np.sqrt(2), rel=1e-12)
+    assert linalg.hermitian_eig(m).eigenvalues.tolist() == pytest.approx([-1.0, 2.0])
 
 
 def test_make_density_rejects_indefinite():
