@@ -31,7 +31,8 @@ their SIMD kernels per CPU.
 ``verify`` evaluates the trial seeds of such a group in chunks: the drawn states
 stacked on a trial axis (``objects._States``), one zipped ``bound_report`` per config
 over the chunk's Kraus stacks, and one pass of the operator-level relations over all
-the chunk's operators. Each value keeps the bits of its trial evaluated alone, which
+the chunk's operators, into one array of (lhs, bound) per name, trial and config
+(``_chunk_relations``). Each value keeps the bits of its trial evaluated alone, which
 ``tests/test_ensembles.py`` checks against that evaluation, kept there as the oracle.
 """
 
@@ -139,7 +140,7 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
 
 def _gram_schmidt(a: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of ``a`` (modified Gram-Schmidt, two passes)."""
-    q = a.astype(complex).copy()
+    q = a.astype(complex)  # a copy: the caller's block of normals stays intact
     rows, cols = q.shape
     for j in range(cols):
         v = q[:, j].copy()
@@ -212,17 +213,18 @@ class VerificationReport:
         }
 
 
-def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]
-                     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """``{name: (lhs, bound)}`` for every name in ``BOUND_NAMES``, each a ``(T, C)`` array
-    over a chunk of T trials of C configs: ``rhos[t]`` is trial t's state and
+def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]) -> np.ndarray:
+    """The ``(len(BOUND_NAMES), 2, T, C)`` array of (lhs, bound), names in ``BOUND_NAMES``
+    order, over a chunk of T trials of C configs: ``rhos[t]`` is trial t's state and
     ``trials[t][j]`` config j's ``(phi, psi, k, l, a, b)`` under it. Each entry has the
     bits of that trial alone, from one zipped report per config over the stacked states
     and one pass of the operator-level relations over all ``(T, 4 C, d, d)`` operators."""
     states = _stack_states(rhos)
     reports = [bound_report(states, *zip(*(row[j][:2] for row in trials)), check=False)
                .relations() for j in range(len(trials[0]))]
-    relations = {name: np.stack([r[name] for r in reports], axis=-1) for name in reports[0]}
+    # the report's six channel bounds lead BOUND_NAMES: (C, 6, 2, T) to (6, 2, T, C)
+    channel_level = np.moveaxis(np.array([[r[name] for name in BOUND_NAMES[:6]]
+                                          for r in reports]), 0, -1)
 
     # a, b are exactly Hermitian (random_operator), so sym_abs_variance is abs_variance to the
     # bit and the Schrodinger terms give the bits of heisenberg_bound, schrodinger_bound and
@@ -235,26 +237,16 @@ def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]
                                           for x in (v, u))
     k, l, a, b = np.moveaxis(quads, 2, 0)
     comm, anti = _schrodinger_terms(states, a, b)
-    relations["heisenberg_bound"] = (va * vb, comm)
-    relations["schrodinger_bound"] = (va * vb, comm + anti)
-    relations["luo_bound"] = (ua * ub, comm)
-
-    comm, brackets, u_comm = dou_bounds(states, k, l)
-    relations["dou_comm"] = (vk * vl, comm)
-    relations["dou_brackets"] = (vk * vl, brackets)
-    relations["dou_u"] = (uk * ul, u_comm)
-    return relations
-
-
-def _relation_array(relations: dict) -> np.ndarray:
-    """A chunk's relations as one ``(len(BOUND_NAMES), 2, T, C)`` array of (lhs, bound)."""
-    return np.array([relations[name] for name in BOUND_NAMES])
+    dou_comm, brackets, u_comm = dou_bounds(states, k, l)
+    return np.concatenate([channel_level, [  # the operator-level rows, in BOUND_NAMES order
+        (va * vb, comm), (va * vb, comm + anti), (ua * ub, comm),
+        (vk * vl, dou_comm), (vk * vl, brackets), (uk * ul, u_comm)]])
 
 
 def _replayed(trial_seed: int, rho: DensityMatrix, item: tuple) -> np.ndarray:
     """One (trial seed, config) as a chunk of one, a ``NumericError`` naming the seed."""
     try:
-        return _relation_array(_chunk_relations([rho], [[item]]))
+        return _chunk_relations([rho], [[item]])
     except NumericError as exc:
         raise NumericError(f"trial seed {trial_seed}: {exc}") from exc
 
@@ -309,7 +301,7 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
                                       *(random_operator(dim, rng, hermitian=h)
                                         for h in (False, False, True, True))))
             try:
-                lhs, bound = _relation_array(_chunk_relations(rhos, items)).swapaxes(0, 1)
+                lhs, bound = _chunk_relations(rhos, items).swapaxes(0, 1)
             except NumericError:  # a chunk of one per (trial seed, config), to name the seed
                 lhs, bound = np.block([[_replayed(*trial[:2], item) for item in trial[2]]
                                        for trial in zip(seeds, rhos, items)]).swapaxes(0, 1)

@@ -8,10 +8,11 @@ measure takes one operator or an ``(N, d, d)`` stack. A channel's measures are
 ``sym_abs_variance`` of its Kraus stack and the skew pair of the centered stack,
 summed in Kraus order; ``u_abs`` interpolates between total and quantum uncertainty
 and obeys ``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them
-for a ``(..., G, N, d, d)`` stack of channels at once, each with the bits of that channel
-alone. One record, ``_Terms``, built by ``_side`` for each side of each call and kept
-nowhere, holds a side's per-channel terms: its measures, which ``_measure_all`` alone
-fills, and the traces, brackets and sums the bounds read, all over the leading axes of
+for a ``(..., G, N, d, d)`` stack of channels at once, as one ``(5, ..., G)`` array in
+:class:`MeasureSet` field order, each channel with its bits alone. One record,
+``_Terms``, built by ``_side`` for each side of each call and kept nowhere, holds a
+side's per-channel terms: its measures, which ``_measure_all`` alone fills from that
+array, and the traces, brackets and sums the bounds read, all over the leading axes of
 a family's stacked Kraus arrays, or of a zip's under a stack of states
 (``objects._States``), which every kernel reading the state aligns to its operand's
 leading axes (``objects._aligned``).
@@ -218,14 +219,15 @@ def _side(rho: DensityMatrix, channels, grid_axis: int | None = None) -> _Terms:
     return _Terms(rho, x if grid_axis is None else np.expand_dims(x, 1 - grid_axis))
 
 
-def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> MeasureSet:
-    """The :class:`MeasureSet` of a checked ``(..., G, N, d, d)`` stack of channels, its
-    leading axes a state stack's trial axis, if any, and then any grid axes, each field
-    an array over them with each channel's bits alone: one ``sym_abs_variance`` call on
-    the stack flattened to ``(..., G N, d, d)``, one ``_sqrt_brackets`` of its centered
-    form and one ``_half_sq_norm`` of each bracket (all per matrix, each clamped under its
-    own name), then on arrays over the channels the sums in Kraus order, ``u_abs`` and the
-    two identity checks, whose first failure raises as in a loop over the channels."""
+def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
+    """The measures of a checked ``(..., G, N, d, d)`` stack of channels, its leading axes
+    a state stack's trial axis, if any, and then any grid axes: one ``(5, ..., G)`` array,
+    its rows the :class:`MeasureSet` fields in order, with each channel's bits alone: one
+    ``sym_abs_variance`` call on the stack flattened to ``(..., G N, d, d)``, one
+    ``_sqrt_brackets`` of its centered form and one ``_half_sq_norm`` of each bracket (all
+    per matrix, each clamped under its own name), then on arrays over the channels the sums
+    in Kraus order, ``u_abs`` and the two identity checks, whose first failure raises as in
+    a loop over the channels."""
     flat = x.reshape(*x.shape[:-4], -1, *x.shape[-2:])
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
     i_op, j_op = map(_half_sq_norm, _sqrt_brackets(rho, _center(flat, rho)))
@@ -246,7 +248,7 @@ def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> MeasureSet:
                 if not _close(i_plus_j, v2):
                     raise NumericError(
                         f"i_tilde + j_tilde = {i_plus_j!r} disagrees with 2*v_sym = {v2!r}")
-    return MeasureSet(v_sym, i_tilde, j_tilde, c_abs, u_abs)
+    return np.array([v_sym, i_tilde, j_tilde, c_abs, u_abs])
 
 
 def _measure_all(records: list[_Terms]) -> None:
@@ -259,8 +261,7 @@ def _measure_all(records: list[_Terms]) -> None:
     for n in dict.fromkeys(t.x.shape[-3] for t in records):
         group = [t for t in records if t.x.shape[-3] == n]
         stacks = [t.x.reshape(*t.x.shape[:trial], -1, *t.x.shape[-3:]) for t in group]
-        m = _measure_sets(group[0].rho, np.concatenate(stacks, axis=trial))
-        fields = _frozen(np.array(list(vars(m).values())))  # (5, ..., channels)
+        fields = _frozen(_measure_sets(group[0].rho, np.concatenate(stacks, axis=trial)))
         ends = [0, *accumulate(s.shape[trial] for s in stacks)]
         for t, start, stop in zip(group, ends, ends[1:]):
             part = fields[..., start:stop].reshape(len(fields), *t.x.shape[:-3])

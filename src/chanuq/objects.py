@@ -129,7 +129,7 @@ def _make_channels(stack: np.ndarray, tol: float = CPTP_TOL) -> list[KrausChanne
     one product and sum for all: the first incomplete block raises its ``CompletenessError``.
     The channels keep read-only views of the stack, which is frozen."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in make_density
-        totals = (linalg.dagger(stack) @ stack).sum(axis=1) - np.eye(stack.shape[-1])
+        totals = (linalg.dagger(stack) @ stack).sum(axis=1) - _eye(stack.shape[-1])
         for total in totals:
             residual = linalg.frob_norm(total)
             if not residual <= tol:  # NaN-safe: an overflowing sum must fail too

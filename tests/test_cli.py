@@ -366,10 +366,10 @@ def test_verify_numeric_error_names_the_trial_seed_and_exits_5(runner, monkeypat
     assert result.stdout == ""
 
 
-def _zero_relations(trials) -> dict:
-    """A chunk hook's result for a chunk of trials: every (lhs, bound) 0.0."""
-    zeros = np.zeros((len(trials), len(trials[0])))
-    return {name: (zeros, zeros) for name in chanuq.ensembles.BOUND_NAMES}
+def _zero_relations(trials) -> np.ndarray:
+    """A chunk hook's result for a chunk of trials: every (lhs, bound) 0.0, in the
+    (len(BOUND_NAMES), 2, T, C) array a chunk gives."""
+    return np.zeros((len(chanuq.ensembles.BOUND_NAMES), 2, len(trials), len(trials[0])))
 
 
 def test_verify_numeric_error_names_the_earliest_trial_seed_of_its_group(runner, monkeypatch):

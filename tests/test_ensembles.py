@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -311,9 +310,12 @@ def _trial_relations(rho, phi, psi, k, l, a, b) -> dict[str, tuple[float, float]
 
 
 def _zero_relations(rhos, trials, values=None):
-    """A chunk hook's result: (lhs, bound) arrays of shape (T, C), lhs ``values`` or 0.0."""
-    lhs = np.zeros((len(trials), len(trials[0]))) if values is None else np.array(values)
-    return {name: (lhs, np.zeros(lhs.shape)) for name in BOUND_NAMES}
+    """A chunk hook's result: the (len(BOUND_NAMES), 2, T, C) array of (lhs, bound), every
+    bound 0.0 and every name's lhs the (T, C) ``values``, or 0.0."""
+    relations = np.zeros((len(BOUND_NAMES), 2, len(trials), len(trials[0])))
+    if values is not None:
+        relations[:, 0] = values
+    return relations
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -327,15 +329,14 @@ def test_harness_relations_match_public_functions_bitwise(dim):
     relations = _chunk_relations(rhos, trials)
     for j in range(len(kraus_counts)):  # the zipped report's pass over both sides
         x = np.array([[row[j][0].kraus_ops, row[j][1].kraus_ops] for row in trials])
-        zipped = _measure_sets(_stack_states(rhos), x)  # fields (T, 2)
+        zipped = _measure_sets(_stack_states(rhos), x)  # (5, T, 2)
         for (t, rho), side in itertools.product(enumerate(rhos), range(2)):
-            lone = _measure_sets(rho, x[t, side][None])  # fields (1,)
-            assert _bits([field[t, side] for field in astuple(zipped)]) == _bits(
-                [field[0] for field in astuple(lone)])
+            lone = _measure_sets(rho, x[t, side][None])  # (5, 1)
+            assert _bits(zipped[:, t, side]) == _bits(lone[:, 0])
     for (t, rho), j in itertools.product(enumerate(rhos), range(len(kraus_counts))):
         phi, psi, k, l, a, b = trials[t][j]
         got = {name: (float(lhs[t, j]), float(bound[t, j]))
-               for name, (lhs, bound) in relations.items()}
+               for name, (lhs, bound) in zip(BOUND_NAMES, relations, strict=True)}
         for x in (a, b):
             assert abs_variance(rho, x) == sym_abs_variance(rho, x)
         m_phi, m_psi = (channel_measures(rho, channel) for channel in (phi, psi))
@@ -349,6 +350,23 @@ def test_harness_relations_match_public_functions_bitwise(dim):
         assert got["dou_comm"][1] == comm
         assert got["dou_brackets"][1] == brackets
         assert got["dou_u"][1] == u_comm
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_chunk_relations_array_rows_are_the_zipped_reports_relations(dim):
+    # a chunk gives one (len(BOUND_NAMES), 2, T, C) array, its rows in BOUND_NAMES order:
+    # each config's rows of the six channel bounds are its zipped report's relations
+    kraus_counts = (1, 3)
+    rhos, trials = _harness_chunk(dim, kraus_counts, range(7, 10))
+    relations = _chunk_relations(rhos, trials)
+    assert isinstance(relations, np.ndarray)
+    assert relations.shape == (len(BOUND_NAMES), 2, len(rhos), len(kraus_counts))
+    for j in range(len(kraus_counts)):
+        phis, psis = zip(*(row[j][:2] for row in trials))
+        report = bound_report(_stack_states(rhos), phis, psis, check=False).relations()
+        assert set(report) == set(BOUND_NAMES[:6])
+        for row, name in enumerate(BOUND_NAMES[:6]):
+            assert _bits(relations[row, ..., j]) == _bits(report[name]), (name, j)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -374,11 +392,10 @@ def test_chunk_relations_equal_the_per_trial_oracle_bitwise(dim, rank):
     rhos, trials = _harness_chunk(dim, range(1, 6), range(100 * dim + rank, 101 * dim + rank),
                                   rank)
     relations = _chunk_relations(rhos, trials)
-    assert all(np.shape(x) == (dim, 5) for pair in relations.values() for x in pair)
+    assert relations.shape == (len(BOUND_NAMES), 2, dim, 5)
     for t, j in itertools.product(range(dim), range(5)):
         want = _trial_relations(rhos[t], *trials[t][j])
-        got = [(relations[name][0][t, j], relations[name][1][t, j]) for name in BOUND_NAMES]
-        assert _bits(got) == _bits([want[name] for name in BOUND_NAMES]), (t, j)
+        assert _bits(relations[..., t, j]) == _bits([want[name] for name in BOUND_NAMES]), (t, j)
 
 
 @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2, 2 ** 70 + 1])

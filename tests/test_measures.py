@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -560,6 +560,26 @@ def test_stacked_measure_sets_equal_lone_ones():
             cells = [(g, 0) if axis == 0 else (0, g) for g in range(len(family))]
             assert [_bits([f[cell] for f in astuple(record.measures)]) for cell in cells] == lone, (
                 draw, axis)
+
+
+def test_measure_sets_array_rows_are_the_measure_set_fields():
+    # one (5, ..., G) array, its rows the MeasureSet fields in order, over a lone state's
+    # channels and over a state stack's (T, G) zipped channels; each column is
+    # channel_measures of its channel alone, bit for bit
+    gen = SplitMix64(3232)
+    for dim, n in ((2, 1), (3, 4), (5, 2)):
+        rhos = [random_density(dim, 1 + t, gen) for t in range(2)]
+        family = [[random_channel(dim, n, gen) for _ in range(3)] for _ in rhos]
+        x = np.array([[c.kraus_ops for c in row] for row in family])  # (T, G, N, d, d)
+        for rho, stack, cells in ((rhos[0], x[0], [((g,), 0, g) for g in range(3)]),
+                                  (_stack_states(rhos), x, [((t, g), t, g) for t in range(2)
+                                                            for g in range(3)])):
+            values = measures._measure_sets(rho, stack)
+            assert isinstance(values, np.ndarray)
+            assert values.shape == (len(fields(MeasureSet)), *stack.shape[:-3])
+            for cell, t, g in cells:
+                want = channel_measures(rhos[t], family[t][g])
+                assert _bits(values[(slice(None), *cell)]) == _bits(astuple(want)), (dim, cell)
 
 
 @pytest.mark.parametrize("bad, error", [
