@@ -212,7 +212,7 @@ def _side(rho: DensityMatrix, channels, grid_axis: int | None = None) -> _Terms:
         _same_dim(rho, channel.dim, "channel")
     if len({channel.kraus_ops.shape for channel in family}) != 1:
         raise DimensionMismatchError("a family needs channels, all of one Kraus count")
-    if grid_axis is None and not isinstance(rho, _States):
+    if grid_axis is None and not isinstance(rho, _States) and isinstance(channels, KrausChannel):
         return _Terms(rho, channels.kraus_ops)
     # np.array, not np.stack: np.stack grows CPython's tuple free lists
     x = _frozen(np.array([channel.kraus_ops for channel in family]))

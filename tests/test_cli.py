@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import chanuq.cli
 import chanuq.ensembles
 import chanuq.errors
 from chanuq.bounds import bound_report
-from chanuq.cli import SWEEP_COLUMNS, cli
+from chanuq.cli import ERROR_EXITS, SWEEP_COLUMNS, cli
 from chanuq.ensembles import SplitMix64, random_channel, random_density
 from chanuq.examples import (CLOSED_FORM_THETA, channel_E, channel_F, closed_forms,
                              example_state, werner_state)
@@ -240,14 +243,9 @@ def test_compute_input_mutations_map_to_documented_exit_codes(runner, tmp_path):
     for case in range(300):
         docs = json.loads(valid[case % len(valid)])
         _mutate(docs, valid, rng)
-        args = ["compute"]
-        for name, doc in docs.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            args += [f"--{name}", str(path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(cli, args)
+            result = runner.invoke(cli, ["compute", *_json_args(tmp_path, docs)])
         if (result.exit_code not in (0, 2, 3, 4)
                 or not isinstance(result.exception, (SystemExit, type(None)))):
             faults.append((case, result.exit_code, repr(result.exception), result.stderr))
@@ -497,57 +495,34 @@ def test_verify_self_test_exits_5(runner):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# verify over four (dim, kraus) configs: RNG streams, slack digits, violation order and the
+# aggregation across configs; at the largest shape, over trial seeds that wrap past 2^64
+# to 0; and at d = 5 and 8, where a trace sums 8 diagonal entries through numpy's pairwise
+# summation
 VERIFY_GOLDEN_ARGS = ["verify", "--dim", "2", "--dim", "3", "--kraus", "1", "--kraus", "3",
                       "--trials", "4", "--seed", "11"]
-
-
 VERIFY_WRAP_ARGS = ["verify", "--dim", "8", "--kraus", "5", "--trials", "3",
                     "--seed", str(2 ** 64 - 2)]
 VERIFY_LARGE_ARGS = ["verify", "--dim", "5", "--dim", "8", "--kraus", "2", "--kraus", "5",
                      "--trials", "6", "--seed", "13"]
-
-
-@pytest.mark.parametrize("args, code, golden", [
-    (VERIFY_GOLDEN_ARGS, 0, "verify_small.txt"),
-    (VERIFY_GOLDEN_ARGS + ["--self-test"], 5, "verify_small_self_test.txt"),
-    (VERIFY_WRAP_ARGS, 0, "verify_wrap.txt"),
-    (VERIFY_LARGE_ARGS, 0, "verify_d5_d8.txt"),
-], ids=["clean", "self-test", "wrap", "d5-d8"])
-def test_verify_stdout_matches_golden(runner, args, code, golden):
-    # byte-for-byte over four (dim, kraus) configs: RNG streams, slack digits,
-    # violation order and the aggregation across configs; at the largest
-    # shape, over trial seeds that wrap past 2^64 to 0; and at d = 5 and 8,
-    # where a trace sums 8 diagonal entries through numpy's pairwise summation
-    result = runner.invoke(cli, args)
-    assert result.exit_code == code
-    stdout = re.sub(r'"elapsed_seconds": \S+', '"elapsed_seconds": 0', result.stdout)
-    assert stdout == (GOLDEN / golden).read_text(encoding="utf-8")
-
-
+# sweeps and examples at two canonical thetas (closed forms filled) and one that is not
 SWEEP_GOLDENS = {
     "sweep_werner_1.csv": ["--example", "werner", "--theta", "1"],
     "sweep_rho_theta_0.csv": ["--example", "rho_theta", "--theta", "0"],
     "sweep_werner_0.3.csv": ["--example", "werner", "--theta", "0.3"],
 }
+EXAMPLE_GOLDENS = {
+    "example_werner_1_basis0.json": ["--example", "werner", "--theta", "1",
+                                     "--p", "0.25", "--q", "0.6"],
+    "example_rho_theta_0_basis2.json": ["--example", "rho_theta", "--theta", "0",
+                                        "--p", "1", "--q", "1", "--basis-index", "2"],
+    "example_werner_0.3.json": ["--example", "werner", "--theta", "0.3",
+                                "--p", "0.5", "--q", "0.95"],
+}
 
 
-@pytest.mark.parametrize("golden", sorted(SWEEP_GOLDENS))
-def test_sweep_csv_matches_golden(runner, tmp_path, golden):
-    # two canonical thetas (closed columns filled) and one that is not (empty)
-    out = tmp_path / golden
-    result = runner.invoke(cli, ["sweep", *SWEEP_GOLDENS[golden], "--grid-steps", "5",
-                                 "--out", str(out)])
-    assert result.exit_code == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
-
-
-def _triple_args(tmp_path, seed: int, dim: int, kraus: int) -> list:
-    """The ``compute`` options of a full-rank state and two channels drawn from
-    one SplitMix64 stream, written as JSON files."""
-    rng = SplitMix64(seed)
-    docs = {"state": state_to_json(random_density(dim, dim, rng)),
-            "channel-a": channel_to_json(random_channel(dim, kraus, rng)),
-            "channel-b": channel_to_json(random_channel(dim, kraus, rng))}
+def _json_args(tmp_path, docs: dict) -> list:
+    """The ``compute`` options naming ``docs``, each written as a JSON file."""
     args = []
     for option, doc in docs.items():
         path = tmp_path / f"{option}.json"
@@ -556,27 +531,79 @@ def _triple_args(tmp_path, seed: int, dim: int, kraus: int) -> list:
     return args
 
 
-@pytest.fixture
-def random_triple(tmp_path):
-    """A d=4 state and two k=3 channels, as ``compute`` options."""
-    return _triple_args(tmp_path, 2027, 4, 3)
+def _triple_args(tmp_path, seed: int, dim: int, kraus: int) -> list:
+    """The ``compute`` options of a full-rank state and two channels drawn from
+    one SplitMix64 stream, written as JSON files."""
+    rng = SplitMix64(seed)
+    return _json_args(tmp_path, {"state": state_to_json(random_density(dim, dim, rng)),
+                                 "channel-a": channel_to_json(random_channel(dim, kraus, rng)),
+                                 "channel-b": channel_to_json(random_channel(dim, kraus, rng))})
 
 
-@pytest.mark.parametrize("basis_index", [0, 3])
-def test_compute_stdout_matches_golden(runner, random_triple, basis_index):
-    result = runner.invoke(cli, ["compute", *random_triple,
-                                 "--basis-index", str(basis_index)])
-    assert result.exit_code == 0
-    golden = GOLDEN / f"compute_d4_k3_basis{basis_index}.json"
-    assert result.stdout == golden.read_text(encoding="utf-8")
+STATE_1 = {"dim": 1, "matrix": [[[1, 0]]]}
+IDENTITY_2 = channel_to_json(make_channel([np.eye(2)]))
+
+#: Each golden file, and an input for each of exit codes 1-4 named by its ERROR_EXITS label,
+#: with its exit code and chanuq arguments. In the arguments "{tmp}" is the test's temporary
+#: directory (a sweep writes {tmp}/out.csv), a (seed, dim, kraus) tuple stands for
+#: _triple_args' options (d = 16, k = 16 is the shape of the large benchmark workload), and
+#: a dict for _json_args' options of its documents.
+PROCESS_RUNS = {
+    "verify_small.txt": (0, VERIFY_GOLDEN_ARGS),
+    "verify_small_self_test.txt": (5, [*VERIFY_GOLDEN_ARGS, "--self-test"]),
+    "verify_wrap.txt": (0, VERIFY_WRAP_ARGS),
+    "verify_d5_d8.txt": (0, VERIFY_LARGE_ARGS),
+    **{golden: (0, ["sweep", *args, "--grid-steps", "5", "--out", "{tmp}/out.csv"])
+       for golden, args in SWEEP_GOLDENS.items()},
+    **{golden: (0, ["example", *args]) for golden, args in EXAMPLE_GOLDENS.items()},
+    "compute_d4_k3_basis0.json": (0, ["compute", (2027, 4, 3), "--basis-index", "0"]),
+    "compute_d4_k3_basis3.json": (0, ["compute", (2027, 4, 3), "--basis-index", "3"]),
+    "compute_d16_k16.json": (0, ["compute", (1616, 16, 16)]),
+    "io error": (1, ["sweep", "--example", "werner", "--theta", "1", "--grid-steps", "2",
+                     "--out", "{tmp}/missing/x.csv"]),
+    "parse error": (2, ["compute", {"state": [1, 2], "channel-a": IDENTITY_2,
+                                    "channel-b": IDENTITY_2}]),
+    "validation error": (3, ["compute", {"state": STATE_1,
+                                         "channel-a": {"dim": 1, "kraus": [[[[0.5, 0]]]]},
+                                         "channel-b": IDENTITY_2}]),
+    "dimension error": (4, ["compute", {"state": STATE_1, "channel-a": IDENTITY_2,
+                                        "channel-b": IDENTITY_2}]),
+}
 
 
-def test_compute_d16_k16_stdout_matches_golden(runner, tmp_path):
-    # the shape of the large benchmark workload: traces of 16 diagonal entries
-    # and sums over 16 Kraus operators
-    result = runner.invoke(cli, ["compute", *_triple_args(tmp_path, 1616, 16, 16)])
-    assert result.exit_code == 0
-    assert result.stdout == (GOLDEN / "compute_d16_k16.json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("case", list(PROCESS_RUNS))
+def test_cli_in_its_own_process(tmp_path, case):
+    # the documented module entry point in a process of its own, as a user runs it, so
+    # that its real exit status and every stderr line are seen: a golden run writes
+    # nothing to stderr and its bytes (a sweep's CSV, verify's with elapsed_seconds zeroed)
+    # are the golden's; an error exit writes one stderr line, led by its label, and no output
+    code, args = PROCESS_RUNS[case]
+    argv = []
+    for arg in args:
+        if isinstance(arg, tuple):
+            argv += _triple_args(tmp_path, *arg)
+        elif isinstance(arg, dict):
+            argv += _json_args(tmp_path, arg)
+        else:
+            argv.append(arg.replace("{tmp}", str(tmp_path)))
+    # the child imports the chanuq tree that this test imported
+    path = [str(Path(chanuq.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-m", "chanuq.cli", *argv],
+                            capture_output=True, env=env, timeout=300)
+    assert result.returncode == code, result.stderr
+    if case in {label for _, label, _ in ERROR_EXITS}:
+        assert result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith(f"{case}: ".encode()), result.stderr
+        return
+    assert result.stderr == b""
+    out = result.stdout
+    if args[0] == "sweep":
+        out = (tmp_path / "out.csv").read_bytes()
+    elif args[0] == "verify":
+        out = re.sub(rb'"elapsed_seconds": \S+', b'"elapsed_seconds": 0', out)
+    assert out == (GOLDEN / case).read_bytes()
 
 
 def test_example_incoherent_point(runner):
@@ -618,24 +645,6 @@ def test_example_rejects_out_of_range_parameter(runner, option, value):
     result = runner.invoke(cli, ["example", "--example", "werner",
                                  *(item for pair in args.items() for item in pair)])
     assert result.exit_code == 2
-
-
-EXAMPLE_GOLDENS = {
-    "example_werner_1_basis0.json": ["--example", "werner", "--theta", "1",
-                                     "--p", "0.25", "--q", "0.6"],
-    "example_rho_theta_0_basis2.json": ["--example", "rho_theta", "--theta", "0",
-                                        "--p", "1", "--q", "1", "--basis-index", "2"],
-    "example_werner_0.3.json": ["--example", "werner", "--theta", "0.3",
-                                "--p", "0.5", "--q", "0.95"],
-}
-
-
-@pytest.mark.parametrize("golden", sorted(EXAMPLE_GOLDENS))
-def test_example_stdout_matches_golden(runner, golden):
-    # two canonical thetas (closed and abs_diff filled) and one that is not (null)
-    result = runner.invoke(cli, ["example", *EXAMPLE_GOLDENS[golden]])
-    assert result.exit_code == 0
-    assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 SWEEP_CELLS = {"u_phi": ("u_phi",), "u_psi": ("u_psi",),

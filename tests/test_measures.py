@@ -582,6 +582,25 @@ def test_measure_sets_array_rows_are_the_measure_set_fields():
                 assert _bits(values[(slice(None), *cell)]) == _bits(astuple(want)), (dim, cell)
 
 
+@pytest.mark.parametrize("dim, n, count", [(3, 2, 4), (5, 3, 1), (16, 16, 2)])
+def test_channel_measures_of_a_family_equal_lone_calls(dim, n, count):
+    # a list or tuple of channels is a family: each field a (G,) array whose every entry
+    # has the bits of channel_measures on that channel alone
+    gen = SplitMix64(4343 + dim)
+    rho = random_density(dim, dim, gen)
+    family = [random_channel(dim, n, gen) for _ in range(count)]
+    lone = [_bits(astuple(channel_measures(rho, c))) for c in family]
+    for given in (family, tuple(family)):
+        values = astuple(channel_measures(rho, given))
+        assert all(np.shape(v) == (count,) for v in values), (dim, n, count)
+        assert [_bits([v[g] for v in values]) for g in range(count)] == lone, (dim, n, count)
+
+
+def test_channel_measures_of_an_empty_family_raise():
+    with pytest.raises(DimensionMismatchError):
+        channel_measures(werner_state(1.0), [])
+
+
 @pytest.mark.parametrize("bad, error", [
     ([[[1, 0], [0, 1]], [[1, 0]]], DimensionMismatchError),
     (np.ones(2), DimensionMismatchError),
