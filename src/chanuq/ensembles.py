@@ -119,6 +119,8 @@ def _as_rng(seed) -> SplitMix64 | _Block:
 
 def random_operator(dim: int, seed, hermitian: bool = False) -> np.ndarray:
     """Matrix of standard complex normals, optionally symmetrized to (M + M^dag)/2."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = _as_rng(seed)
     m = rng.complex_matrix(dim, dim)
     if hermitian:
@@ -156,6 +158,8 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
 
 def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
     """Slice a random isometry from dim to dim*kraus_count into Kraus blocks."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if kraus_count < 1:
         raise ValueError(f"kraus_count must be >= 1, got {kraus_count}")
     rng = _as_rng(seed)

@@ -100,9 +100,9 @@ def channel_F(q: float) -> KrausChannel:
 
 
 def _channel_family(name: str, grid) -> list[KrausChannel]:
-    """``channel_E`` (``name`` "E") or ``channel_F`` ("F") at each point of ``grid``,
-    written into one ``(G, 2, 4, 4)`` stack and validated by one stacked check."""
-    x = np.array([_check_unit("p" if name == "E" else "q", v) for v in grid], dtype=float)
+    """``channel_E`` (``name`` "E") or ``channel_F`` ("F") at each point of ``grid``, checked
+    in one pass, written into one ``(G, 2, 4, 4)`` stack and validated by one stacked check."""
+    x = np.array(_check_unit("p" if name == "E" else "q", grid), dtype=float)
     r, s = np.sqrt(1.0 - x)[:, None], np.sqrt(x)[:, None]
     ops = np.zeros((len(x), 2, 4, 4), dtype=complex)
     if name == "E":  # E1 = diag(1, r, 1, r), E2 = diag(0, s, 0, s)

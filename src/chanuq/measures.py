@@ -97,13 +97,9 @@ def _abs_variance(rho: DensityMatrix, k: np.ndarray):
 
 
 def sym_abs_variance(rho: DensityMatrix, k):
-    """Average of the absolute variances of K and K^dag, from one pass over both, paired on
-    an axis after a state stack's trial axis; a lone K's pair is read back as floats."""
+    """Average of the absolute variances of K and K^dag: one pass over K, one over K^dag."""
     k = _operand(rho, k, stack=True)
-    axis = int(isinstance(rho, _States))
-    v = _abs_variance(rho, np.array([k, linalg.dagger(k)]).swapaxes(0, axis))
-    v, v_dag = v.tolist() if v.ndim == 1 else v.swapaxes(0, axis)
-    return 0.5 * (v + v_dag)
+    return 0.5 * (_abs_variance(rho, k) + _abs_variance(rho, linalg.dagger(k)))
 
 
 def _half_sq_norm(x: np.ndarray):
@@ -154,16 +150,16 @@ def _close(a, b):
 
 
 def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
-    """Aggregate the uncertainty quantities of a channel's Kraus operators.
+    """Aggregate the uncertainty quantities of a channel's Kraus operators, or of each
+    channel of a family (a list or tuple of one Kraus count) as ``(G,)`` arrays.
 
-    ``i_tilde`` and ``j_tilde`` sum the skew informations of the centered
-    operators (centering leaves the commutator part unchanged but matters
-    for the anticommutator part); ``u_abs`` is derived from ``v_sym`` and
-    ``c_abs`` with clamping, and the internal identities
-    ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are
-    asserted. A channel is checked and measured afresh on every call; a record
-    (``bound_report``'s) is measured once, and its fields are arrays over its
-    leading axes.
+    ``i_tilde`` and ``j_tilde`` sum the skew informations of the centered operators
+    (centering leaves the commutator part unchanged but matters for the anticommutator
+    part); ``u_abs`` is derived from ``v_sym`` and ``c_abs`` with clamping, and the internal
+    identities ``u^2 = i_tilde * j_tilde`` and ``i_tilde + j_tilde = 2 v_sym`` are asserted.
+    A channel is checked and measured afresh on every call, each of a family with its lone
+    call's bits; a record (``bound_report``'s) is measured once, and its fields are arrays
+    over its leading axes.
     """
     terms = phi if isinstance(phi, _Terms) else _side(rho, phi)
     if terms.measures is None:
@@ -204,9 +200,9 @@ class _Terms:
 def _side(rho: DensityMatrix, channels, grid_axis: int | None = None) -> _Terms:
     """One report side's record, after checking each channel's dimension, then the side's
     one Kraus count (an empty family has none): a lone channel's ``(N, d, d)`` stack as it
-    is; with ``grid_axis`` a family's, a lone channel being a family of one, stacked to
-    ``(G, 1, N, d, d)`` on axis 0 or ``(1, G, N, d, d)`` on axis 1; under a state stack a
-    zip's ``(T, N, d, d)``. A family is read once, so a single-pass iterable is one."""
+    is; a family's ``(G, N, d, d)`` under a lone state (``channel_measures(rho, family)``),
+    a zip's ``(T, N, d, d)`` under a state stack, and with ``grid_axis`` a family of one or
+    more as ``(G, 1, N, d, d)`` on axis 0 or ``(1, G, N, d, d)`` on axis 1, each read once."""
     family = [channels] if isinstance(channels, KrausChannel) else list(channels)
     for channel in family:
         _same_dim(rho, channel.dim, "channel")

@@ -7,10 +7,11 @@ so downstream code can assume validity and does not check them again.
 ``make_channel`` runs the same check once on the ``(N, d, d)`` stack it
 stores, then checks completeness as the one-channel case of
 ``_make_channels``, which validates a ``(G, N, d, d)`` stack of channels
-in one product and sum, and alone checks the library's own arrays: the
-example channels and ``random_channel``'s isometry. The tolerances are
-those of the table in :mod:`chanuq.linalg`, chosen for double precision,
-so file-loaded inputs work without exact arithmetic.
+in one product and sum, and alone checks stacks known to be complex,
+square and finite: the example channels, ``random_channel``'s isometry
+and ``channel_from_json``'s decoded stack. The tolerances are those of
+the table in :mod:`chanuq.linalg`, chosen for double precision, so
+file-loaded inputs work without exact arithmetic.
 
 The JSON layout (consumed by the CLI) encodes a complex number as a
 two-element array ``[re, im]`` of finite JSON numbers (not booleans):
@@ -262,4 +263,4 @@ def channel_from_json(doc: dict) -> KrausChannel:
     kraus = doc.get("kraus")
     if not isinstance(kraus, list) or len(kraus) == 0:
         raise SchemaError("channel: 'kraus' must be a nonempty array of matrices")
-    return make_channel(_decode(kraus, dim, "channel.kraus[{}]"))
+    return _make_channels(_decode(kraus, dim, "channel.kraus[{}]")[None])[0]

@@ -114,6 +114,12 @@ def test_random_operator_seeds_differ():
     np.testing.assert_array_equal(random_operator(3, 5), random_operator(3, 5))
 
 
+def test_random_operator_rejects_nonpositive_dims():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            random_operator(dim, 1)
+
+
 def test_random_density_pure():
     rho = random_density(4, 1, 9)
     w = np.linalg.eigvalsh(rho.matrix)
@@ -143,6 +149,12 @@ def test_random_density_rejects_bad_rank():
 def test_random_channel_rejects_no_kraus_operators():
     with pytest.raises(ValueError):
         random_channel(3, 0, 1)
+
+
+def test_random_channel_rejects_nonpositive_dims():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            random_channel(dim, 2, 1)
 
 
 def test_gram_schmidt_rejects_dependent_columns():

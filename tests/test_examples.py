@@ -9,7 +9,7 @@ from chanuq.examples import (EXAMPLE_IDS, ClosedFormValues, channel_E, channel_F
                              closed_forms, example1_closed_forms,
                              example2_closed_forms, example_state,
                              rho_theta_state, werner_state)
-from chanuq.examples import _checked_root
+from chanuq.examples import _channel_family, _checked_root
 from chanuq.measures import channel_measures
 
 import oracles
@@ -88,6 +88,11 @@ def test_channel_parameters_out_of_range():
         channel_E(-0.01)
     with pytest.raises(ValueError):
         channel_F(1.01)
+    # a grid is checked in one pass, and its first point outside raises
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1\.5$"):
+        _channel_family("E", [0.5, 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got -1\.0$"):
+        _channel_family("F", np.array([0.5, -1.0, 1.5]))
 
 
 def test_example_state_dispatch():

@@ -278,6 +278,30 @@ def test_channel_json_roundtrip():
         assert np.array_equal(back.kraus_ops, phi.kraus_ops)
 
 
+def test_channel_from_json_checks_completeness_alone(monkeypatch):
+    # the decoded stack is complex, square and finite: only completeness is left to check
+    docs = [json.loads(json.dumps(channel_to_json(phi)))
+            for phi in (make_channel(oracles.f_kraus(0.3)), ensembles.random_channel(5, 3, 7002))]
+    incomplete = {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}
+    ops = [[[[complex(*entry) for entry in row] for row in op] for op in doc["kraus"]]
+           for doc in (*docs, incomplete)]
+    expected = [make_channel(k).kraus_ops for k in ops[:-1]]
+    with pytest.raises(CompletenessError) as direct:
+        make_channel(ops[-1])
+    calls = []
+    monkeypatch.setattr(linalg, "_as_square",
+                        lambda *a, as_square=linalg._as_square: calls.append(a) or as_square(*a))
+    for doc, kraus_ops in zip(docs, expected):
+        back = channel_from_json(doc).kraus_ops
+        assert back.shape == kraus_ops.shape and back.dtype == kraus_ops.dtype
+        assert back.tobytes() == kraus_ops.tobytes()
+        assert not back.flags.writeable
+    with pytest.raises(CompletenessError) as decoded:
+        channel_from_json(incomplete)
+    assert str(decoded.value) == str(direct.value)
+    assert calls == []
+
+
 @pytest.mark.parametrize("doc", [
     {"matrix": [[[1.0, 0.0]]]},                        # missing dim
     {"dim": 0, "matrix": []},                          # bad dim
