@@ -18,15 +18,17 @@ with a second re-orthogonalization pass in fixed column order.
 
 Every draw goes through one block kernel, ``_normals``: output k of a
 stream (counted from 1) is the mix of ``seed + k * gamma``, so a block of
-outputs is one ``uint64`` array expression, ``SplitMix64.complex_matrix``
-draws one matrix as a block, and ``verify`` draws one block and one state per
-trial seed for all configs sharing that stream, each config's block being a
-prefix of it. A block gives the bits of the equations above taken one
-draw at a time, as ``tests/oracles.py`` states them: the uniforms are
-exact, numpy computes only the IEEE-rounded ``*``, ``sqrt`` and
-``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar ``math`` calls,
-since numpy's versions can differ from them in the last bit and pick
-their SIMD kernels per CPU.
+outputs is one ``uint64`` array expression. ``SplitMix64`` is the one
+cursor: ``complex_matrix`` slices its read-ahead (normals drawn ahead as one
+block) when that holds the whole matrix, else draws the matrix as a block.
+``verify`` fills one cursor's read-ahead per trial seed, sized for all
+configs sharing that stream; the kernel being counter-based, a read-ahead of
+any length gives the bits drawn without it. A block gives the bits of the
+equations above taken one draw at a time, as ``tests/oracles.py`` states
+them: the uniforms are exact, numpy computes only the IEEE-rounded ``*``,
+``sqrt`` and ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar
+``math`` calls, since numpy's versions can differ from them in the last bit
+and pick their SIMD kernels per CPU.
 
 ``verify`` evaluates the trial seeds of such a group in chunks: the drawn states
 stacked on a trial axis (``objects._States``), one zipped ``bound_report`` per config
@@ -53,6 +55,7 @@ from .objects import DensityMatrix, KrausChannel, _make_channels, _stack_states,
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_NO_NORMALS = np.empty(0, dtype=complex)
 #: Kraus-operator entries of its largest config that a verify chunk's trials hold at most
 _CHUNK_ENTRIES = 4096
 
@@ -70,14 +73,16 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
+        self._ahead = _NO_NORMALS  # read-ahead: the stream's next normals
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major matrix of independent standard complex normals, drawn as
-        one block of ``2 * rows * cols`` outputs."""
-        n = rows * cols
-        m = _normals(self._state, n).reshape(rows, cols)
+        """Row-major matrix of independent standard complex normals: the read-ahead's
+        first ones if it holds them all, else one block of ``2 * rows * cols`` outputs."""
+        n = int(rows) * int(cols)
+        ahead = self._ahead if n <= len(self._ahead) else _normals(self._state, n)
+        self._ahead = ahead[n:] if n < len(ahead) else _NO_NORMALS  # no spent block held
         self._state = (self._state + 2 * n * _GAMMA) & _MASK64
-        return m
+        return ahead[:n].reshape(rows, cols)
 
 
 def _normals(seed: int, n: int) -> np.ndarray:
@@ -99,28 +104,22 @@ def _normals(seed: int, n: int) -> np.ndarray:
     return out
 
 
-class _Block:
-    """A stream's first complex normals, drawn as one block and handed out in
-    order by ``complex_matrix``: the matrices ``SplitMix64(seed)`` gives."""
-
-    def __init__(self, seed: int, n: int):
-        self._normals = _normals(seed, n)
-        self._used = 0
-
-    def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        start = self._used
-        self._used += rows * cols
-        return self._normals[start:self._used].reshape(rows, cols)
+def _check_int(name: str, value, low=None, high=None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and not (low <= value and (high is None or value <= high)):
+        raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
+                         else f"{name} must lie in [{low}, {high}], got {value}")
 
 
-def _as_rng(seed) -> SplitMix64 | _Block:
-    return seed if isinstance(seed, (SplitMix64, _Block)) else SplitMix64(seed)
+def _as_rng(seed) -> SplitMix64:
+    return seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
 
 
 def random_operator(dim: int, seed, hermitian: bool = False) -> np.ndarray:
     """Matrix of standard complex normals, optionally symmetrized to (M + M^dag)/2."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_int("dim", dim, 1)
     rng = _as_rng(seed)
     m = rng.complex_matrix(dim, dim)
     if hermitian:
@@ -130,8 +129,8 @@ def random_operator(dim: int, seed, hermitian: bool = False) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Normalized G G^dag for a dim x rank complex Gaussian G."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
+    _check_int("dim", dim, 1)
+    _check_int("rank", rank, 1, dim)
     rng = _as_rng(seed)
     g = rng.complex_matrix(dim, rank)
     m = g @ g.conj().T
@@ -158,10 +157,8 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
 
 def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
     """Slice a random isometry from dim to dim*kraus_count into Kraus blocks."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if kraus_count < 1:
-        raise ValueError(f"kraus_count must be >= 1, got {kraus_count}")
+    _check_int("dim", dim, 1)
+    _check_int("kraus_count", kraus_count, 1)
     rng = _as_rng(seed)
     g = rng.complex_matrix(dim * kraus_count, dim)
     isometry = _gram_schmidt(g)  # finite and complex by construction: completeness alone
@@ -179,14 +176,11 @@ class EnsembleConfig:
     trials: int
 
     def __post_init__(self):
-        if not 2 <= self.dim <= 8:
-            raise ValueError(f"dim must lie in [2, 8], got {self.dim}")
-        if self.kraus_count < 1:
-            raise ValueError(f"kraus_count must be >= 1, got {self.kraus_count}")
-        if not 1 <= self.rank <= self.dim:
-            raise ValueError(f"rank must lie in [1, {self.dim}], got {self.rank}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_int("dim", self.dim, 2, 8)
+        _check_int("kraus_count", self.kraus_count, 1)
+        _check_int("rank", self.rank, 1, self.dim)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -265,10 +259,10 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     every trial. Trial t of a config draws everything from one SplitMix64
     stream seeded with ``config.seed + t``, so trials are independently
     reproducible. Configs of equal dim, rank, seed and trials share that
-    stream's state, so they run seed-major: per trial seed, one block of
-    normals (each config's own block is a prefix of it) and one state, then
-    each config draws its two channels, a general operator pair and a
-    Hermitian observable pair from the block after the state. The trial seeds
+    stream's state, so they run seed-major: per trial seed, one cursor with a
+    read-ahead sized for the group's largest config, and one state, then each
+    config draws its two channels, a general operator pair and a Hermitian
+    observable pair from a copy of the cursor after the state. The trial seeds
     of such a group run in chunks of consecutive seeds, ``_CHUNK_ENTRIES``
     Kraus-operator entries of its largest config at most (one trial at least),
     each chunk evaluated in stacked passes by ``_chunk_relations``; a chunk that
@@ -283,23 +277,25 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     start = time.perf_counter()
     groups: dict[tuple, list[int]] = {}  # positions sharing a stream; a repeat is in twice
     for i, c in enumerate(configs):
-        groups.setdefault((c.dim, c.rank, c.seed, c.trials), []).append(i)
+        # Python ints: numpy integers near 2^64 would wrap in seed + trials, first + size
+        groups.setdefault(tuple(map(int, (c.dim, c.rank, c.seed, c.trials))), []).append(i)
     violations: list[list[Violation]] = [[] for _ in configs]
     min_slack = [dict.fromkeys(BOUND_NAMES, math.inf) for _ in configs]
     for (dim, rank, seed, trials), members in groups.items():
-        # a state, then per config two channels and four operators
-        kraus = max(configs[i].kraus_count for i in members)
+        # read-ahead, for speed only: a state, then per config two channels and four operators
+        kraus = max(int(configs[i].kraus_count) for i in members)
         draws = dim * rank + 2 * dim * dim * kraus + 4 * dim * dim
         size = max(1, _CHUNK_ENTRIES // (kraus * dim * dim))
         for first in range(seed, seed + trials, size):
             seeds = range(first, min(first + size, seed + trials))
             rhos, items = [], []
             for trial_seed in seeds:
-                block = _Block(trial_seed, draws)
-                rhos.append(random_density(dim, rank, block))
+                stream = SplitMix64(trial_seed)
+                stream._ahead = _normals(stream._state, draws)
+                rhos.append(random_density(dim, rank, stream))
                 items.append([])
                 for i in members:
-                    rng = copy.copy(block)  # a cursor right after the state's draws
+                    rng = copy.copy(stream)  # a cursor right after the state's draws
                     items[-1].append((random_channel(dim, configs[i].kraus_count, rng),
                                       random_channel(dim, configs[i].kraus_count, rng),
                                       *(random_operator(dim, rng, hermitian=h)

@@ -710,13 +710,14 @@ def test_grid_points_equal_fresh_reports_in_every_cell(runner, tmp_path, example
     family = vars(bound_report(rho, [channel_E(float(p)) for p in grid],
                                [channel_F(float(q)) for q in grid], basis_index=basis_index))
     with_closed = theta == CLOSED_FORM_THETA[example_id]
+    # each u_abs depends on one grid axis: one fresh lone call per channel, not per cell
+    u_phis, u_psis = ([channel_measures(rho, ch).u_abs for ch in chs] for chs in (phis, psis))
     for cell, row in enumerate(rows):
         i, j = divmod(cell, steps)
         pair = bound_report(rho, phis[i], psis[j], basis_index=basis_index)
         closed = closed_forms(example_id, float(grid[i]), float(grid[j])) if with_closed else None
         values = {"p": grid[i], "q": grid[j],
-                  "u_phi": channel_measures(rho, phis[i]).u_abs,
-                  "u_psi": channel_measures(rho, psis[j]).u_abs,
+                  "u_phi": u_phis[i], "u_psi": u_psis[j],
                   "product_u": pair.lhs_product_u, "sum_u2": pair.lhs_sum_u2,
                   **{b: getattr(pair, b) for b in
                      ("thm1", "thm2", "thm3", "lb_eq13", "lb1_eq14", "thm4")},

@@ -1,7 +1,9 @@
 """Unit tests for the seeded generators and the verification harness."""
 
+import copy
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +95,50 @@ def test_normals_prefix_of_a_longer_block_bitwise(seed):
         block = _normals(seed, max(counts))
         for n in counts:
             assert _bits(block[:n].view(float)) == _bits(_normals(seed, n).view(float)), n
+
+
+# a verify trial's draws at d = 3, rank 2, one Kraus operator: 6 + 9 + 9 + 4 * 9 = 60 normals
+TRIAL_SHAPES = [(3, 2), (3, 3), (3, 3), (3, 3), (3, 3), (3, 3), (3, 3)]
+
+
+def _read_ahead(seed, count):
+    """A cursor on the stream seeded ``seed`` whose read-ahead holds its first ``count``
+    normals, as verify_suite fills it per trial seed."""
+    rng = SplitMix64(seed)
+    rng._ahead = _normals(rng._state, count)
+    return rng
+
+
+def _drawn_bits(rng, shapes) -> list:
+    return [(m.shape, _bits(m.view(float))) for m in (rng.complex_matrix(*s) for s in shapes)]
+
+
+# none, ending inside the first, second and third draws, as long as the draws, longer
+@pytest.mark.parametrize("count", [0, 5, 10, 20, 60, 61, 200])
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 64 - 3])
+def test_read_ahead_gives_the_streams_matrices_bitwise(seed, count):
+    # a read-ahead of any length continues the stream exactly where it runs out
+    rng, fresh = _read_ahead(seed, count), SplitMix64(seed)
+    assert _drawn_bits(rng, TRIAL_SHAPES) == _drawn_bits(fresh, TRIAL_SHAPES)
+    assert rng._state == fresh._state
+    assert _drawn_bits(rng, [(2, 5)]) == _drawn_bits(fresh, [(2, 5)])
+
+
+@pytest.mark.parametrize("count", [0, 6, 30, 96, 200])
+@pytest.mark.parametrize("seed", [5, 2 ** 64 - 3])
+def test_read_ahead_forks_draw_as_fresh_cursors(seed, count):
+    # verify copies the cursor per config after the state's draws; each copy, whatever
+    # its Kraus count, draws what a fresh stream gives after the state, and no copy's
+    # draws move another's (96: a state, two channels of 3 Kraus operators, 4 operators)
+    rng = _read_ahead(seed, count)
+    state = _drawn_bits(rng, TRIAL_SHAPES[:1])
+    for kraus in (3, 1, 3, 2):
+        shapes = [(3 * kraus, 3), (3 * kraus, 3), *TRIAL_SHAPES[3:]]
+        fresh = SplitMix64(seed)
+        assert _drawn_bits(fresh, TRIAL_SHAPES[:1]) == state
+        assert _drawn_bits(copy.copy(rng), shapes) == _drawn_bits(fresh, shapes), kraus
+    assert _drawn_bits(rng, TRIAL_SHAPES[1:]) == _drawn_bits(_read_ahead(seed, 0),
+                                                            TRIAL_SHAPES)[1:]
 
 
 def test_gauss_pair_moments():
@@ -203,6 +249,44 @@ def test_ensemble_config_rejects_bad_ranges(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         EnsembleConfig(**base)
+
+
+CONFIG = (4, 2, 4, 1, 10)  # EnsembleConfig's dim, kraus_count, rank, seed, trials
+
+
+def _drawn(value):
+    """What a seeded generator gives, as comparable bytes or a deterministic report."""
+    if isinstance(value, EnsembleConfig):
+        return {**verify_suite(value).to_dict(), "elapsed_seconds": None}
+    return np.asarray(getattr(value, "matrix", getattr(value, "kraus_ops", value))).tobytes()
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (random_operator, (2.5, 7), "dim must be an integer, got 2.5"),
+    (random_operator, ("3", 7), "dim must be an integer, got '3'"),
+    (random_density, (2, 1.0, 7), "rank must be an integer, got 1.0"),
+    (random_density, (0, 1, 7), "dim must be >= 1, got 0"),
+    (random_channel, (2, True, 7), "kraus_count must be an integer, got True"),
+    (random_channel, (np.float64(2.0), 2, 7), "dim must be an integer, got np.float64(2.0)"),
+    (EnsembleConfig, (4, 1.5, 4, 1, 10), "kraus_count must be an integer, got 1.5"),
+    (EnsembleConfig, (4, 2, 4, 1, True), "trials must be an integer, got True"),
+    (EnsembleConfig, (4, 2, 4, 1.5, 10), "seed must be an integer, got 1.5"),
+    (EnsembleConfig, (4, 2, 5, 1, 10), "rank must lie in [1, 4], got 5"),
+    (random_operator, (np.int64(3), 7), None),
+    (random_density, (np.int64(3), np.int64(3), 7), None),
+    (random_channel, (np.int64(2), np.int64(2), 7), None),
+    (random_channel, (np.uint8(2), np.int32(3), 7), None),
+    (EnsembleConfig, tuple(np.int64(x) for x in CONFIG), None),
+    (EnsembleConfig, (*map(np.int64, CONFIG[:3]), np.uint64(2 ** 64 - 3), np.int64(10)), None),
+])
+def test_seeded_generators_take_integer_counts(make, args, message):
+    # a count is an int or a numpy integer, never a bool or a float; numpy integers give
+    # what the same Python ints give
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(*args)
+    else:
+        assert _drawn(make(*args)) == _drawn(make(*map(int, args)))
 
 
 def test_verify_suite_small_run_clean():
