@@ -18,29 +18,32 @@ with a second re-orthogonalization pass in fixed column order.
 
 Every draw goes through one block kernel, ``_normals``: output k of a
 stream (counted from 1) is the mix of ``seed + k * gamma``, so a block of
-outputs is one ``uint64`` array expression. ``SplitMix64`` is the one
-cursor: ``complex_matrix`` slices its read-ahead (normals drawn ahead as one
-block) when that holds the whole matrix, else draws the matrix as a block.
-``verify`` fills one cursor's read-ahead per trial seed, sized for all
-configs sharing that stream; the kernel being counter-based, a read-ahead of
-any length gives the bits drawn without it. A block gives the bits of the
-equations above taken one draw at a time, as ``tests/oracles.py`` states
-them: the uniforms are exact, numpy computes only the IEEE-rounded ``*``,
-``sqrt`` and ``2 pi u``, and ``log``, ``cos`` and ``sin`` stay scalar
-``math`` calls, since numpy's versions can differ from them in the last bit
-and pick their SIMD kernels per CPU.
+outputs is one ``uint64`` array expression, and so are the blocks of several
+seeds, one row each. ``SplitMix64`` is the one cursor: ``complex_matrix``
+slices its read-ahead (normals drawn ahead as one block) when that holds the
+whole matrix, else draws the matrix as a block; the kernel being
+counter-based, a read-ahead of any length gives the bits drawn without it.
+A block gives the bits of the equations above taken one draw at a time, as
+``tests/oracles.py`` states them: the uniforms are exact, numpy computes
+only the IEEE-rounded ``*``, ``sqrt`` and ``2 pi u``, and ``log``, ``cos``
+and ``sin`` stay scalar ``math`` calls, since numpy's versions can differ
+from them in the last bit and pick their SIMD kernels per CPU.
 
-``verify`` evaluates the trial seeds of such a group in chunks: the drawn states
-stacked on a trial axis (``objects._States``), one zipped ``bound_report`` per config
-over the chunk's Kraus stacks, and one pass of the operator-level relations over all
-the chunk's operators, into one array of (lhs, bound) per name, trial and config
-(``_chunk_relations``). Each value keeps the bits of its trial evaluated alone, which
-``tests/test_ensembles.py`` checks against that evaluation, kept there as the oracle.
+``verify`` runs a group's trial seeds (configs sharing their streams) in
+chunks, with one ``(T, draws)`` block of normals per chunk, a row per trial
+seed: each state from ``random_density`` on a cursor reading its row, each
+config's channels and operators sliced from the rows (``_config_draws``).
+A chunk is evaluated in stacked passes: the states stacked on a trial axis
+(``objects._States``), one zipped ``bound_report`` per config over the
+chunk's Kraus stacks, and one pass of the operator-level relations over all
+the chunk's operators, into one array of (lhs, bound) per name, trial and
+config (``_chunk_relations``). Each value keeps the bits of its trial
+evaluated alone, which ``tests/test_ensembles.py`` checks against that
+evaluation, kept there as the oracle.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _schrodinger_terms, bound_report, dou_bounds
-from .errors import NumericError
-from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL
+from .errors import ChanuqError, NumericError
+from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL, dagger, frob_norm
 from .measures import _u_from, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, _make_channels, _stack_states, make_density
 
@@ -69,11 +72,12 @@ BOUND_NAMES = (
 
 
 class SplitMix64:
-    """Counter-based 64-bit generator; see the module docstring for the equations."""
+    """Counter-based 64-bit generator (see the module docstring); ``_ahead``: a read-ahead."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, _ahead: np.ndarray = _NO_NORMALS):
+        _check_int("seed", seed)
         self._state = int(seed) & _MASK64
-        self._ahead = _NO_NORMALS  # read-ahead: the stream's next normals
+        self._ahead = _ahead  # read-ahead: the stream's next normals
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major matrix of independent standard complex normals: the read-ahead's
@@ -85,23 +89,26 @@ class SplitMix64:
         return ahead[:n].reshape(rows, cols)
 
 
-def _normals(seed: int, n: int) -> np.ndarray:
+def _normals(seed, n: int) -> np.ndarray:
     """The first ``n`` complex normals of the stream seeded ``seed``, by the
     equations: entry j takes outputs 2j+1 and 2j+2 as the uniforms (u1, u2) of
-    its Box-Muller pair. Every ``uint64`` step acts on an array, where numpy
+    its Box-Muller pair; of a sequence of T seeds, the ``(T, n)`` array of each
+    seed's, one row per seed. Every ``uint64`` step acts on an array, where numpy
     wraps silently (it warns when a 0-d scalar wraps)."""
+    seeds = [seed] if isinstance(seed, int) else list(seed)
     z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)
+    z = (z + np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None]).ravel()
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     z ^= z >> 31
     u = ((z >> 11) + 1).astype(float) * 2.0 ** -53  # exact: (z >> 11) + 1 <= 2^53
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, n))
+    size = len(seeds) * n  # each row's pairs stay within the row
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, size))
     angle = (2.0 * math.pi * u[1::2]).tolist()
-    out = np.empty(n, dtype=complex)
-    out.real = r * np.fromiter(map(math.cos, angle), float, n)
-    out.imag = r * np.fromiter(map(math.sin, angle), float, n)
-    return out
+    out = np.empty(size, dtype=complex)
+    out.real = r * np.fromiter(map(math.cos, angle), float, size)
+    out.imag = r * np.fromiter(map(math.sin, angle), float, size)
+    return out if isinstance(seed, int) else out.reshape(len(seeds), n)
 
 
 def _check_int(name: str, value, low=None, high=None) -> None:
@@ -148,7 +155,7 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
         for _ in range(2):
             for i in range(j):
                 v -= np.vdot(q[:, i], v) * q[:, i]
-        norm = np.linalg.norm(v)
+        norm = frob_norm(v)
         if norm < GRAM_SCHMIDT_TOL:
             raise NumericError("Gram-Schmidt hit a numerically dependent column")
         q[:, j] = v / norm
@@ -159,10 +166,24 @@ def random_channel(dim: int, kraus_count: int, seed) -> KrausChannel:
     """Slice a random isometry from dim to dim*kraus_count into Kraus blocks."""
     _check_int("dim", dim, 1)
     _check_int("kraus_count", kraus_count, 1)
-    rng = _as_rng(seed)
-    g = rng.complex_matrix(dim * kraus_count, dim)
-    isometry = _gram_schmidt(g)  # finite and complex by construction: completeness alone
-    return _make_channels(isometry.reshape(1, kraus_count, dim, dim), ISOMETRY_CPTP_TOL)[0]
+    return _channels(_as_rng(seed).complex_matrix(dim * kraus_count, dim)[None], kraus_count)[0]
+
+
+def _channels(blocks: np.ndarray, kraus: int) -> list[KrausChannel]:
+    """The channel of each ``(d * kraus, d)`` block of normals, one completeness check for all."""
+    dim = blocks.shape[-1]
+    isometries = np.array([_gram_schmidt(g) for g in blocks])  # finite and complex by construction
+    return _make_channels(isometries.reshape(-1, kraus, dim, dim), ISOMETRY_CPTP_TOL)
+
+
+def _config_draws(rows: np.ndarray, dim: int, kraus: int) -> list[tuple]:
+    """One config's ``(phi, psi, k, l, a, b)`` per row of normals that follow a state, as
+    ``random_channel`` twice and ``random_operator`` four times draw them from the row."""
+    n = dim * dim * kraus
+    channels = _channels(rows[:, :2 * n].reshape(-1, dim * kraus, dim), kraus)
+    ops = rows[:, 2 * n:2 * n + 4 * dim * dim].reshape(-1, 4, dim, dim)
+    herm = 0.5 * (ops[:, 2:] + dagger(ops[:, 2:]))
+    return list(zip(channels[0::2], channels[1::2], ops[:, 0], ops[:, 1], herm[:, 0], herm[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -259,16 +280,16 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     every trial. Trial t of a config draws everything from one SplitMix64
     stream seeded with ``config.seed + t``, so trials are independently
     reproducible. Configs of equal dim, rank, seed and trials share that
-    stream's state, so they run seed-major: per trial seed, one cursor with a
-    read-ahead sized for the group's largest config, and one state, then each
-    config draws its two channels, a general operator pair and a Hermitian
-    observable pair from a copy of the cursor after the state. The trial seeds
-    of such a group run in chunks of consecutive seeds, ``_CHUNK_ENTRIES``
-    Kraus-operator entries of its largest config at most (one trial at least),
-    each chunk evaluated in stacked passes by ``_chunk_relations``; a chunk that
-    raises ``NumericError`` is run again one (trial seed, config) at a time, in
-    seed-major order, and the first failure raises, naming its trial seed. Any
-    slack below -SLACK_TOL is recorded as a violation together with the trial seed.
+    stream's state, so they form a group: per trial seed one state, then each
+    config's two channels, general operator pair and Hermitian observable
+    pair, drawn from right after the state. A group's trial seeds run in
+    chunks of consecutive seeds, ``_CHUNK_ENTRIES`` Kraus-operator entries of
+    its largest config at most (one trial at least): one block of normals,
+    then stacked passes (see the module docstring). A failing draw raises what
+    drawing seed-major (trial seed, then config, phi before psi) meets first;
+    a chunk whose passes raise ``NumericError`` is run again one (trial seed,
+    config) at a time, in seed-major order, and the first failure raises,
+    naming its trial seed. Any slack below -SLACK_TOL is a violation, kept with its seed.
     """
     if not configs:
         raise ValueError("verify_suite needs at least one EnsembleConfig")
@@ -282,24 +303,24 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     violations: list[list[Violation]] = [[] for _ in configs]
     min_slack = [dict.fromkeys(BOUND_NAMES, math.inf) for _ in configs]
     for (dim, rank, seed, trials), members in groups.items():
-        # read-ahead, for speed only: a state, then per config two channels and four operators
-        kraus = max(int(configs[i].kraus_count) for i in members)
+        # per trial seed, one row: a state, then per config two channels and four operators
+        counts = [int(configs[i].kraus_count) for i in members]  # Python ints: no uint8 wraps
+        kraus = max(counts)
         draws = dim * rank + 2 * dim * dim * kraus + 4 * dim * dim
         size = max(1, _CHUNK_ENTRIES // (kraus * dim * dim))
         for first in range(seed, seed + trials, size):
             seeds = range(first, min(first + size, seed + trials))
-            rhos, items = [], []
-            for trial_seed in seeds:
-                stream = SplitMix64(trial_seed)
-                stream._ahead = _normals(stream._state, draws)
-                rhos.append(random_density(dim, rank, stream))
-                items.append([])
-                for i in members:
-                    rng = copy.copy(stream)  # a cursor right after the state's draws
-                    items[-1].append((random_channel(dim, configs[i].kraus_count, rng),
-                                      random_channel(dim, configs[i].kraus_count, rng),
-                                      *(random_operator(dim, rng, hermitian=h)
-                                        for h in (False, False, True, True))))
+            rows = _normals(seeds, draws)  # every config draws from right after the state
+            try:
+                rhos = [random_density(dim, rank, SplitMix64(*trial)) for trial in zip(seeds, rows)]
+                items = list(zip(*(_config_draws(rows[:, dim * rank:], dim, k) for k in counts)))
+            except ChanuqError:  # raise the seed-major draws' first failure, one draw at a time
+                for trial_seed, row in zip(seeds, rows):
+                    random_density(dim, rank, SplitMix64(trial_seed, row))
+                    for k in counts:
+                        for block in row[dim * rank:][:2 * dim * dim * k].reshape(2, 1, -1, dim):
+                            _channels(block, k)
+                raise
             try:
                 lhs, bound = _chunk_relations(rhos, items).swapaxes(0, 1)
             except NumericError:  # a chunk of one per (trial seed, config), to name the seed

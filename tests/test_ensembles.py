@@ -81,6 +81,18 @@ def test_complex_matrix_leaves_the_stream_after_its_outputs(seed, rows, cols):
     assert np.array_equal(both, oracles.splitmix_complex_matrix(seed, 2 * rows, cols))
 
 
+@pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2, 2 ** 70 + 1])
+def test_normals_of_several_seeds_are_each_seeds_normals_bitwise(seed):
+    # verify draws a chunk's normals as one (T, n) array, a row per trial seed; each row
+    # is that seed's own block, bit for bit, where seed + t wraps past 2^64 too
+    seeds = range(seed, seed + 5)
+    for n in (1, 7, 60, 960):
+        rows = _normals(seeds, n)
+        assert rows.shape == (len(seeds), n)
+        for s, row in zip(seeds, rows):
+            assert _bits(row.view(float)) == _bits(_normals(s, n).view(float)), (s, n)
+
+
 @pytest.mark.parametrize("seed", [0, 2024, 2 ** 64 - 2])
 def test_normals_prefix_of_a_longer_block_bitwise(seed):
     # verify draws one block per trial seed for all the Kraus counts of a dim; each
@@ -127,9 +139,9 @@ def test_read_ahead_gives_the_streams_matrices_bitwise(seed, count):
 @pytest.mark.parametrize("count", [0, 6, 30, 96, 200])
 @pytest.mark.parametrize("seed", [5, 2 ** 64 - 3])
 def test_read_ahead_forks_draw_as_fresh_cursors(seed, count):
-    # verify copies the cursor per config after the state's draws; each copy, whatever
-    # its Kraus count, draws what a fresh stream gives after the state, and no copy's
-    # draws move another's (96: a state, two channels of 3 Kraus operators, 4 operators)
+    # a copy of a cursor after the state's draws, whatever its Kraus count, draws what a
+    # fresh stream gives after the state, and no copy's draws move another's (96: a
+    # state, two channels of 3 Kraus operators, 4 operators)
     rng = _read_ahead(seed, count)
     state = _drawn_bits(rng, TRIAL_SHAPES[:1])
     for kraus in (3, 1, 3, 2):
@@ -278,10 +290,19 @@ def _drawn(value):
     (random_channel, (np.uint8(2), np.int32(3), 7), None),
     (EnsembleConfig, tuple(np.int64(x) for x in CONFIG), None),
     (EnsembleConfig, (*map(np.int64, CONFIG[:3]), np.uint64(2 ** 64 - 3), np.int64(10)), None),
+    # seeds: 7.9 drew seed 7, True seed 1 and np.float64(2.0) seed 2
+    (random_operator, (3, 7.9), "seed must be an integer, got 7.9"),
+    (random_density, (3, 2, True), "seed must be an integer, got True"),
+    (random_channel, (3, 2, "5"), "seed must be an integer, got '5'"),
+    (SplitMix64, (np.float64(2.0),), "seed must be an integer, got np.float64(2.0)"),
+    (random_operator, (3, np.int64(-7)), None),
+    (random_density, (3, 2, np.int64(7)), None),
+    (random_channel, (3, 2, np.uint64(2 ** 64 - 3)), None),
+    (EnsembleConfig, (8, np.uint8(5), 8, 1, 2), None),  # 8 * 8 * 5 wraps in uint8
 ])
 def test_seeded_generators_take_integer_counts(make, args, message):
-    # a count is an int or a numpy integer, never a bool or a float; numpy integers give
-    # what the same Python ints give
+    # a count is an int or a numpy integer, never a bool or a float, and a seed any such
+    # integer; numpy integers give what the same Python ints give
     if message is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(*args)
@@ -586,6 +607,59 @@ def test_verify_suite_is_blind_to_chunk_boundaries(monkeypatch, dim, kraus, entr
         list(split.min_slack_per_bound.values()))
 
 
+# (trial seed offset, config, side) of a Gram-Schmidt block made to fail ("fail": a
+# NumericError naming the block) or to leave a completeness residual ("scale"), and the
+# position whose failure the seed-major draws meet first
+DRAW_FAULTS = [
+    ({(2, 0, 1): "fail", (1, 1, 0): "fail"}, (1, 1, 0)),
+    ({(2, 0, 1): "fail", (1, 1, 0): "scale"}, (1, 1, 0)),
+    ({(2, 0, 0): "scale", (1, 1, 1): "fail"}, (1, 1, 1)),
+    ({(2, 0, 0): "scale", (1, 1, 1): "scale"}, (1, 1, 1)),
+    ({(1, 1, 0): "scale", (1, 1, 1): "fail"}, (1, 1, 0)),  # phi checked before psi's draw
+]
+
+
+@pytest.mark.parametrize("faults, first", DRAW_FAULTS, ids=str)
+def test_verify_draw_failures_raise_the_seed_major_first(monkeypatch, faults, first):
+    # the configs of a group draw seed-major: per trial seed, config by config, phi before
+    # psi, each channel checked as it is drawn. A later trial of config 0 fails and an
+    # earlier trial of config 1: the run raises the earlier trial's failure, its type and
+    # message, as the public generators drawing one channel at a time meet it first
+    kraus_counts, seed = (1, 2), 50
+    blocks = {}
+    for t, (j, k) in itertools.product(range(4), enumerate(kraus_counts)):
+        rng = SplitMix64(seed + t)
+        rng.complex_matrix(3, 3)  # the state's
+        for side in range(2):
+            blocks[t, j, side] = rng.complex_matrix(3 * k, 3)
+
+    def faulty(a, gram_schmidt=_gram_schmidt):
+        for (t, j, side), how in faults.items():
+            if np.array_equal(a, blocks[t, j, side]):
+                if how == "fail":
+                    raise NumericError(f"block {(t, j, side)} failed")
+                return gram_schmidt(a) * (1 + 1e-9 * (1 + t + 4 * j + 8 * side))
+        return gram_schmidt(a)
+
+    def first_failure(run):
+        with pytest.raises((NumericError, CompletenessError)) as info:
+            run()
+        return type(info.value), str(info.value), _bits([getattr(info.value, "residual", 0.0)])
+
+    def seed_major():
+        for t, k in itertools.product(range(4), kraus_counts):
+            _harness_trial(3, k, seed + t)
+
+    monkeypatch.setattr(chanuq.ensembles, "_gram_schmidt", faulty)
+    want = first_failure(seed_major)
+    assert want[0] is {"fail": NumericError, "scale": CompletenessError}[faults[first]]
+    if faults[first] == "fail":
+        assert want[1] == f"block {first} failed"
+    configs = [EnsembleConfig(dim=3, kraus_count=k, rank=3, seed=seed, trials=4)
+               for k in kraus_counts]
+    assert first_failure(lambda: verify_suite(*configs)) == want
+
+
 def _peak_bytes(trials: int) -> int:
     tracemalloc.start()
     try:
@@ -595,8 +669,8 @@ def _peak_bytes(trials: int) -> int:
         tracemalloc.stop()
 
 
-# the tracemalloc peak of a 2-chunk run at d=8, Kraus 5 (about 1.6 MiB when measured),
-# with room to spare
+# the tracemalloc peak of a 2-chunk run at d=8, Kraus 5 (1,595,769 B when measured, with
+# the chunk's normals drawn as one block), with room to spare
 PEAK_BOUND = 2 * 2 ** 20
 
 

@@ -404,3 +404,15 @@ def test_sqrt_from_a_mismatched_spectrum_fails_its_residual():
     spectrum = linalg.hermitian_eig(np.diag([0.0, 1.0]))
     with pytest.raises(NumericError, match="square-root residual"):
         linalg._sqrt_from_spectrum(np.diag([1.0, 0.0]), spectrum)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 3), (8, 8), (5, 4, 4), (2, 3, 6, 6)])
+def test_frob_norm_is_numpys_norm_bitwise(shape):
+    # frob_norm takes numpy's own ord=None form without its dispatch: same bits, complex
+    # and real, contiguous or a transposed view
+    rng = np.random.default_rng(sum(shape))
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for a in (z, z.real, z.T, 1e200 * z):
+        with np.errstate(over="ignore"):
+            want = float(np.linalg.norm(a))
+            assert np.float64(linalg.frob_norm(a)).view(np.uint64) == np.float64(want).view(np.uint64)
