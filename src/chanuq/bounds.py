@@ -20,9 +20,9 @@ Conventions shared by all bound evaluators:
   prefactors of ``thm1`` and ``thm2`` (a zero operator changes no value);
 * the bounds read each side's traces, brackets with sqrt(rho) and sums from one
   ``_Terms`` record over its Kraus stack, built per call by ``measures._side`` and
-  kept nowhere, or take a record pair as it is (``bound_report`` builds one pair per
-  report, fills both sides' measures in one ``_measure_all`` call and hands them to
-  its caller); each bound forms its own products and norms on every call;
+  kept nowhere, or take a record pair as it is (``bound_report`` builds one pair, or
+  takes a ``verify`` chunk's, measures what is unmeasured in one ``_measure_all`` call
+  and hands both sides' measures on); each bound forms its own products and norms;
 * both brackets of an operand pair come from ``linalg._brackets``, which forms the two
   products once (``thm2`` and ``dou_bounds`` read it through ``linalg._sym_brackets``);
 * bound values that land in ``[NEGATIVITY_FLOOR, 0)`` from rounding
@@ -371,7 +371,7 @@ def bound_report(rho: DensityMatrix, phi, psi, basis_index: int = 0,
     verification harness passes ``check=False`` and inspects the slacks itself.
     """
     e, f = _grid_terms(rho, phi, psi)  # both sides are checked before any measure
-    _measure_all([e, f])  # one stacked pass per Kraus count, phi's first
+    _measure_all([e, f])  # one stacked pass over the sides not yet measured, phi's first
     m_phi, m_psi = channel_measures(rho, e), channel_measures(rho, f)
     report = BoundReport(
         lhs_product_v=m_phi.v_sym * m_psi.v_sym,

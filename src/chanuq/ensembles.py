@@ -34,12 +34,13 @@ chunks, with one ``(T, draws)`` block of normals per chunk, a row per trial
 seed: each state from ``random_density`` on a cursor reading its row, each
 config's channels and operators sliced from the rows (``_config_draws``).
 A chunk is evaluated in stacked passes: the states stacked on a trial axis
-(``objects._States``), one zipped ``bound_report`` per config over the
-chunk's Kraus stacks, and one pass of the operator-level relations over all
-the chunk's operators, into one array of (lhs, bound) per name, trial and
-config (``_chunk_relations``). Each value keeps the bits of its trial
-evaluated alone, which ``tests/test_ensembles.py`` checks against that
-evaluation, kept there as the oracle.
+(``objects._States``), one measure and one term pass over the zipped records
+of all configs' sides, one ``bound_report`` per config on its record pair,
+and one pass of the operator-level relations over all the chunk's operators,
+into one array of (lhs, bound) per name, trial and config
+(``_chunk_relations``). Each value keeps the bits of its trial evaluated
+alone, which ``tests/test_ensembles.py`` checks against that evaluation,
+kept there as the oracle.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ import numpy as np
 from .bounds import _schrodinger_terms, bound_report, dou_bounds
 from .errors import ChanuqError, NumericError
 from .linalg import GRAM_SCHMIDT_TOL, ISOMETRY_CPTP_TOL, SLACK_TOL, dagger, frob_norm
-from .measures import _u_from, mwy_skew_info, sym_abs_variance
+from .measures import _measure_all, _operator_terms, _side, _u_from, mwy_skew_info, sym_abs_variance
 from .objects import DensityMatrix, KrausChannel, _make_channels, _stack_states, make_density
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _NO_NORMALS = np.empty(0, dtype=complex)
-#: Kraus-operator entries of its largest config that a verify chunk's trials hold at most
+#: Kraus-operator entries of all its configs (one stack) that a verify chunk's trials hold at most
 _CHUNK_ENTRIES = 4096
 
 #: every bound name tracked by the verification harness
@@ -236,11 +237,16 @@ def _chunk_relations(rhos: list[DensityMatrix], trials: list[list[tuple]]) -> np
     """The ``(len(BOUND_NAMES), 2, T, C)`` array of (lhs, bound), names in ``BOUND_NAMES``
     order, over a chunk of T trials of C configs: ``rhos[t]`` is trial t's state and
     ``trials[t][j]`` config j's ``(phi, psi, k, l, a, b)`` under it. Each entry has the
-    bits of that trial alone, from one zipped report per config over the stacked states
-    and one pass of the operator-level relations over all ``(T, 4 C, d, d)`` operators."""
+    bits of that trial alone, from one measure and one term pass over the configs' 2 C
+    zipped records, one report per config on its record pair, and one pass of the
+    operator-level relations over all ``(T, 4 C, d, d)`` operators."""
     states = _stack_states(rhos)
-    reports = [bound_report(states, *zip(*(row[j][:2] for row in trials)), check=False)
-               .relations() for j in range(len(trials[0]))]
+    records = [_side(states, side) for j in range(len(trials[0]))
+               for side in zip(*(row[j][:2] for row in trials))]
+    _measure_all(records)
+    _operator_terms(records)
+    reports = [bound_report(states, e, f, check=False).relations()
+               for e, f in zip(records[0::2], records[1::2])]
     # the report's six channel bounds lead BOUND_NAMES: (C, 6, 2, T) to (6, 2, T, C)
     channel_level = np.moveaxis(np.array([[r[name] for name in BOUND_NAMES[:6]]
                                           for r in reports]), 0, -1)
@@ -284,7 +290,7 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     config's two channels, general operator pair and Hermitian observable
     pair, drawn from right after the state. A group's trial seeds run in
     chunks of consecutive seeds, ``_CHUNK_ENTRIES`` Kraus-operator entries of
-    its largest config at most (one trial at least): one block of normals,
+    all its configs at most (one trial at least): one block of normals,
     then stacked passes (see the module docstring). A failing draw raises what
     drawing seed-major (trial seed, then config, phi before psi) meets first;
     a chunk whose passes raise ``NumericError`` is run again one (trial seed,
@@ -305,9 +311,8 @@ def verify_suite(*configs: EnsembleConfig, broken_bound: str | None = None
     for (dim, rank, seed, trials), members in groups.items():
         # per trial seed, one row: a state, then per config two channels and four operators
         counts = [int(configs[i].kraus_count) for i in members]  # Python ints: no uint8 wraps
-        kraus = max(counts)
-        draws = dim * rank + 2 * dim * dim * kraus + 4 * dim * dim
-        size = max(1, _CHUNK_ENTRIES // (kraus * dim * dim))
+        draws = dim * rank + 2 * dim * dim * max(counts) + 4 * dim * dim
+        size = max(1, _CHUNK_ENTRIES // (sum(counts) * dim * dim))
         for first in range(seed, seed + trials, size):
             seeds = range(first, min(first + size, seed + trials))
             rows = _normals(seeds, draws)  # every config draws from right after the state

@@ -8,14 +8,16 @@ measure takes one operator or an ``(N, d, d)`` stack. A channel's measures are
 ``sym_abs_variance`` of its Kraus stack and the skew pair of the centered stack,
 summed in Kraus order; ``u_abs`` interpolates between total and quantum uncertainty
 and obeys ``u_abs^2 = i_tilde * j_tilde``. One kernel, ``_measure_sets``, forms them
-for a ``(..., G, N, d, d)`` stack of channels at once, as one ``(5, ..., G)`` array in
+for ``(..., G, N, d, d)`` stacks of channels of any Kraus counts N, each operator's
+values once over all their operators, as a ``(5, ..., G)`` array per stack in
 :class:`MeasureSet` field order, each channel with its bits alone. One record,
 ``_Terms``, built by ``_side`` for each side of each call and kept nowhere, holds a
 side's per-channel terms: its measures, which ``_measure_all`` alone fills from that
-array, and the traces, brackets and sums the bounds read, all over the leading axes of
-a family's stacked Kraus arrays, or of a zip's under a stack of states
-(``objects._States``), which every kernel reading the state aligns to its operand's
-leading axes (``objects._aligned``).
+array, and the traces, brackets and sums the bounds read, the per-operator ones from
+``_operator_terms``, which forms them once over the operators of one record or of
+several (a ``verify`` chunk's), all over the leading axes of a family's stacked Kraus
+arrays, or of a zip's under a stack of states (``objects._States``), which every kernel
+reading the state aligns to its operand's leading axes (``objects._aligned``).
 """
 
 from __future__ import annotations
@@ -162,8 +164,7 @@ def channel_measures(rho: DensityMatrix, phi: KrausChannel) -> MeasureSet:
     over its leading axes.
     """
     terms = phi if isinstance(phi, _Terms) else _side(rho, phi)
-    if terms.measures is None:
-        _measure_all([terms])
+    _measure_all([terms])
     return terms.measures
 
 
@@ -177,22 +178,21 @@ def _traces(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
 
 class _Terms:
     """One side's per-channel terms under the state, or state stack, ``rho``, over the
-    leading axes of its Kraus stack ``x`` (see :func:`_side`) with each channel's bits:
-    its :class:`MeasureSet` (``None`` until :func:`_measure_all`) and, each built on
-    first use, what the bounds read: Tr(rho K_i), Tr(rho K_i^dag), ``_sqrt_brackets`` of
-    the raw and of the centered K_i, sum_i K_i and its centered form. Each bound forms
-    its own products and norms of these on every call."""
+    leading axes of its Kraus stack ``x`` (see :func:`_side`) with each channel's bits: its
+    :class:`MeasureSet` (``None`` until :func:`_measure_all`) and what the bounds read, each
+    built on first use (a bound forms its own products and norms of them): Tr(rho K_i),
+    Tr(rho K_i^dag), ``_sqrt_brackets`` of the raw and of the centered K_i, the first four
+    by :func:`_operator_terms`, sum_i K_i and its centered form."""
 
     def __init__(self, rho: DensityMatrix, x: np.ndarray):
         self.rho = rho
         self.x = x
         self.measures: MeasureSet | None = None
 
-    traces = cached_property(lambda t: _frozen(_traces(t.rho, t.x)))
-    traces_dag = cached_property(lambda t: _frozen(_traces(t.rho, linalg.dagger(t.x))))
-    brackets = cached_property(lambda t: _sqrt_brackets(t.rho, t.x))
-    brackets0 = cached_property(lambda t: _sqrt_brackets(
-        t.rho, t.x - t.traces[..., None, None] * _eye(t.rho.dim)))
+    # the first read of one fills all four, by _operator_terms on this record alone
+    traces, traces_dag, brackets, brackets0 = (
+        cached_property(lambda t, name=name: _operator_terms([t]) or vars(t)[name])
+        for name in ("traces", "traces_dag", "brackets", "brackets0"))
     total = cached_property(lambda t: _frozen(t.x.sum(axis=-3)))
     total0 = cached_property(lambda t: _frozen(_center(t.total, t.rho)))
 
@@ -215,50 +215,75 @@ def _side(rho: DensityMatrix, channels, grid_axis: int | None = None) -> _Terms:
     return _Terms(rho, x if grid_axis is None else np.expand_dims(x, 1 - grid_axis))
 
 
-def _measure_sets(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
-    """The measures of a checked ``(..., G, N, d, d)`` stack of channels, its leading axes
-    a state stack's trial axis, if any, and then any grid axes: one ``(5, ..., G)`` array,
-    its rows the :class:`MeasureSet` fields in order, with each channel's bits alone: one
-    ``sym_abs_variance`` call on the stack flattened to ``(..., G N, d, d)``, one
-    ``_sqrt_brackets`` of its centered form and one ``_half_sq_norm`` of each bracket (all
-    per matrix, each clamped under its own name), then on arrays over the channels the sums
-    in Kraus order, ``u_abs`` and the two identity checks, whose first failure raises as in
-    a loop over the channels."""
-    flat = x.reshape(*x.shape[:-4], -1, *x.shape[-2:])
+def _flat(rho: DensityMatrix, stacks: list[np.ndarray]):
+    """Checked ``(..., N, d, d)`` stacks under ``rho`` as one stack: each flattened to
+    ``(..., M, d, d)`` after a state stack's trial axis, if any, and joined on that axis; with
+    the function that splits an array over its leading axes into each stack's part."""
+    trial = int(isinstance(rho, _States))
+    flats = [x.reshape(*x.shape[:trial], -1, *x.shape[-2:]) for x in stacks]
+    ends = [0, *accumulate(f.shape[trial] for f in flats)]
+
+    def parts(a: np.ndarray) -> list[np.ndarray]:
+        return [a[(slice(None),) * trial + (slice(start, stop),)].reshape(
+            x.shape[:-2] + a.shape[trial + 1:]) for x, start, stop in zip(stacks, ends, ends[1:])]
+    return np.concatenate(flats, axis=trial), parts
+
+
+def _operator_terms(records: list[_Terms]) -> None:
+    """Fill the per-operator terms (see :class:`_Terms`) of records under one state or state
+    stack in one pass over their :func:`_flat` stack (a lone record's own); each keeps its part."""
+    rho = records[0].rho
+    x, parts = ((records[0].x, lambda a: [a]) if len(records) == 1
+                else _flat(rho, [t.x for t in records]))
+    traces = _frozen(_traces(rho, x))
+    terms = (traces, _frozen(_traces(rho, linalg.dagger(x))), *_sqrt_brackets(rho, x),
+             *_sqrt_brackets(rho, x - traces[..., None, None] * _eye(rho.dim)))
+    for t, tr, tr_dag, c, a, c0, a0 in zip(records, *map(parts, terms)):
+        vars(t).update(traces=tr, traces_dag=tr_dag, brackets=(c, a), brackets0=(c0, a0))
+
+
+def _measure_sets(rho: DensityMatrix, stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """The measures of checked ``(..., G, N, d, d)`` stacks of channels of any Kraus counts,
+    their leading axes a state stack's trial axis, if any, and then any grid axes: per
+    stack one ``(5, ..., G)`` array, its rows the :class:`MeasureSet` fields in order, with
+    each channel's bits alone. Over the stacks' :func:`_flat` stack, one ``sym_abs_variance``
+    call, one ``_sqrt_brackets`` of its centered form and one ``_half_sq_norm`` of each
+    bracket (all per matrix, each clamped under its own name); per stack the sums in Kraus
+    order; then over all channels ``u_abs`` and the two identity checks, whose first failure
+    raises as in a loop over the stacks and each stack's channels."""
+    flat, parts = _flat(rho, stacks)
     v_sym = sym_abs_variance(rho, flat)  # its temporaries go before the brackets come
     i_op, j_op = map(_half_sq_norm, _sqrt_brackets(rho, _center(flat, rho)))
-    per_op = v_sym, _nonneg(i_op, "skew information"), _nonneg(j_op, "anticommutator information")
+    per_op = np.array([v_sym, _nonneg(i_op, "skew information"),
+                       _nonneg(j_op, "anticommutator information")])
     # per channel, its operators' values added one Kraus position at a time, as Python
-    # floats add them (Python 3.12's sum compensates, ndarray.sum pairs)
-    v_sym, i_tilde, j_tilde = (reduce(operator.add, v.reshape(x.shape[:-2]).T, 0.0).T
-                               for v in per_op)
+    # floats add them (Python 3.12's sum compensates, ndarray.sum pairs): (channels, 3)
+    sums = [reduce(operator.add, np.moveaxis(p, -2, 0), 0.0).reshape(-1, 3)
+            for p in parts(np.moveaxis(per_op, 0, -1))]
+    v_sym, i_tilde, j_tilde = np.concatenate(sums).T
     with np.errstate(over="ignore", invalid="ignore"):  # the identity checks raise on these
         c_abs = v_sym - i_tilde
         u_abs = np.sqrt(np.maximum(v_sym * v_sym - c_abs * c_abs, 0.0))
         checks = u_abs * u_abs, i_tilde * j_tilde, i_tilde + j_tilde, 2.0 * v_sym
         if not (_close(*checks[:2]) & _close(*checks[2:])).all():
-            for u2, ij, i_plus_j, v2 in zip(*(c.ravel().tolist() for c in checks)):
+            for u2, ij, i_plus_j, v2 in zip(*(c.tolist() for c in checks)):
                 if not _close(u2, ij):
                     raise NumericError(
                         f"u^2 = {u2!r} disagrees with i_tilde*j_tilde = {ij!r}")
                 if not _close(i_plus_j, v2):
                     raise NumericError(
                         f"i_tilde + j_tilde = {i_plus_j!r} disagrees with 2*v_sym = {v2!r}")
-    return np.array([v_sym, i_tilde, j_tilde, c_abs, u_abs])
+    fields = _frozen(np.array([v_sym, i_tilde, j_tilde, c_abs, u_abs]))
+    ends = [0, *accumulate(map(len, sums))]
+    return [fields[..., a:b].reshape(5, *x.shape[:-3]) for x, a, b in zip(stacks, ends, ends[1:])]
 
 
 def _measure_all(records: list[_Terms]) -> None:
-    """Fill the measures of records, a report's two or one channel's, all under one state
-    or state stack: one :func:`_measure_sets` pass per Kraus count, the counts in the order
-    they first appear, over the records' channels concatenated on one channel axis (after
-    a state stack's trial axis). Each record reads back its own channels' slices, shaped to
-    its leading axes, a lone channel's as Python floats: the one way a record gets measures."""
-    trial = int(isinstance(records[0].rho, _States))  # the channel axis of a pass
-    for n in dict.fromkeys(t.x.shape[-3] for t in records):
-        group = [t for t in records if t.x.shape[-3] == n]
-        stacks = [t.x.reshape(*t.x.shape[:trial], -1, *t.x.shape[-3:]) for t in group]
-        fields = _frozen(_measure_sets(group[0].rho, np.concatenate(stacks, axis=trial)))
-        ends = [0, *accumulate(s.shape[trial] for s in stacks)]
-        for t, start, stop in zip(group, ends, ends[1:]):
-            part = fields[..., start:stop].reshape(len(fields), *t.x.shape[:-3])
+    """Fill the measures of those records not yet measured, a report's two, a channel's or a
+    ``verify`` chunk's, all under one state or state stack, in one :func:`_measure_sets` pass,
+    each record's shaped to its leading axes, a lone channel's as Python floats: the one way
+    a record gets measures."""
+    records = [t for t in records if t.measures is None]
+    if records:
+        for t, part in zip(records, _measure_sets(records[0].rho, [t.x for t in records])):
             t.measures = MeasureSet(*(part.tolist() if part.ndim == 1 else part))

@@ -621,21 +621,23 @@ def test_bound_report_dim_mismatch(werner1):
 
 
 def _measure_passes(monkeypatch) -> list:
-    """The Kraus stack shape of every stacked measure pass from here on, in order."""
+    """The Kraus stack shapes of every stacked measure pass from here on, in order, a list
+    per pass."""
     shapes, original = [], chanuq.measures._measure_sets
 
-    def spy(rho, x):
-        shapes.append(x.shape)
-        return original(rho, x)
+    def spy(rho, stacks):
+        shapes.append([x.shape for x in stacks])
+        return original(rho, stacks)
 
     monkeypatch.setattr(chanuq.measures, "_measure_sets", spy)
     return shapes
 
 
 @pytest.mark.parametrize("family", [False, True], ids=["pair", "families"])
-def test_bound_report_measures_unequal_kraus_counts_in_two_passes(monkeypatch, family):
-    # both sides reach one _measure_all call, which runs one stacked pass per Kraus
-    # count, phi's first; the report carries each channel's measures of that channel alone
+def test_bound_report_measures_unequal_kraus_counts_in_one_pass(monkeypatch, family):
+    # both sides reach one _measure_all call, which runs one stacked pass over phi's
+    # channels and then psi's, whatever their Kraus counts; the report carries each
+    # channel's measures of that channel alone
     gen = SplitMix64(2323)
     rho = random_density(3, 3, gen)
     phis = [random_channel(3, 2, gen) for _ in range(2 if family else 1)]
@@ -643,7 +645,8 @@ def test_bound_report_measures_unequal_kraus_counts_in_two_passes(monkeypatch, f
     want = [channel_measures(rho, c) for c in phis + psis]
     passes = _measure_passes(monkeypatch)
     report = bound_report(rho, *((phis, psis) if family else (phis[0], psis[0])))
-    assert passes == [(len(phis), 2, 3, 3), (len(psis), 5, 3, 3)]
+    assert passes == [[(len(phis), 1, 2, 3, 3), (1, len(psis), 5, 3, 3)] if family
+                      else [(2, 3, 3), (5, 3, 3)]]
     for i, j in itertools.product(range(len(phis)), range(len(psis))):
         assert oracles.measure_bits(report.measures, (i, j) if family else ()) == (
             oracles.measure_bits((want[i], want[len(phis) + j])))
@@ -662,9 +665,10 @@ def test_bound_report_same_channel_on_both_sides_is_measured_per_side(monkeypatc
     twins = copy.deepcopy(side), copy.deepcopy(side)
     passes = _measure_passes(monkeypatch)
     report = vars(bound_report(rho, *((side, side) if family else (side[0], side[0]))))
-    assert passes == [(2 * len(side), 3, 4, 4)]
+    shapes = [(len(side), 1, 3, 4, 4), (1, len(side), 3, 4, 4)] if family else [(3, 4, 4)] * 2
+    assert passes == [shapes]
     want = vars(bound_report(rho, *(twins if family else (twins[0][0], twins[1][0]))))
-    assert passes[1:] == [(2 * len(side), 3, 4, 4)]
+    assert passes[1:] == [shapes]
     assert oracles.measure_bits(report.pop("measures")) == oracles.measure_bits(
         want.pop("measures"))
     for name, value in want.items():

@@ -439,16 +439,16 @@ def _zero_relations(rhos, trials, values=None):
 def test_harness_relations_match_public_functions_bitwise(dim):
     # the harness shares terms between relations and forms them in stacked products;
     # on its exactly Hermitian a, b that must give the public functions' bits, not
-    # merely close values. Both channels of a config are measured in one stacked pass
+    # merely close values. Every config's channels are measured in one stacked pass
     # over the chunk, and each must keep the measures of a pass over that channel alone
     kraus_counts, trial_seeds = (1, 2, 3, 5), range(31, 36)
     rhos, trials = _harness_chunk(dim, kraus_counts, trial_seeds)
     relations = _chunk_relations(rhos, trials)
-    for j in range(len(kraus_counts)):  # the zipped report's pass over both sides
+    for j in range(len(kraus_counts)):  # a zipped pass over both sides of a config
         x = np.array([[row[j][0].kraus_ops, row[j][1].kraus_ops] for row in trials])
-        zipped = _measure_sets(_stack_states(rhos), x)  # (5, T, 2)
+        zipped, = _measure_sets(_stack_states(rhos), [x])  # (5, T, 2)
         for (t, rho), side in itertools.product(enumerate(rhos), range(2)):
-            lone = _measure_sets(rho, x[t, side][None])  # (5, 1)
+            lone, = _measure_sets(rho, [x[t, side][None]])  # (5, 1)
             assert _bits(zipped[:, t, side]) == _bits(lone[:, 0])
     for (t, rho), j in itertools.product(enumerate(rhos), range(len(kraus_counts))):
         phi, psi, k, l, a, b = trials[t][j]
@@ -660,24 +660,29 @@ def test_verify_draw_failures_raise_the_seed_major_first(monkeypatch, faults, fi
     assert first_failure(lambda: verify_suite(*configs)) == want
 
 
-def _peak_bytes(trials: int) -> int:
+def _peak_bytes(trials: int, kraus_counts=(5,)) -> int:
     tracemalloc.start()
     try:
-        verify_suite(EnsembleConfig(dim=8, kraus_count=5, rank=8, seed=90, trials=trials))
+        verify_suite(*(EnsembleConfig(dim=8, kraus_count=k, rank=8, seed=90, trials=trials)
+                       for k in kraus_counts))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 # the tracemalloc peak of a 2-chunk run at d=8, Kraus 5 (1,595,769 B when measured, with
-# the chunk's normals drawn as one block), with room to spare
+# the chunk's normals drawn as one block), with room to spare; five configs at Kraus 1-5
+# peaked at 1,452,383 B over 24 trials and 1,509,484 B over 96, chunks sized by all five
 PEAK_BOUND = 2 * 2 ** 20
 
 
 def test_verify_suite_memory_does_not_grow_with_trials():
-    # one chunk of trials is live at a time, so 8 chunks' worth peaks as 2 chunks' do
+    # one chunk of trials is live at a time, so 8 chunks' worth peaks as 2 chunks' do; a
+    # chunk stacks every config's operators, so one of five configs is sized by all five
     assert _peak_bytes(2 * CHUNK) < PEAK_BOUND
     assert _peak_bytes(8 * CHUNK) < PEAK_BOUND
+    assert _peak_bytes(24, range(1, 6)) < PEAK_BOUND
+    assert _peak_bytes(96, range(1, 6)) < PEAK_BOUND
 
 
 def test_verify_suite_keeps_the_first_of_equal_minimum_slacks(monkeypatch):

@@ -11,7 +11,8 @@ from chanuq import linalg, measures
 from chanuq.bounds import dou_bounds, heisenberg_bound, luo_bound, schrodinger_bound
 from chanuq.errors import DimensionMismatchError, NumericError
 from chanuq.linalg import NEGATIVITY_FLOOR
-from chanuq.ensembles import SplitMix64, random_channel, random_density
+from chanuq.ensembles import (EnsembleConfig, SplitMix64, random_channel, random_density,
+                              verify_suite)
 from chanuq.examples import _channel_family, channel_E, channel_F, rho_theta_state, werner_state
 from chanuq.measures import (MeasureSet, _nonneg, _Terms, abs_variance, channel_measures,
                              mwy_anti_info, mwy_skew_info, operator_u, sym_abs_variance)
@@ -574,12 +575,81 @@ def test_measure_sets_array_rows_are_the_measure_set_fields():
         for rho, stack, cells in ((rhos[0], x[0], [((g,), 0, g) for g in range(3)]),
                                   (_stack_states(rhos), x, [((t, g), t, g) for t in range(2)
                                                             for g in range(3)])):
-            values = measures._measure_sets(rho, stack)
+            values, = measures._measure_sets(rho, [stack])
             assert isinstance(values, np.ndarray)
             assert values.shape == (len(fields(MeasureSet)), *stack.shape[:-3])
             for cell, t, g in cells:
                 want = channel_measures(rhos[t], family[t][g])
                 assert _bits(values[(slice(None), *cell)]) == _bits(astuple(want)), (dim, cell)
+
+
+TERM_NAMES = ("traces", "traces_dag", "brackets", "brackets0")
+
+
+def _one_pass_draws():
+    """(state or state stack, record builders) over d 2-8 and T 1, 2, 5: per Kraus count
+    1, 2, 3 and 5, two sides of T channels each, as zipped (T, N, d, d) records under the
+    stack of T states, and under the first state alone as a family's (T, N, d, d) record,
+    a grid family's (T, 1, N, d, d) or (1, T, N, d, d) and a lone channel's."""
+    gen = SplitMix64(3737)
+    for dim in range(2, 9):
+        for trials in (1, 2, 5):
+            rhos = [random_density(dim, 1 + (dim + t) % dim, gen) for t in range(trials)]
+            sides = [[random_channel(dim, n, gen) for _ in rhos] for n in (1, 2, 3, 5)
+                     for _ in range(2)]
+            states = _stack_states(rhos)
+            yield states, [lambda side=side: measures._side(states, tuple(side))
+                           for side in sides]
+            axes = (None, 0, 1)  # a family's record, then grid families' on axes 0 and 1
+            yield rhos[0], [lambda side=side, i=i: measures._side(rhos[0], side, axes[i % 3])
+                            for i, side in enumerate(sides)] + [
+                lambda side=side: measures._side(rhos[0], side[0]) for side in sides]
+
+
+def test_one_pass_over_unequal_kraus_counts_equals_one_record_passes():
+    # one _measure_all call and one _operator_terms call over records of Kraus counts 1,
+    # 2, 3 and 5 give each record the measures and per-operator terms of its own pass
+    for draw, (rho, builders) in enumerate(_one_pass_draws()):
+        stacked = [build() for build in builders]
+        measures._measure_all(stacked)
+        measures._operator_terms(stacked)
+        for record, build in zip(stacked, builders):
+            lone = build()
+            measures._measure_all([lone])
+            assert _bits(np.ravel(astuple(record.measures))) == _bits(
+                np.ravel(astuple(lone.measures))), draw
+            measures._operator_terms([lone])
+            for name in TERM_NAMES:
+                got, want = vars(record)[name], vars(lone)[name]
+                for a, b in zip(*((v if isinstance(v, tuple) else (v,)) for v in (got, want)),
+                                strict=True):
+                    assert a.shape == b.shape == record.x.shape[:a.ndim], (draw, name)
+                    assert a.tobytes() == b.tobytes(), (draw, name)
+                    assert not a.flags.writeable, (draw, name)
+
+
+def test_a_records_first_term_read_fills_all_four_in_one_pass():
+    rho, phi = werner_state(0.3), channel_E(0.5)
+    record, twin = _Terms(rho, phi.kraus_ops), _Terms(rho, phi.kraus_ops)
+    assert set(vars(record)).isdisjoint(TERM_NAMES)
+    assert len(record.brackets0) == 2  # the commutator and the anticommutator
+    assert set(TERM_NAMES) <= set(vars(record))
+    measures._operator_terms([twin])
+    for name in TERM_NAMES:
+        assert np.array_equal(getattr(record, name), getattr(twin, name)), name
+
+
+def test_a_verify_chunk_makes_one_measure_pass(monkeypatch):
+    # the chunk of a 3-config group measures both sides of every config in one pass
+    passes, original = [], measures._measure_sets
+
+    def spy(rho, stacks):
+        passes.append([x.shape for x in stacks])
+        return original(rho, stacks)
+    monkeypatch.setattr(measures, "_measure_sets", spy)
+    verify_suite(*(EnsembleConfig(dim=3, kraus_count=k, rank=3, seed=11, trials=2)
+                   for k in (1, 2, 3)))
+    assert passes == [[(2, k, 3, 3) for k in (1, 2, 3) for _ in range(2)]]
 
 
 @pytest.mark.parametrize("dim, n, count", [(3, 2, 4), (5, 3, 1), (16, 16, 2)])
